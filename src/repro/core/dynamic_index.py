@@ -27,6 +27,7 @@ from ..graph.dynamic import DynamicGraph
 from ..metrics.records import RunRecord, StageRecord, TaskCost
 from ..types import CORE, NONCORE, ScanParams
 from ..unionfind import UnionFind
+from .gsindex import arc_order, bulk_overlaps
 from .result import ClusteringResult
 
 __all__ = ["BatchMaintenance", "DynamicGSIndex"]
@@ -86,18 +87,33 @@ class DynamicGSIndex:
 
     def __init__(self, graph: DynamicGraph) -> None:
         self.graph = graph
-        self._overlap: dict[tuple[int, int], int] = {}
-        self._order: list[list[int]] = [[] for _ in range(graph.num_vertices)]
         self._dirty: set[int] = set()
         self.maintenance_ops = 0
-        for u in range(graph.num_vertices):
-            adj_u = graph.neighbors(u)
-            for v in adj_u:
-                if u < v:
-                    self._overlap[(u, v)] = _overlap_closed(
-                        adj_u, graph.neighbors(v)
-                    )
-            self._dirty.add(u)
+        # Seed overlaps and neighbor orders from the static index's bulk
+        # pass over the start state: arcs of u ascend with v, so the
+        # sorted arc order's targets are the (exact descending, v
+        # ascending) vertex order that _refresh_orders maintains.  Keys
+        # and orders share one int object per vertex id, which keeps the
+        # index as small as the per-edge construction left it.
+        snapshot = graph.snapshot()
+        overlap, _ = bulk_overlaps(snapshot)
+        src, dst = snapshot.arc_source(), snapshot.dst
+        upper = src < dst
+        vertex = list(range(graph.num_vertices)).__getitem__
+        self._overlap: dict[tuple[int, int], int] = dict(
+            zip(
+                zip(
+                    map(vertex, src[upper].tolist()),
+                    map(vertex, dst[upper].tolist()),
+                ),
+                overlap[upper].tolist(),
+            )
+        )
+        flat = list(map(vertex, dst[arc_order(snapshot, overlap)[0]].tolist()))
+        off = snapshot.offsets.tolist()
+        self._order: list[list[int]] = [
+            flat[off[u] : off[u + 1]] for u in range(graph.num_vertices)
+        ]
 
     # -- similarity keys -------------------------------------------------
 

@@ -8,10 +8,10 @@ This module implements both sides of that trade-off so the claim is
 measurable:
 
 * **Construction** computes the exact closed-neighborhood overlap of
-  every edge (exhaustive, one full intersection per undirected edge) and
-  stores, per vertex, its arcs sorted by descending similarity — the
-  neighbor-order structure — plus the per-``k`` core thresholds — the
-  core-order structure.
+  every edge (exhaustive, one full intersection per undirected edge, in
+  one bulk array pass) and stores, per vertex, its arcs sorted by
+  descending similarity — the neighbor-order structure — plus the
+  per-``k`` core thresholds — the core-order structure.
 * **Query(ε, µ)** resolves every core in O(1) per vertex (is the µ-th
   best neighbor similarity ≥ ε?), walks only the similar prefix of each
   core's neighbor order, and reuses the library's union-find for
@@ -26,12 +26,13 @@ threshold boundaries.
 from __future__ import annotations
 
 import time
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..intersect import OpCounter, merge_count
+from ..intersect import BatchIntersector
 from ..metrics.records import RunRecord, StageRecord, TaskCost
 from ..types import CORE, NONCORE, ScanParams
 from ..unionfind import UnionFind
@@ -47,6 +48,120 @@ __all__ = ["GSIndex"]
 #: Core orders are materialized for µ up to this bound (beyond it the
 #: per-vertex neighbor-order check answers in O(µ) anyway).
 _CORE_ORDER_MAX_K = 64
+
+#: Candidate-neighborhood elements one bulk overlap chunk may gather,
+#: which bounds the batch kernel's temporaries to a few MB.
+_CHUNK_WORK = 1 << 18
+
+
+def bulk_overlaps(
+    graph: CSRGraph, store: "SimilarityStore | None" = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact closed-neighborhood overlap of every arc, in one bulk pass.
+
+    Each edge is intersected once by ``BatchIntersector.arc_counts`` in
+    chunks, from the arc whose target has the smaller neighborhood, and
+    mirrored.  With a store, covered ``u < v`` arcs are read as hits and
+    the misses committed with one ``record``.  Returns the overlaps and
+    the ``u < v`` arcs actually intersected.
+    """
+    src = graph.arc_source()
+    rev = reverse_arc_index(graph)
+    upper = np.flatnonzero(src < graph.dst)
+    overlap = np.zeros(graph.num_arcs, dtype=np.int64)
+    entry = store.entry_for(graph) if store is not None else None
+    todo = upper
+    if entry is not None:
+        hit = entry.coverage[upper]
+        overlap[upper[hit]] = entry.overlap[upper[hit]]
+        todo = upper[~hit]
+        entry.hits += int(upper.size - todo.size)
+    if todo.size:
+        deg = graph.degrees
+        # Arc ids ascend with their source, so sorting groups by source.
+        arcs = np.sort(np.where(deg[graph.dst[todo]] > deg[src[todo]], rev[todo], todo))
+        work = np.cumsum(deg[graph.dst[arcs]])
+        cuts = np.searchsorted(work, np.arange(_CHUNK_WORK, work[-1], _CHUNK_WORK))
+        inter = BatchIntersector(graph)
+        for chunk in np.split(arcs, cuts):
+            overlap[chunk] = inter.arc_counts(chunk) + 2
+        overlap[rev[arcs]] = overlap[arcs]
+        if entry is not None:
+            entry.record(todo, overlap[todo])
+            entry.misses += int(todo.size)
+    overlap[rev[upper]] = overlap[upper]
+    return overlap, todo
+
+
+def arc_order(
+    graph: CSRGraph, overlap: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, sim_num, sim_den)``: the exact similarity key per arc as
+    ``overlap²`` over ``(d(u)+1)(d(v)+1)``, and every vertex's arcs by
+    that key descending, then arc id, concatenated in vertex order."""
+    src = graph.arc_source()
+    deg1 = graph.degrees.astype(np.int64) + 1
+    sim_num = overlap * overlap
+    sim_den = deg1[src] * deg1[graph.dst]
+    return descending_order(sim_num, sim_den, src), sim_num, sim_den
+
+
+def descending_order(
+    num: np.ndarray, den: np.ndarray, groups: np.ndarray | None = None
+) -> np.ndarray:
+    """Indices by ``groups`` ascending (one group if omitted), then exact
+    ``num / den`` descending, then index ascending.
+
+    A correctly rounded quotient is monotone in the exact rational, so
+    after one stable ``np.lexsort`` on float quotients only float-equal
+    neighbours need an exact check; a group with an unequal one is
+    re-sorted by :meth:`GSIndex._fix_float_sort`.  Integers reaching
+    ``2**53`` (quotients) or cross products past int64 use Python ints.
+    """
+    if groups is None:
+        groups = np.zeros(num.size, dtype=np.int64)
+    top = max(int(num.max(initial=0)), int(den.max(initial=0)))
+    if top < 2**53:
+        keys = num / den
+    else:
+        keys = (num.astype(object) / den.astype(object)).astype(np.float64)
+    order = np.lexsort((-keys, groups))
+    a, b = order[:-1], order[1:]
+    tie = (keys[a] == keys[b]) & (groups[a] == groups[b])
+    a, b = a[tie], b[tie]
+    na, nb, da, db = num[a], num[b], den[a], den[b]
+    if top * top >= 2**63:
+        na, nb, da, db = (x.astype(object) for x in (na, nb, da, db))
+    unequal = na * db != nb * da
+    if unequal.any():
+        num_l, den_l = num.tolist(), den.tolist()
+        ranked = groups[order]
+        for g in np.unique(groups[a[unequal]]).tolist():
+            lo, hi = np.searchsorted(ranked, [g, g + 1]).tolist()
+            order[lo:hi] = GSIndex._fix_float_sort(
+                order[lo:hi].tolist(), num_l, den_l
+            )
+    return order
+
+
+def _eps_squared(params: ScanParams) -> tuple[int, int]:
+    """``ε²`` as an exact (numerator, denominator) pair."""
+    frac = params.eps_fraction
+    return frac.numerator**2, frac.denominator**2
+
+
+def _flatten(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """``(flat, offsets)`` arrays holding ``lists`` back to back."""
+    offsets = np.zeros(len(lists) + 1, dtype=np.int64)
+    np.cumsum([len(part) for part in lists], out=offsets[1:])
+    flat = np.fromiter(chain.from_iterable(lists), np.int64, int(offsets[-1]))
+    return flat, offsets
+
+
+def _unflatten(flat: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
+    """Inverse of :func:`_flatten`: one Python list per segment."""
+    flat, off = flat.tolist(), offsets.tolist()
+    return [flat[off[i] : off[i + 1]] for i in range(len(off) - 1)]
 
 
 class GSIndex:
@@ -68,149 +183,68 @@ class GSIndex:
     ) -> None:
         t0 = time.perf_counter()
         self.graph = graph
-        n = graph.num_vertices
-        counter = OpCounter()
-
-        off = graph.offsets.tolist()
-        dst = graph.dst.tolist()
-        deg = graph.degrees.tolist()
-        adj = [dst[off[u] : off[u + 1]] for u in range(n)]
-        rev = reverse_arc_index(graph).tolist()
+        src = graph.arc_source()
+        deg = graph.degrees
 
         #: With ``sketch`` and ``error > 0`` the stored overlaps are
         #: sketch *estimates*, so the whole index — and every query made
         #: through it — is approximate.  ``error == 0`` keeps the exact
-        #: exhaustive construction: the index has no per-query ε to gate
-        #: against, so a conservative sketch cannot certify its overlap
-        #: values and the sketch is a documented no-op.
+        #: construction: with no per-query ε to gate against, a
+        #: conservative sketch cannot certify overlaps and is a no-op.
         self.approximate = sketch is not None and sketch.error > 0.0
 
         if self.approximate:
-            # Estimate every undirected edge's overlap from the sketches
-            # in one vectorized pass and mirror it.  The store is left
-            # untouched in both directions: estimates must never be
-            # recorded as exact overlaps, and folding cached exact values
-            # into an approximate index would make its accuracy depend on
-            # cache warmth.
+            # Estimate every undirected edge's overlap and mirror it.  The
+            # store is untouched both ways: estimates must never be
+            # recorded as exact, and cached exact values would make the
+            # index's accuracy depend on cache warmth.
             from ..sketch import build_sketches, estimate_overlaps
 
-            src_np = graph.arc_source()
-            upper = np.flatnonzero(src_np < graph.dst)
-            est = estimate_overlaps(
-                build_sketches(graph, sketch), graph, upper, src=src_np
+            upper = np.flatnonzero(src < graph.dst)
+            overlap = np.zeros(graph.num_arcs, dtype=np.int64)
+            overlap[upper] = estimate_overlaps(
+                build_sketches(graph, sketch), graph, upper, src=src
             )
-            overlap_np = np.zeros(graph.num_arcs, dtype=np.int64)
-            overlap_np[upper] = est
-            rev_np = reverse_arc_index(graph)
-            overlap_np[rev_np[upper]] = est
-            overlap = overlap_np.tolist()
-            arcs_scanned = int(upper.size)
-            counter.invocations += arcs_scanned
+            overlap[reverse_arc_index(graph)[upper]] = overlap[upper]
+            scalar_cmp, compsims = 0, int(upper.size)
         else:
-            # The exact index construction IS an exhaustive overlap pass,
-            # so it both profits from and fully populates a similarity
-            # store.
-            entry = store.entry_for(graph) if store is not None else None
-            cov = entry.coverage.tolist() if entry is not None else None
-            cached = entry.overlap.tolist() if entry is not None else None
-            missed_arcs: list[int] = []
-            missed_over: list[int] = []
-            hits = 0
+            # The exact construction IS an exhaustive overlap pass, so it
+            # both profits from and fully populates a similarity store.
+            # The record charges the paper's merge (d(u) + d(v) compares
+            # per intersected edge), not the bulk kernel's vector work.
+            overlap, computed = bulk_overlaps(graph, store)
+            scalar_cmp = int(deg[src[computed]].sum() + deg[graph.dst[computed]].sum())
+            compsims = int(computed.size)
+        arcs = graph.num_edges + graph.num_arcs
+        cost = TaskCost(scalar_cmp=scalar_cmp, compsims=compsims, arcs=arcs)
 
-            # Exact closed-neighborhood overlap per arc (computed once per
-            # undirected edge, mirrored through the reverse-arc index).
-            overlap = [0] * graph.num_arcs
-            arcs_scanned = 0
-            for u in range(n):
-                adj_u = adj[u]
-                for arc in range(off[u], off[u + 1]):
-                    v = dst[arc]
-                    if u < v:
-                        arcs_scanned += 1
-                        if cov is not None and cov[arc]:
-                            common = cached[arc]
-                            hits += 1
-                        else:
-                            common = merge_count(adj_u, adj[v], counter) + 2
-                            if cov is not None:
-                                missed_arcs.append(arc)
-                                missed_over.append(common)
-                        overlap[arc] = common
-                        overlap[rev[arc]] = common
-            if entry is not None:
-                entry.hits += hits
-                if missed_arcs:
-                    entry.record(
-                        np.asarray(missed_arcs, dtype=np.int64),
-                        np.asarray(missed_over, dtype=np.int64),
-                    )
-                    entry.misses += len(missed_arcs)
-
-        # Neighbor order: arcs of u sorted by descending similarity.
-        # Exact sort key per arc: overlap^2 / ((d(u)+1)(d(v)+1)) compared
-        # by cross multiplication — stored as the integer pair
-        # (overlap^2, (d(u)+1)(d(v)+1)).
-        self._overlap = overlap
-        self._deg = deg
-        self._off = off
-        self._dst = dst
-        neighbor_order: list[list[int]] = []
-        sim_num: list[int] = [0] * graph.num_arcs  # overlap^2
-        sim_den: list[int] = [1] * graph.num_arcs  # (du+1)(dv+1)
-        for u in range(n):
-            du1 = deg[u] + 1
-            arcs = list(range(off[u], off[u + 1]))
-            for arc in arcs:
-                v = dst[arc]
-                sim_num[arc] = overlap[arc] * overlap[arc]
-                sim_den[arc] = du1 * (deg[v] + 1)
-            # Descending by exact similarity: a >= b iff
-            # num_a * den_b >= num_b * den_a.
-            arcs.sort(key=lambda a: -(sim_num[a] / sim_den[a]))
-            arcs = self._fix_float_sort(arcs, sim_num, sim_den)
-            neighbor_order.append(arcs)
-        self._sim_num = sim_num
-        self._sim_den = sim_den
-        self._neighbor_order = neighbor_order
+        # Neighbor order: arcs of u by descending exact similarity, kept
+        # as the integer pair overlap^2 / ((d(u)+1)(d(v)+1)).
+        order, sim_num, sim_den = arc_order(graph, overlap)
 
         # Core orders (the index's second structure): for each k, the
         # vertices with >= k neighbors sorted by their k-th best
         # similarity, descending.  A (eps, mu) core query is then a
         # prefix of core_order[mu] instead of an O(n) scan.
-        max_core_k = min(int(max(deg, default=0)), _CORE_ORDER_MAX_K)
-        self._core_orders: list[list[int]] = [[] for _ in range(max_core_k + 1)]
+        max_core_k = min(int(deg.max(initial=0)), _CORE_ORDER_MAX_K)
+        self._core_orders: list[list[int]] = [[]]
         for k in range(1, max_core_k + 1):
-            candidates = [
-                u for u in range(n) if len(neighbor_order[u]) >= k
-            ]
-            def kth_arc(u: int, _k: int = k) -> int:
-                return neighbor_order[u][_k - 1]
+            candidates = np.flatnonzero(deg >= k)
+            kth = order[graph.offsets[candidates] + (k - 1)]
+            ranked = descending_order(sim_num[kth], sim_den[kth])
+            self._core_orders.append(candidates[ranked].tolist())
 
-            candidates.sort(
-                key=lambda u: -(sim_num[kth_arc(u)] / sim_den[kth_arc(u)])
-            )
-            # Exact repair of float-key near-ties (same invariant as the
-            # neighbor orders: strictly descending by exact similarity).
-            for i in range(1, len(candidates)):
-                j = i
-                while j > 0:
-                    a = kth_arc(candidates[j - 1])
-                    b = kth_arc(candidates[j])
-                    if sim_num[a] * sim_den[b] < sim_num[b] * sim_den[a]:
-                        candidates[j - 1], candidates[j] = (
-                            candidates[j],
-                            candidates[j - 1],
-                        )
-                        j -= 1
-                    else:
-                        break
-            self._core_orders[k] = candidates
+        # Python lists for the query loops; arrays are dropped once listed.
+        self._overlap = overlap.tolist()
+        self._sim_num = sim_num.tolist()
+        self._sim_den = sim_den.tolist()
+        del overlap, sim_num, sim_den
+        self._neighbor_order = _unflatten(order, graph.offsets)
+        del order
+        self._deg = deg.tolist()
+        self._off = graph.offsets.tolist()
+        self._dst = graph.dst.tolist()
 
-        cost = TaskCost(
-            scalar_cmp=counter.scalar_cmp,
-            compsims=counter.invocations,
-            arcs=arcs_scanned + graph.num_arcs,
-        )
         self.construction_record = RunRecord(
             algorithm="GS*-Index (construction)",
             stages=[StageRecord("index construction", [cost])],
@@ -236,12 +270,8 @@ class GSIndex:
     def _fix_float_sort(
         arcs: list[int], num: list[int], den: list[int]
     ) -> list[int]:
-        """Repair float-key sorting with exact adjacent-pair comparisons.
-
-        Float keys order almost everything; a single insertion-sort pass
-        with exact integer comparison fixes ties/near-ties, keeping the
-        prefix-walk invariant exact.
-        """
+        """Repair a float-key sort by exact insertion sort (stable, so
+        exact ties keep their input order)."""
         for i in range(1, len(arcs)):
             j = i
             while j > 0:
@@ -272,11 +302,8 @@ class GSIndex:
         order = self._neighbor_order[u]
         if len(order) < params.mu:
             return False
-        frac = params.eps_fraction
-        eps_num = frac.numerator * frac.numerator
-        eps_den = frac.denominator * frac.denominator
-        arc = order[params.mu - 1]  # µ-th most similar neighbor
-        return self._arc_similar(arc, eps_num, eps_den)
+        # The µ-th most similar neighbor decides.
+        return self._arc_similar(order[params.mu - 1], *_eps_squared(params))
 
     # -- persistence ----------------------------------------------------
 
@@ -287,21 +314,8 @@ class GSIndex:
         count, adjacency checksum); :meth:`load` refuses a mismatched
         graph rather than answering queries about the wrong topology.
         """
-        order_flat = np.concatenate(
-            [np.array(o, dtype=np.int64) for o in self._neighbor_order]
-            or [np.zeros(0, dtype=np.int64)]
-        )
-        order_offsets = np.zeros(len(self._neighbor_order) + 1, dtype=np.int64)
-        np.cumsum(
-            [len(o) for o in self._neighbor_order],
-            out=order_offsets[1:],
-        )
-        core_flat = np.concatenate(
-            [np.array(o, dtype=np.int64) for o in self._core_orders]
-            or [np.zeros(0, dtype=np.int64)]
-        )
-        core_offsets = np.zeros(len(self._core_orders) + 1, dtype=np.int64)
-        np.cumsum([len(o) for o in self._core_orders], out=core_offsets[1:])
+        order_flat, order_offsets = _flatten(self._neighbor_order)
+        core_flat, core_offsets = _flatten(self._core_orders)
         np.savez_compressed(
             path,
             approximate=np.array([int(self.approximate)], dtype=np.int64),
@@ -334,16 +348,12 @@ class GSIndex:
             index._deg = graph.degrees.tolist()
             index._off = graph.offsets.tolist()
             index._dst = graph.dst.tolist()
-            oo = data["order_offsets"]
-            flat = data["order_flat"]
-            index._neighbor_order = [
-                flat[oo[i] : oo[i + 1]].tolist() for i in range(len(oo) - 1)
-            ]
-            co = data["core_offsets"]
-            cflat = data["core_flat"]
-            index._core_orders = [
-                cflat[co[i] : co[i + 1]].tolist() for i in range(len(co) - 1)
-            ]
+            index._neighbor_order = _unflatten(
+                data["order_flat"], data["order_offsets"]
+            )
+            index._core_orders = _unflatten(
+                data["core_flat"], data["core_offsets"]
+            )
             index.construction_record = RunRecord(
                 algorithm="GS*-Index (loaded)", stages=[]
             )
@@ -369,9 +379,7 @@ class GSIndex:
         ``core_order[µ]``; cost is proportional to the number of cores
         (plus the exact boundary checks), not to |V|.
         """
-        frac = params.eps_fraction
-        eps_num = frac.numerator * frac.numerator
-        eps_den = frac.denominator * frac.denominator
+        eps_num, eps_den = _eps_squared(params)
         mu = params.mu
         if mu < len(self._core_orders):
             out: list[int] = []
@@ -399,20 +407,12 @@ class GSIndex:
         t0 = time.perf_counter()
         graph = self.graph
         n = graph.num_vertices
-        frac = params.eps_fraction
-        eps_num = frac.numerator * frac.numerator
-        eps_den = frac.denominator * frac.denominator
+        eps_num, eps_den = _eps_squared(params)
         dst = self._dst
 
-        arcs_walked = 0
+        arcs_walked = n
         roles = np.full(n, NONCORE, dtype=np.int8)
-        for u in range(n):
-            order = self._neighbor_order[u]
-            if len(order) >= params.mu and self._arc_similar(
-                order[params.mu - 1], eps_num, eps_den
-            ):
-                roles[u] = CORE
-        arcs_walked += n
+        roles[self.cores(params)] = CORE
 
         uf = UnionFind(n)
         pairs: list[tuple[int, int]] = []

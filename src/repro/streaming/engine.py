@@ -315,17 +315,18 @@ class StreamingEngine:
 
     def _seed_store(self) -> None:
         """Commit the freshly built index's overlaps for the start state."""
-        entry = self.store.entry_for(self._snapshot)
         graph = self._snapshot
-        arcs: list[int] = []
-        overlaps: list[int] = []
-        for (u, v), overlap in self._index.overlaps():
-            arcs.append(graph.edge_offset(u, v))
-            overlaps.append(overlap)
-        if arcs:
+        entry = self.store.entry_for(graph)
+        items = list(self._index.overlaps())
+        if items:
+            # Arc ids in one vectorized binary search over the sorted
+            # ``src * n + dst`` keys of the CSR arcs.
+            edges = np.array([edge for edge, _ in items], dtype=np.int64)
+            n = np.int64(graph.num_vertices)
+            keys = graph.arc_source() * n + graph.dst
             entry.record(
-                np.asarray(arcs, dtype=np.int64),
-                np.asarray(overlaps, dtype=np.int64),
+                np.searchsorted(keys, edges[:, 0] * n + edges[:, 1]),
+                np.array([overlap for _, overlap in items], dtype=np.int64),
             )
 
     def _migrate_store(

@@ -6,8 +6,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import DynamicGSIndex, GSIndex, ppscan
-from repro.graph import DynamicGraph, from_edges
-from repro.graph.generators import erdos_renyi
+from repro.core.dynamic_index import _overlap_closed
+from repro.graph import (
+    DynamicGraph,
+    complete_graph,
+    empty_graph,
+    from_edges,
+    star_graph,
+)
+from repro.graph.generators import chung_lu, erdos_renyi, powerlaw_weights
 from repro.types import ScanParams
 
 
@@ -140,7 +147,42 @@ class TestDynamicGraph:
         assert got == edges
 
 
+def per_edge_seed(graph):
+    """The per-edge overlap pass the bulk seeding replaced."""
+    overlap = {}
+    for u in range(graph.num_vertices):
+        for v in graph.neighbors(u):
+            if u < v:
+                overlap[(u, v)] = _overlap_closed(
+                    graph.neighbors(u), graph.neighbors(v)
+                )
+    return overlap
+
+
 class TestDynamicIndex:
+    @pytest.mark.parametrize(
+        "csr",
+        [
+            empty_graph(0),
+            empty_graph(5),
+            star_graph(30),
+            complete_graph(9),
+            erdos_renyi(60, 260, seed=4),
+            chung_lu(powerlaw_weights(300, 2.05), 1800, seed=3),
+        ],
+        ids=["empty", "isolated", "star", "complete", "er", "chung_lu_hubs"],
+    )
+    def test_bulk_seed_matches_per_edge_construction(self, csr):
+        """Initial overlaps equal the per-edge pass, and initial orders
+        equal what a full refresh of every vertex derives from them."""
+        dyn = DynamicGraph.from_csr(csr)
+        idx = DynamicGSIndex(dyn)
+        assert list(idx._overlap.items()) == list(per_edge_seed(dyn).items())
+        seeded = [list(order) for order in idx._order]
+        idx._dirty.update(range(dyn.num_vertices))
+        idx.refresh()
+        assert idx._order == seeded
+
     def test_fresh_index_matches_static(self):
         csr = erdos_renyi(40, 150, seed=5)
         dyn_idx = DynamicGSIndex(DynamicGraph.from_csr(csr))

@@ -315,6 +315,12 @@ class TestEngineStore:
         store = SimilarityStore()
         return StreamingEngine(graph, store=store, **kwargs), store
 
+    def test_seeded_entry_matches_static_index(self):
+        engine, store = self._engine()
+        entry = store.peek(engine.fingerprint)
+        assert entry.coverage.all()
+        assert entry.overlap.tolist() == GSIndex(engine.snapshot)._overlap
+
     def test_untouched_arcs_survive_with_identical_values(self):
         engine, store = self._engine()
         old_snapshot = engine.snapshot
