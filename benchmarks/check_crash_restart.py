@@ -3,7 +3,7 @@
 
 Kills the *real* CLI process (``os._exit``, exit code 137 — the shape of
 a SIGKILL / OOM-kill) at seeded checkpoint epochs via the
-``REPRO_CRASH_EPOCH`` / ``REPRO_CRASH_MODE`` environment hooks, resumes
+``REPRO_CRASH="checkpoint:<mode>:<epoch>"`` environment hook, resumes
 with ``--resume``, and verifies deterministically:
 
 1. every crash/resume pair yields the *bit-identical* clustering of an
@@ -71,8 +71,7 @@ LEGS = [
 def run_cli(args: list[str], env_extra: dict | None = None) -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    env.pop("REPRO_CRASH_EPOCH", None)
-    env.pop("REPRO_CRASH_MODE", None)
+    env.pop("REPRO_CRASH", None)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -141,10 +140,7 @@ def check_leg(
             crash_ck = base_dir / f"ckpt-e{epoch}-{mode}"
             rc = run_cli(
                 common + ["--checkpoint-dir", str(crash_ck)],
-                env_extra={
-                    "REPRO_CRASH_EPOCH": str(epoch),
-                    "REPRO_CRASH_MODE": mode,
-                },
+                env_extra={"REPRO_CRASH": f"checkpoint:{mode}:{epoch}"},
             )
             if rc != CRASH_EXIT_CODE:
                 raise SystemExit(
@@ -226,7 +222,7 @@ def check_sweep(workdir: Path, graph_file: Path) -> dict:
     ]
     rc = run_cli(
         crash_args,
-        env_extra={"REPRO_CRASH_EPOCH": "2", "REPRO_CRASH_MODE": "after-save"},
+        env_extra={"REPRO_CRASH": "checkpoint:after-save:2"},
     )
     if rc != CRASH_EXIT_CODE:
         raise SystemExit(f"sweep crash run exited {rc}, expected 137")

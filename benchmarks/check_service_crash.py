@@ -2,8 +2,8 @@
 """CI gate for service durability: kill -9 the real server, recover.
 
 Drives ``repro-scan serve --wal-dir`` through its actual CLI and WAL,
-arming :class:`~repro.service.wal.WALCrashPoint` via the
-``REPRO_WAL_CRASH`` environment variable so the process dies with
+arming a :class:`~repro.parallel.chaos.CrashPoint` at a ``wal:`` site
+via ``REPRO_CRASH="wal:<point>:<n>"`` so the process dies with
 ``os._exit(137)`` at seeded WAL events, then restarts it against the
 same directory and checks the recovered state **bit for bit** against
 an in-process reference computed with :mod:`repro.api`.
@@ -69,7 +69,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 RESULTS_DIR = REPO_ROOT / "bench_results"
-CRASH_EXIT = 137  # ProcessCrashPoint/WALCrashPoint contract
+CRASH_EXIT = 137  # CrashPoint contract
 
 #: The (ε, µ) points diffed bit-for-bit on every recovered state.
 POINTS = [(0.5, 2), (0.42, 3)]
@@ -120,7 +120,7 @@ class Server:
             "PATH": "/usr/bin:/bin",
         }
         if crash:
-            env["REPRO_WAL_CRASH"] = crash
+            env["REPRO_CRASH"] = f"wal:{crash}"
         argv = [
             sys.executable, "-u", "-m", "repro", "serve",
             "--port", "0", "--wal-dir", str(wal_dir),

@@ -65,7 +65,7 @@ from .parallel import (
     MachineSpec,
     PoisonTaskError,
     ProcessBackend,
-    ProcessCrashPoint,
+    CrashPoint,
     QuarantineReport,
     ResumableAbort,
     RetryBudgetExhaustedError,
@@ -140,7 +140,7 @@ __all__ = [
     "Fault",
     "FaultPlan",
     "ChaosError",
-    "ProcessCrashPoint",
+    "CrashPoint",
     # checkpoint / resume
     "CheckpointManager",
     "ResumeMismatchError",

@@ -19,9 +19,7 @@ whether its algorithm accepts an execution backend, a batched exec
 mode, a kernel override, and whether it participates in
 :func:`compare`'s agreement check.  Options an algorithm cannot honour
 are reported (:meth:`AlgorithmSpec.ignored_options`) rather than
-silently dropped, and the legacy stringly-typed keyword arguments
-(``exec_mode="batched"``, ``backend=ProcessBackend(...)``) still work
-through a :class:`DeprecationWarning` shim.
+silently dropped.
 
 Fault tolerance rides along transparently: when ``options`` selects the
 process backend, phases run under the
@@ -33,7 +31,6 @@ the algorithm and stage that could not be completed.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -51,13 +48,7 @@ from .core import (
 )
 from .graph import CSRGraph
 from .obs.tracer import current_tracer
-from .options import (
-    BackendKind,
-    ExecMode,
-    ExecutionOptions,
-    Kernel,
-    coerce_enum,
-)
+from .options import BackendKind, ExecMode, ExecutionOptions, Kernel
 from .types import ScanParams, role_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -180,109 +171,6 @@ def available_algorithms() -> Mapping[str, AlgorithmSpec]:
 # ---------------------------------------------------------------------------
 # The facade
 # ---------------------------------------------------------------------------
-
-_LEGACY_KWARGS = (
-    "backend",
-    "workers",
-    "exec_mode",
-    "kernel",
-    "lanes",
-    "task_threshold",
-)
-
-
-def _legacy_replacement(legacy: Mapping) -> str:
-    """The exact ``ExecutionOptions`` spelling replacing ``legacy`` kwargs.
-
-    Rendered into the :class:`DeprecationWarning` so a caller can paste
-    the replacement verbatim: every legacy keyword maps onto one typed
-    field (strings become their enum members, a pre-built backend object
-    becomes ``backend_obj=...``).
-    """
-    parts: list[str] = []
-    if "backend" in legacy:
-        backend = legacy["backend"]
-        if backend is None:
-            parts.append("backend=BackendKind.SERIAL")
-        elif isinstance(backend, (str, BackendKind)):
-            parts.append(f"backend=BackendKind.{BackendKind(backend).name}")
-        else:  # a pre-built ExecutionBackend instance
-            parts.append(f"backend_obj=<{type(backend).__name__}>")
-    if "workers" in legacy:
-        parts.append(f"workers={legacy['workers']!r}")
-    if "exec_mode" in legacy:
-        mode = legacy["exec_mode"]
-        parts.append(
-            f"exec_mode=ExecMode.{ExecMode(mode).name}"
-            if isinstance(mode, (str, ExecMode))
-            else f"exec_mode={mode!r}"
-        )
-    if "kernel" in legacy:
-        kernel = legacy["kernel"]
-        if kernel is None:
-            parts.append("kernel=None")
-        elif isinstance(kernel, (str, Kernel)):
-            parts.append(f"kernel=Kernel.{Kernel(kernel).name}")
-        else:
-            parts.append(f"kernel={kernel!r}")
-    if "lanes" in legacy:
-        parts.append(f"lanes={legacy['lanes']!r}")
-    if "task_threshold" in legacy:
-        parts.append(f"task_threshold={legacy['task_threshold']!r}")
-    return "options=ExecutionOptions(" + ", ".join(parts) + ")"
-
-
-def _options_from_legacy(
-    options: ExecutionOptions | None,
-    legacy: dict,
-    *,
-    caller: str = "cluster",
-) -> ExecutionOptions:
-    """THE legacy-keyword shim: every deprecated spelling funnels here.
-
-    Folds the historical stringly-typed keyword arguments
-    (``exec_mode="batched"``, ``backend=ProcessBackend(...)``, ...) into
-    a typed :class:`~repro.options.ExecutionOptions`, emitting one
-    :class:`DeprecationWarning` that contains the exact replacement
-    string (see :func:`_legacy_replacement`) so call sites can migrate
-    mechanically.  Unknown keywords raise :class:`TypeError` exactly as
-    a plain signature would.
-    """
-    unknown = set(legacy) - set(_LEGACY_KWARGS)
-    if unknown:
-        raise TypeError(
-            f"{caller}() got unexpected keyword argument(s) "
-            f"{sorted(unknown)}"
-        )
-    if not legacy:
-        return options or ExecutionOptions()
-    warnings.warn(
-        f"passing {sorted(legacy)} to {caller}() as keyword argument(s) "
-        f"is deprecated; use {_legacy_replacement(legacy)} "
-        "(from repro.options)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    opts = options or ExecutionOptions()
-    changes: dict = {}
-    if "backend" in legacy:
-        backend = legacy["backend"]
-        if backend is None or isinstance(backend, (str, BackendKind)):
-            with warnings.catch_warnings():
-                # The shim's own warning already names the enum spelling.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                changes["backend"] = coerce_enum(
-                    backend, BackendKind, param="backend"
-                )
-        else:  # a pre-built ExecutionBackend instance
-            changes["backend_obj"] = backend
-    for key in ("workers", "exec_mode", "kernel", "lanes", "task_threshold"):
-        if key in legacy:
-            changes[key] = legacy[key]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return opts.evolve(**changes)
-
 
 # ---------------------------------------------------------------------------
 # Session API: bind a graph once, query it many times
@@ -720,7 +608,6 @@ def cluster(
     *,
     algorithm: str = "ppscan",
     options: ExecutionOptions | None = None,
-    **legacy,
 ) -> ClusteringResult:
     """Cluster ``graph`` at ``params`` with the named algorithm.
 
@@ -728,15 +615,13 @@ def cluster(
     strategy (backend, workers, exec mode, kernel, fault tolerance,
     chaos injection) comes from ``options``; what the algorithm cannot
     honour it ignores (see :meth:`AlgorithmSpec.ignored_options` to
-    check beforehand).  Legacy keyword arguments are accepted with a
-    :class:`DeprecationWarning` naming the exact typed replacement.
+    check beforehand).
 
     This facade is a thin wrapper over a one-shot :class:`Session`; to
     run many queries against one graph, hold a :class:`GraphHandle`
     instead (``api.Session().open(graph)``).
     """
-    opts = _options_from_legacy(options, legacy)
-    handle = Session(options=opts).open(graph)
+    handle = Session(options=options).open(graph)
     return handle.cluster(params, algorithm=algorithm)
 
 
@@ -779,19 +664,14 @@ def compare(
     *,
     algorithms: list[str] | None = None,
     options: ExecutionOptions | None = None,
-    **legacy,
 ) -> ComparisonOutcome:
     """Run several algorithms and assert they produce the same clustering.
 
     Defaults to every registered algorithm with ``in_compare=True``.
     Raises :class:`AssertionError` (from
     :func:`~repro.core.assert_same_clustering`) on the first
-    disagreement — the repo-wide correctness gate.  Legacy keyword
-    arguments funnel through the same deprecation shim as
-    :func:`cluster`.
+    disagreement — the repo-wide correctness gate.
     """
-    if legacy:
-        options = _options_from_legacy(options, legacy, caller="compare")
     names = (
         list(algorithms)
         if algorithms is not None
@@ -837,7 +717,6 @@ def sweep(
     cache_dir=None,
     use_cache: bool = True,
     checkpoint=None,
-    **legacy,
 ):
     """Cluster ``graph`` across the (ε, µ) grid with cross-run overlap reuse.
 
@@ -845,12 +724,8 @@ def sweep(
     :class:`repro.sweep.SweepEngine`; returns its
     :class:`~repro.sweep.SweepOutcome`.  Each arc's exact overlap is
     resolved at most once across the whole grid, and every grid point's
-    clustering is bit-identical to an independent run.  Legacy keyword
-    arguments funnel through the same deprecation shim as
-    :func:`cluster`.
+    clustering is bit-identical to an independent run.
     """
-    if legacy:
-        options = _options_from_legacy(options, legacy, caller="sweep")
     if store is None and use_cache:
         # Preserve SweepEngine's defaults: reuse the options' store when
         # one is attached, else create one per sweep (disk-backed when

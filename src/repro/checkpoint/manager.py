@@ -44,7 +44,7 @@ from .atomic import atomic_write_bytes, atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graph.csr import CSRGraph
-    from ..parallel.chaos import ProcessCrashPoint
+    from ..parallel.chaos import CrashPoint
     from ..types import ScanParams
 
 __all__ = [
@@ -104,10 +104,10 @@ class CheckpointManager:
         index is cleared at :meth:`bind` so stale snapshots can never
         be resumed by accident.
     crash_point:
-        A :class:`~repro.parallel.chaos.ProcessCrashPoint` fired around
-        every save; defaults to one read from the environment
-        (``REPRO_CRASH_EPOCH`` / ``REPRO_CRASH_MODE``), which is how the
-        crash-restart harness kills the real process.
+        A :class:`~repro.parallel.chaos.CrashPoint` fired around every
+        save (``checkpoint:before-save`` / ``checkpoint:after-save`` at
+        the epoch); defaults to one read from ``REPRO_CRASH``, which is
+        how the crash-restart harness kills the real process.
     """
 
     def __init__(
@@ -116,7 +116,7 @@ class CheckpointManager:
         *,
         every: int | None = None,
         resume: bool = False,
-        crash_point: "ProcessCrashPoint | None" = None,
+        crash_point: "CrashPoint | None" = None,
     ) -> None:
         if every is not None and every < 1:
             raise ValueError("checkpoint every must be >= 1")
@@ -124,9 +124,9 @@ class CheckpointManager:
         self.every = every
         self.resume = resume
         if crash_point is None:
-            from ..parallel.chaos import ProcessCrashPoint
+            from ..parallel.chaos import CrashPoint
 
-            crash_point = ProcessCrashPoint.from_env()
+            crash_point = CrashPoint.from_env()
         self.crash_point = crash_point
         self._identity: dict | None = None
         self._epochs: list[dict] = []
@@ -257,7 +257,7 @@ class CheckpointManager:
         epoch = self._epoch + 1
         if _META_KEY in arrays:
             raise ValueError(f"array name {_META_KEY!r} is reserved")
-        self.crash_point.fire("before-save", epoch)
+        self.crash_point.fire("checkpoint:before-save", epoch)
         tracer = current_tracer()
         with tracer.span(
             "checkpoint:write", epoch=epoch, phase=phase
@@ -305,7 +305,7 @@ class CheckpointManager:
         self._epoch = epoch
         if tracer.enabled:
             tracer.count("checkpoint.write", 1)
-        self.crash_point.fire("after-save", epoch)
+        self.crash_point.fire("checkpoint:after-save", epoch)
         return epoch
 
     # -- loading --------------------------------------------------------

@@ -13,27 +13,25 @@ baselines.
 
 Durability model
 ----------------
-The ledger is **append-only JSONL** (one record per line) plus a
-checksummed ``manifest`` rewritten atomically (via
-:mod:`repro.checkpoint.atomic`) after every append:
+The ledger is a schema over
+:class:`~repro.checkpoint.jsonlog.ChecksummedLog`, the checksummed
+append-only JSONL log it shares with the service WAL:
 
-* each line carries its own ``crc`` (BLAKE2b of the record minus the
-  ``crc`` field), so a reader validates records independently of the
-  manifest;
-* appends are ``flush`` + ``fsync`` before the manifest is rewritten,
-  so a crash between the two leaves a valid line the reader still
-  counts (the manifest is advisory, the lines are the truth);
-* a crash *mid-append* leaves a torn tail.  Torn or corrupt lines are a
-  **clean skip** — :meth:`RunLedger.read` drops them (tallied in
-  :attr:`RunLedger.last_skipped`) and the next append first repairs the
-  tail (terminates any unterminated bytes with a newline) so the new
-  record can never fuse with torn remains.
+* each line carries its own ``crc``, so a reader validates records
+  independently of the advisory manifest rewritten after every append
+  (a crash between line ``fsync`` and manifest rewrite leaves a valid
+  line the reader still counts);
+* a crash *mid-append* leaves a torn tail.  Torn, corrupt, undecodable
+  or foreign-schema lines are a **clean skip** — :meth:`RunLedger.read`
+  drops them (tallied in :attr:`RunLedger.last_skipped`) and the next
+  append first repairs the tail so the new record can never fuse with
+  torn remains.
 
-The same :class:`~repro.parallel.chaos.ProcessCrashPoint` the
-crash-restart harness arms (``REPRO_CRASH_EPOCH`` / ``REPRO_CRASH_MODE``)
-fires around every append — ``before-save`` dies mid-append with only a
-torn prefix on disk, ``after-save`` dies after the record is durable —
-which is how the chaos tests prove both halves of the contract.
+A :class:`~repro.parallel.chaos.CrashPoint` (``REPRO_CRASH``) fires
+around every append — ``ledger:mid-append`` dies with only a torn
+prefix of record ``seq`` on disk, ``ledger:post-append`` after it is
+durable — which is how the chaos tests prove both halves of the
+contract.
 
 Keying
 ------
@@ -54,7 +52,7 @@ import time
 from pathlib import Path
 from typing import Any, Mapping
 
-from ..checkpoint.atomic import atomic_write_text, fsync_directory
+from ..checkpoint.jsonlog import CRC_FIELD, ChecksummedLog, parse_lines
 from .tracer import current_tracer
 
 __all__ = [
@@ -71,8 +69,6 @@ __all__ = [
 #: (a clean skip, never an error — forward compatibility by default).
 LEDGER_SCHEMA = 1
 
-_CRC_FIELD = "crc"
-
 
 def stable_key(payload: Any) -> str:
     """Short stable content hash of any JSON-able payload (hex, 64 bits)."""
@@ -80,16 +76,6 @@ def stable_key(payload: Any) -> str:
         payload, sort_keys=True, default=str, separators=(",", ":")
     ).encode("utf-8")
     return hashlib.blake2b(encoded, digest_size=8).hexdigest()
-
-
-def _record_crc(record: Mapping[str, Any]) -> str:
-    body = {k: v for k, v in record.items() if k != _CRC_FIELD}
-    return hashlib.blake2b(
-        json.dumps(
-            body, sort_keys=True, default=str, separators=(",", ":")
-        ).encode("utf-8"),
-        digest_size=10,
-    ).hexdigest()
 
 
 def host_info() -> dict[str, Any]:
@@ -267,71 +253,41 @@ class RunLedger:
     def __init__(self, path: str | os.PathLike, *, crash_point=None) -> None:
         path = Path(path)
         if path.suffix == ".jsonl":
-            self.file = path
-            self.manifest_path = path.with_name(
-                path.stem + ".manifest.json"
-            )
+            file, manifest = path, path.with_name(path.stem + ".manifest.json")
         else:
-            self.file = path / "ledger.jsonl"
-            self.manifest_path = path / "manifest.json"
+            file, manifest = path / "ledger.jsonl", path / "manifest.json"
         if crash_point is None:
-            from ..parallel.chaos import ProcessCrashPoint
+            from ..parallel.chaos import CrashPoint
 
-            crash_point = ProcessCrashPoint.from_env()
-        self.crash_point = crash_point
-        #: Invalid lines dropped by the most recent :meth:`read`.
-        self.last_skipped = 0
+            crash_point = CrashPoint.from_env()
+        self._log = ChecksummedLog(
+            file, manifest, name="ledger", crash_point=crash_point
+        )
         self._seq: int | None = None
 
     @property
     def path(self) -> Path:
         """The JSONL file the ledger appends to."""
-        return self.file
+        return self._log.path
+
+    @property
+    def last_skipped(self) -> int:
+        """Invalid lines dropped by the most recent :meth:`read`."""
+        return self._log.last_skipped
 
     # -- reading ----------------------------------------------------------
 
     def read(self) -> list[dict[str, Any]]:
         """Every valid record, in file order; torn/corrupt lines skipped.
 
-        A line is valid iff it parses as a JSON object, carries the
+        A line is valid iff it decodes as a JSON object, carries the
         current :data:`LEDGER_SCHEMA`, and its ``crc`` matches its body.
         Anything else — a torn tail from a crash mid-append, a truncated
         or hand-edited line, an unknown future schema — is a clean skip,
         counted in :attr:`last_skipped` and as a ``ledger.skip`` metric
         when a tracer is ambient.
         """
-        records: list[dict[str, Any]] = []
-        skipped = 0
-        try:
-            raw = self.file.read_text("utf-8")
-        except OSError:
-            self.last_skipped = 0
-            return records
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if not isinstance(record, dict):
-                skipped += 1
-                continue
-            if record.get("schema") != LEDGER_SCHEMA:
-                skipped += 1
-                continue
-            if record.get(_CRC_FIELD) != _record_crc(record):
-                skipped += 1
-                continue
-            records.append(record)
-        self.last_skipped = skipped
-        if skipped:
-            tracer = current_tracer()
-            if tracer.enabled:
-                tracer.count("ledger.skip", skipped)
-        return records
+        return self._log.read(lambda r: r.get("schema") == LEDGER_SCHEMA)
 
     def history(
         self,
@@ -385,82 +341,30 @@ class RunLedger:
     def append(self, record: Mapping[str, Any]) -> dict[str, Any]:
         """Durably append one record; returns the sealed copy.
 
-        The record is stamped (``schema``, ``seq``, ``crc``), the file
-        tail is repaired if a previous crash left unterminated bytes,
-        the line is written with ``fsync``, and the manifest is
-        rewritten atomically.  The armed
-        :class:`~repro.parallel.chaos.ProcessCrashPoint` fires
-        ``before-save`` *mid-append* (only a torn prefix on disk) and
-        ``after-save`` once the record is durable.
+        The record is stamped (``schema``, ``seq``, ``crc``) and
+        appended, then the manifest is rewritten atomically.  The armed
+        :class:`~repro.parallel.chaos.CrashPoint` fires
+        ``ledger:mid-append`` with only a torn prefix on disk and
+        ``ledger:post-append`` once the record is durable.
         """
-        sealed = dict(record)
-        sealed.setdefault("schema", LEDGER_SCHEMA)
+        stamped = dict(record)
+        stamped.setdefault("schema", LEDGER_SCHEMA)
         seq = self._next_seq()
-        sealed["seq"] = seq
-        sealed[_CRC_FIELD] = _record_crc(sealed)
-        line = json.dumps(sealed, sort_keys=True, default=str) + "\n"
-        data = line.encode("utf-8")
-
-        self.file.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(
-            os.fspath(self.file), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+        stamped["seq"] = seq
+        sealed = self._log.append(stamped, seq)
+        self._log.write_manifest(
+            LEDGER_SCHEMA, last_seq=seq, tail_crc=sealed[CRC_FIELD]
         )
-        try:
-            if os.fstat(fd).st_size > 0:
-                # Repair a torn tail: terminate unfinished bytes so this
-                # record starts on a fresh line (the torn line stays a
-                # clean skip instead of fusing with the new record).
-                with open(self.file, "rb") as check:
-                    check.seek(-1, os.SEEK_END)
-                    if check.read(1) != b"\n":
-                        os.write(fd, b"\n")
-            split = max(len(data) // 2, 1)
-            os.write(fd, data[:split])
-            self.crash_point.fire("before-save", seq)
-            os.write(fd, data[split:])
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        fsync_directory(self.file.parent)
-        self._write_manifest(sealed)
         tracer = current_tracer()
         if tracer.enabled:
             tracer.count("ledger.append", 1)
-        self.crash_point.fire("after-save", seq)
+        self._log.crash_point.fire("ledger:post-append", seq)
         return sealed
 
-    def _write_manifest(self, tail: Mapping[str, Any]) -> None:
-        manifest = {
-            "version": LEDGER_SCHEMA,
-            "file": self.file.name,
-            "bytes": self.file.stat().st_size,
-            "last_seq": tail.get("seq"),
-            "tail_crc": tail.get(_CRC_FIELD),
-        }
-        atomic_write_text(
-            self.manifest_path,
-            json.dumps(manifest, indent=1, sort_keys=True) + "\n",
-        )
-
     def manifest_status(self) -> str:
-        """``ok`` / ``stale`` / ``missing`` — advisory, never load-bearing.
-
-        ``stale`` means the file grew past the manifest (e.g. a crash
-        landed between line fsync and manifest rewrite, or another
-        writer appended); the per-line checksums still validate every
-        record, so a stale manifest costs nothing but this diagnostic.
-        """
-        try:
-            manifest = json.loads(self.manifest_path.read_text("utf-8"))
-        except (OSError, ValueError):
-            return "missing"
-        if not isinstance(manifest, dict):
-            return "missing"
-        try:
-            actual = self.file.stat().st_size
-        except OSError:
-            actual = 0
-        return "ok" if manifest.get("bytes") == actual else "stale"
+        """``ok`` / ``stale`` / ``missing`` (see
+        :meth:`~repro.checkpoint.jsonlog.ChecksummedLog.manifest_status`)."""
+        return self._log.manifest_status()
 
 
 # ---------------------------------------------------------------------------
@@ -510,19 +414,12 @@ def migrate_trajectory(path: str | os.PathLike) -> RunLedger:
     path = Path(path)
     lines: list[dict[str, Any]] = []
     if path.exists():
-        for line in path.read_text("utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(obj, dict):
+        for obj in parse_lines(path.read_bytes()):
+            if obj is None:
                 continue
             if obj.get("schema") == LEDGER_SCHEMA:
                 obj.pop("seq", None)
-                obj.pop(_CRC_FIELD, None)
+                obj.pop(CRC_FIELD, None)
                 lines.append(obj)
             else:
                 lines.append(migrate_legacy_line(obj))

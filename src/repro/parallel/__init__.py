@@ -14,7 +14,7 @@ from .chaos import (
     Fault,
     FaultKind,
     FaultPlan,
-    ProcessCrashPoint,
+    CrashPoint,
 )
 from .supervisor import (
     ExecutionFaultError,
@@ -66,6 +66,6 @@ __all__ = [
     "Fault",
     "FaultPlan",
     "ChaosError",
-    "ProcessCrashPoint",
+    "CrashPoint",
     "CRASH_EXIT_CODE",
 ]

@@ -35,15 +35,29 @@ execution attempt, so the retry recovers; ``attempt=None`` fires on
 Whole-process crashes
 ---------------------
 The faults above kill *workers*; the supervisor survives them.  A
-:class:`ProcessCrashPoint` kills the *driving process itself* at a
-chosen checkpoint epoch — either just before the snapshot is written
-(``before-save``, i.e. crash-mid-phase: the previous epoch must carry
-the resume) or just after (``after-save``, i.e. crash-at-barrier: the
-fresh epoch must).  The crash-restart harness arms one via the
-``REPRO_CRASH_EPOCH`` / ``REPRO_CRASH_MODE`` environment variables and
-SIGKILL-equivalently ``os._exit``\\ s the real CLI process; in-process
-tests inject an ``exit_fn`` that raises instead, so the Python state
-dies but the checkpoint files remain inspectable.
+:class:`CrashPoint` kills the *driving process itself* at one named
+site of one durable writer, the ``n``-th time that site is reached
+(epoch, seq, lsn or compaction ordinal).  Sites are namespaced by
+writer, so arming one never fires in another living in the same
+process:
+
+``checkpoint:before-save`` / ``checkpoint:after-save``
+    around a :class:`~repro.checkpoint.CheckpointManager` snapshot of
+    epoch ``n`` (crash-mid-phase: the previous epoch must carry the
+    resume; crash-at-barrier: the fresh epoch must);
+``ledger:mid-append`` / ``ledger:post-append``
+    a torn prefix of run-ledger record ``seq=n`` on disk / record ``n``
+    durable;
+``wal:mid-append`` / ``wal:post-append``
+    the same two sides of service-WAL record ``lsn=n``;
+``wal:mid-compact`` / ``wal:post-compact``
+    compaction ``n`` before the snapshot replace / after it but before
+    the log truncation.
+
+Crash harnesses arm one point through ``REPRO_CRASH="<site>:<n>"`` and
+SIGKILL-equivalently ``os._exit`` the real CLI or service process;
+in-process tests inject an ``exit_fn`` that raises instead, so the
+Python state dies but the files on disk remain inspectable.
 """
 
 from __future__ import annotations
@@ -61,64 +75,66 @@ __all__ = [
     "Fault",
     "FaultPlan",
     "ChaosError",
-    "ProcessCrashPoint",
+    "CrashPoint",
     "CRASH_EXIT_CODE",
 ]
 
-#: Exit status of an armed :class:`ProcessCrashPoint` — the classic
+#: Exit status of an armed :class:`CrashPoint` — the classic
 #: 128+SIGKILL value, so the harness can tell an injected crash from
 #: any ordinary failure.
 CRASH_EXIT_CODE = 137
 
-
 @dataclass(frozen=True)
-class ProcessCrashPoint:
-    """Kill the whole driving process at one checkpoint epoch.
+class CrashPoint:
+    """Kill the whole driving process at one (``site``, ``n``) event.
 
-    ``mode`` selects which side of the durable write dies:
-    ``"after-save"`` (crash-at-barrier — epoch ``epoch`` is on disk)
-    or ``"before-save"`` (crash-mid-phase — epoch ``epoch`` is *not*).
-    ``epoch=None`` disarms the point entirely, which is the default a
-    :class:`~repro.checkpoint.CheckpointManager` runs with.
+    ``site`` is one of :data:`SITES`; ``site=None`` disarms the point
+    entirely, which is the default every writer runs with.
 
     ``exit_fn`` exists for in-process tests: the default ``None`` means
     ``os._exit(CRASH_EXIT_CODE)`` (no atexit, no finally blocks — as
     close to SIGKILL as Python gets), while a test can substitute a
-    function that raises, leaving the checkpoint directory behind for
-    a resume assertion.
+    function that raises, leaving the written files behind for a
+    recovery assertion.
     """
 
-    epoch: int | None = None
-    mode: str = "after-save"
+    site: str | None = None
+    n: int | None = None
     exit_fn: object = None
 
+    SITES = (
+        "checkpoint:before-save",
+        "checkpoint:after-save",
+        "ledger:mid-append",
+        "ledger:post-append",
+        "wal:mid-append",
+        "wal:post-append",
+        "wal:mid-compact",
+        "wal:post-compact",
+    )
+
     def __post_init__(self) -> None:
-        if self.mode not in ("after-save", "before-save"):
+        if self.site is not None and self.site not in self.SITES:
             raise ValueError(
-                f"crash mode must be 'after-save' or 'before-save', "
-                f"got {self.mode!r}"
+                f"crash site must be one of {self.SITES}, got {self.site!r}"
             )
 
     @classmethod
-    def from_env(cls, environ: dict | None = None) -> "ProcessCrashPoint":
-        """An armed point from ``REPRO_CRASH_EPOCH``/``REPRO_CRASH_MODE``,
-        or a disarmed one when the variables are absent or malformed."""
+    def from_env(cls, environ: dict | None = None) -> "CrashPoint":
+        """An armed point from ``REPRO_CRASH="<site>:<n>"``, or a
+        disarmed one when the variable is absent or malformed."""
         env = os.environ if environ is None else environ
-        raw = env.get("REPRO_CRASH_EPOCH")
-        if raw is None:
+        site, sep, number = env.get("REPRO_CRASH", "").rpartition(":")
+        if not sep or site not in cls.SITES:
             return cls()
         try:
-            epoch = int(raw)
+            return cls(site, int(number))
         except ValueError:
             return cls()
-        mode = env.get("REPRO_CRASH_MODE", "after-save")
-        if mode not in ("after-save", "before-save"):
-            mode = "after-save"
-        return cls(epoch=epoch, mode=mode)
 
-    def fire(self, mode: str, epoch: int) -> None:
-        """Die iff this point is armed for exactly (``mode``, ``epoch``)."""
-        if self.epoch is None or self.epoch != epoch or self.mode != mode:
+    def fire(self, site: str, n: int) -> None:
+        """Die iff this point is armed for exactly (``site``, ``n``)."""
+        if self.site != site or self.n != n:
             return
         if self.exit_fn is not None:
             self.exit_fn(CRASH_EXIT_CODE)

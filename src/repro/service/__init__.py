@@ -35,7 +35,7 @@ from .http import HTTPError, Request, read_request, response_bytes
 from .recovery import RecoveryError, RecoveryReport, recover
 from .registry import GraphRegistry
 from .server import ClusteringService
-from .wal import ServiceWAL, WALCrashPoint
+from .wal import ServiceWAL
 
 __all__ = [
     "ClusteringService",
@@ -45,7 +45,6 @@ __all__ = [
     "RecoveryReport",
     "Request",
     "ServiceWAL",
-    "WALCrashPoint",
     "read_request",
     "recover",
     "response_bytes",

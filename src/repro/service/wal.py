@@ -15,16 +15,17 @@ Layout (one directory per service)::
     <wal_dir>/graphs/<fp>.bin      spilled CSR payloads (binary CSR format)
     <wal_dir>/store/               the SimilarityStore disk layer (default)
 
-Record discipline is the :class:`~repro.obs.ledger.RunLedger` one:
+The log is a schema over
+:class:`~repro.checkpoint.jsonlog.ChecksummedLog`, the checksummed
+append-only JSONL log the run ledger also writes:
 
-* append-only JSONL, every line carrying its own BLAKE2b ``crc`` (of
-  the record minus the ``crc`` field) — a reader validates each line
+* every line carries its own ``crc``, so a reader validates each line
   independently;
 * appends ``fsync`` the line before returning, and the next append
-  first repairs a torn tail (terminates unfinished bytes with a
-  newline) so a crash mid-append can never fuse two records;
-* torn / corrupt / foreign-schema lines are a **clean skip**, counted
-  in :attr:`ServiceWAL.last_skipped`.
+  first repairs a torn tail so a crash mid-append can never fuse two
+  records;
+* torn / corrupt / undecodable / foreign-schema lines are a **clean
+  skip**, counted in :attr:`ServiceWAL.last_skipped`.
 
 Every record carries a monotone ``lsn`` (log sequence number) that
 keeps increasing **across compactions**: a compaction snapshot records
@@ -49,34 +50,34 @@ Operations logged
 
 Crash points
 ------------
-:class:`WALCrashPoint` is the service-level sibling of
-:class:`~repro.parallel.chaos.ProcessCrashPoint`, armed via the
-dedicated ``REPRO_WAL_CRASH`` environment variable (``"<point>:<n>"``)
-so arming the service WAL never cross-arms the run ledger or the
-checkpoint manager living in the same process:
+The WAL fires the ``wal:`` sites of
+:class:`~repro.parallel.chaos.CrashPoint` (armed via
+``REPRO_CRASH="wal:<point>:<n>"``); the namespace keeps an armed WAL
+site from firing in the run ledger or the checkpoint manager living in
+the same process:
 
-``mid-append:<lsn>``    die with only a torn prefix of record ``lsn``
-                        on disk (the mutation must be absent after
-                        recovery);
-``post-append:<lsn>``   die with record ``lsn`` durable but the client
-                        never acknowledged (the mutation must be
-                        present exactly once after recovery);
-``mid-compact:<n>``     die during compaction ``n`` before the new
-                        snapshot is visible (old snapshot + full log);
-``post-compact:<n>``    die after the snapshot replace but before the
-                        log truncation (new snapshot + stale log — the
-                        lsn filter must drop every replayed record).
+``wal:mid-append:<lsn>``    die with only a torn prefix of record
+                            ``lsn`` on disk (the mutation must be
+                            absent after recovery);
+``wal:post-append:<lsn>``   die with record ``lsn`` durable but the
+                            client never acknowledged (the mutation
+                            must be present exactly once after
+                            recovery);
+``wal:mid-compact:<n>``     die during compaction ``n`` before the new
+                            snapshot is visible (old snapshot + full
+                            log);
+``wal:post-compact:<n>``    die after the snapshot replace but before
+                            the log truncation (new snapshot + stale
+                            log — the lsn filter must drop every
+                            replayed record).
 """
 
 from __future__ import annotations
 
-import hashlib
-import io
 import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -84,15 +85,14 @@ from ..checkpoint.atomic import (
     atomic_truncate,
     atomic_write_bytes,
     atomic_write_text,
-    fsync_directory,
 )
+from ..checkpoint.jsonlog import ChecksummedLog, is_sealed, seal, to_line
 from ..graph.io import GraphFormatError, read_csr_binary, csr_to_bytes
 from ..obs.tracer import current_tracer
 
 __all__ = [
     "WAL_SCHEMA",
     "WAL_OPS",
-    "WALCrashPoint",
     "ServiceWAL",
 ]
 
@@ -101,76 +101,6 @@ WAL_SCHEMA = 1
 
 #: The operations a record may carry (anything else is a clean skip).
 WAL_OPS = ("submit", "update", "delete", "evict")
-
-_CRC_FIELD = "crc"
-
-_CRASH_ENV = "REPRO_WAL_CRASH"
-
-
-def _record_crc(record: Mapping[str, Any]) -> str:
-    body = {k: v for k, v in record.items() if k != _CRC_FIELD}
-    return hashlib.blake2b(
-        json.dumps(
-            body, sort_keys=True, default=str, separators=(",", ":")
-        ).encode("utf-8"),
-        digest_size=10,
-    ).hexdigest()
-
-
-@dataclass(frozen=True)
-class WALCrashPoint:
-    """Kill the service process at one seeded WAL event.
-
-    ``point`` is one of :data:`POINTS`; ``target`` is the lsn (append
-    points) or the 1-based compaction ordinal (compaction points).
-    ``point=None`` disarms entirely — the default every production
-    service runs with.
-
-    ``exit_fn`` exists for in-process tests: the default ``None`` dies
-    via ``os._exit(137)`` (no atexit, no finally blocks — as close to
-    SIGKILL as Python gets); a test can substitute a function that
-    raises, leaving the WAL directory inspectable in-process.
-    """
-
-    point: str | None = None
-    target: int | None = None
-    exit_fn: object = None
-
-    POINTS = ("mid-append", "post-append", "mid-compact", "post-compact")
-
-    def __post_init__(self) -> None:
-        if self.point is not None and self.point not in self.POINTS:
-            raise ValueError(
-                f"crash point must be one of {self.POINTS}, got {self.point!r}"
-            )
-
-    @classmethod
-    def from_env(cls, environ: Mapping[str, str] | None = None) -> "WALCrashPoint":
-        """An armed point from ``REPRO_WAL_CRASH="<point>:<n>"``, or a
-        disarmed one when the variable is absent or malformed."""
-        env = os.environ if environ is None else environ
-        raw = env.get(_CRASH_ENV)
-        if not raw:
-            return cls()
-        point, sep, number = raw.partition(":")
-        if point not in cls.POINTS or not sep:
-            return cls()
-        try:
-            target = int(number)
-        except ValueError:
-            return cls()
-        return cls(point=point, target=target)
-
-    def fire(self, point: str, target: int) -> None:
-        """Die iff armed for exactly (``point``, ``target``)."""
-        if self.point != point or self.target != target:
-            return
-        from ..parallel.chaos import CRASH_EXIT_CODE
-
-        if self.exit_fn is not None:
-            self.exit_fn(CRASH_EXIT_CODE)
-            return
-        os._exit(CRASH_EXIT_CODE)  # pragma: no cover - kills the process
 
 
 class ServiceWAL:
@@ -185,68 +115,52 @@ class ServiceWAL:
     def __init__(self, wal_dir: str | os.PathLike, *, crash_point=None) -> None:
         self.dir = Path(wal_dir)
         self.log_path = self.dir / "wal.jsonl"
-        self.manifest_path = self.dir / "wal.manifest.json"
         self.snapshot_path = self.dir / "snapshot.json"
         self.graphs_dir = self.dir / "graphs"
-        self.crash_point = (
-            crash_point if crash_point is not None else WALCrashPoint.from_env()
+        if crash_point is None:
+            from ..parallel.chaos import CrashPoint
+
+            crash_point = CrashPoint.from_env()
+        self.crash_point = crash_point
+        self._log = ChecksummedLog(
+            self.log_path,
+            self.dir / "wal.manifest.json",
+            name="wal",
+            crash_point=crash_point,
         )
         self._lock = threading.Lock()
-        #: Invalid lines dropped by the most recent :meth:`read_records`.
-        self.last_skipped = 0
         self.appends = 0
         snapshot = self.load_snapshot()
         self.compactions = (
             int(snapshot.get("compaction", 0)) if snapshot else 0
         )
+        self._snapshot_lsn = int(snapshot["lsn"]) if snapshot else 0
         #: Highest assigned lsn; survives truncation via the snapshot.
-        self.lsn = self.snapshot_lsn()
+        self.lsn = self._snapshot_lsn
         for record in self.read_records():
             self.lsn = max(self.lsn, int(record["lsn"]))
+
+    @property
+    def last_skipped(self) -> int:
+        """Invalid lines dropped by the most recent :meth:`read_records`."""
+        return self._log.last_skipped
 
     # -- reading ----------------------------------------------------------
 
     def read_records(self) -> list[dict[str, Any]]:
         """Every valid log record in file order; torn/corrupt lines are a
         clean skip counted in :attr:`last_skipped`."""
-        records: list[dict[str, Any]] = []
-        skipped = 0
-        try:
-            raw = self.log_path.read_text("utf-8")
-        except OSError:
-            self.last_skipped = 0
-            return records
-        for line in raw.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                skipped += 1
-                continue
-            if (
-                not isinstance(record, dict)
-                or record.get("schema") != WAL_SCHEMA
-                or record.get("op") not in WAL_OPS
-                or not isinstance(record.get("lsn"), int)
-                or record.get(_CRC_FIELD) != _record_crc(record)
-            ):
-                skipped += 1
-                continue
-            records.append(record)
-        self.last_skipped = skipped
-        if skipped:
-            tracer = current_tracer()
-            if tracer.enabled:
-                tracer.count("wal.skip", skipped)
-        return records
+        return self._log.read(
+            lambda r: r.get("schema") == WAL_SCHEMA
+            and r.get("op") in WAL_OPS
+            and isinstance(r.get("lsn"), int)
+        )
 
     def replay_records(self) -> list[dict[str, Any]]:
         """The records recovery must replay on top of the snapshot:
         valid lines with ``lsn`` past the snapshot's coverage (stale
         pre-truncation leftovers are filtered out)."""
-        base = self.snapshot_lsn()
+        base = self._snapshot_lsn
         return [r for r in self.read_records() if int(r["lsn"]) > base]
 
     def load_snapshot(self) -> dict[str, Any] | None:
@@ -262,13 +176,11 @@ class ServiceWAL:
             or not isinstance(snapshot.get("lsn"), int)
         ):
             return None
-        if snapshot.get(_CRC_FIELD) != _record_crc(snapshot):
-            return None
-        return snapshot
+        return snapshot if is_sealed(snapshot) else None
 
     def snapshot_lsn(self) -> int:
-        snapshot = self.load_snapshot()
-        return int(snapshot["lsn"]) if snapshot else 0
+        """The highest lsn the latest compaction snapshot covers."""
+        return self._snapshot_lsn
 
     # -- graph payloads ---------------------------------------------------
 
@@ -333,52 +245,26 @@ class ServiceWAL:
         """Durably append one record; returns the sealed copy.
 
         The record is stamped (``schema``, ``lsn``, ``ts_unix``,
-        ``crc``), a torn tail from a previous crash is repaired, and the
-        line is written in two chunks with the armed
-        :class:`WALCrashPoint` firing ``mid-append`` between them (only
-        a torn prefix on disk) and ``post-append`` once the line is
-        fsynced — the two sides of the append-before-ack contract.
+        ``crc``) and appended with the armed
+        :class:`~repro.parallel.chaos.CrashPoint` firing
+        ``wal:mid-append`` with only a torn prefix on disk and
+        ``wal:post-append`` once the line is fsynced — the two sides of
+        the append-before-ack contract.
         """
         if op not in WAL_OPS:
             raise ValueError(f"unknown WAL op {op!r}; known: {WAL_OPS}")
         with self._lock:
             self.lsn += 1
             lsn = self.lsn
-            sealed: dict[str, Any] = {
+            record: dict[str, Any] = {
                 "schema": WAL_SCHEMA,
                 "lsn": lsn,
                 "op": op,
                 "ts_unix": int(time.time()),
                 **fields,
             }
-            sealed[_CRC_FIELD] = _record_crc(sealed)
-            data = (
-                json.dumps(sealed, sort_keys=True, default=str) + "\n"
-            ).encode("utf-8")
             t0 = time.perf_counter()
-            self.dir.mkdir(parents=True, exist_ok=True)
-            fd = os.open(
-                os.fspath(self.log_path),
-                os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                0o644,
-            )
-            try:
-                if os.fstat(fd).st_size > 0:
-                    # Repair a torn tail: terminate unfinished bytes so
-                    # this record starts on a fresh line (the torn line
-                    # stays a clean skip instead of fusing with it).
-                    with open(self.log_path, "rb") as check:
-                        check.seek(-1, os.SEEK_END)
-                        if check.read(1) != b"\n":
-                            os.write(fd, b"\n")
-                split = max(len(data) // 2, 1)
-                os.write(fd, data[:split])
-                self.crash_point.fire("mid-append", lsn)
-                os.write(fd, data[split:])
-                os.fsync(fd)
-            finally:
-                os.close(fd)
-            fsync_directory(self.dir)
+            sealed = self._log.append(record, lsn)
             self.appends += 1
             self._write_manifest()
             tracer = current_tracer()
@@ -392,7 +278,7 @@ class ServiceWAL:
                 )
                 tracer.count("wal.append", 1)
                 tracer.count(f"wal.append.{op}", 1)
-            self.crash_point.fire("post-append", lsn)
+            self.crash_point.fire("wal:post-append", lsn)
             return sealed
 
     def compact(self, state: Mapping[str, Any]) -> dict[str, Any]:
@@ -402,28 +288,27 @@ class ServiceWAL:
         ``state`` is the server's registry/idempotency snapshot (see
         :meth:`ClusteringService._snapshot_state`); the caller must have
         spilled every resident graph's payload first.  Crash points:
-        ``mid-compact`` fires before the snapshot replace (old snapshot
-        + full log survive), ``post-compact`` after the replace but
-        before the truncation (new snapshot + stale log — replay's lsn
-        filter must drop every leftover record).
+        ``wal:mid-compact`` fires before the snapshot replace (old
+        snapshot + full log survive), ``wal:post-compact`` after the
+        replace but before the truncation (new snapshot + stale log —
+        replay's lsn filter must drop every leftover record).
         """
         with self._lock:
             ordinal = self.compactions + 1
-            snapshot: dict[str, Any] = {
-                "schema": WAL_SCHEMA,
-                "lsn": self.lsn,
-                "compaction": ordinal,
-                "ts_unix": int(time.time()),
-                **dict(state),
-            }
-            snapshot[_CRC_FIELD] = _record_crc(snapshot)
-            t0 = time.perf_counter()
-            self.crash_point.fire("mid-compact", ordinal)
-            atomic_write_text(
-                self.snapshot_path,
-                json.dumps(snapshot, sort_keys=True, default=str) + "\n",
+            snapshot = seal(
+                {
+                    "schema": WAL_SCHEMA,
+                    "lsn": self.lsn,
+                    "compaction": ordinal,
+                    "ts_unix": int(time.time()),
+                    **dict(state),
+                }
             )
-            self.crash_point.fire("post-compact", ordinal)
+            t0 = time.perf_counter()
+            self.crash_point.fire("wal:mid-compact", ordinal)
+            atomic_write_text(self.snapshot_path, to_line(snapshot))
+            self._snapshot_lsn = self.lsn
+            self.crash_point.fire("wal:post-compact", ordinal)
             atomic_truncate(self.log_path)
             self.compactions = ordinal
             self._write_manifest()
@@ -441,25 +326,12 @@ class ServiceWAL:
 
     def _write_manifest(self) -> None:
         """Advisory tail manifest (the per-line CRCs are the truth)."""
-        try:
-            size = self.log_path.stat().st_size
-        except OSError:
-            size = 0
-        manifest = {
-            "version": WAL_SCHEMA,
-            "file": self.log_path.name,
-            "bytes": size,
-            "lsn": self.lsn,
-            "compactions": self.compactions,
-            "snapshot_lsn": self.snapshot_lsn(),
-        }
-        try:
-            atomic_write_text(
-                self.manifest_path,
-                json.dumps(manifest, indent=1, sort_keys=True) + "\n",
-            )
-        except OSError:  # pragma: no cover - advisory only
-            pass
+        self._log.write_manifest(
+            WAL_SCHEMA,
+            lsn=self.lsn,
+            compactions=self.compactions,
+            snapshot_lsn=self._snapshot_lsn,
+        )
 
     # -- introspection ----------------------------------------------------
 
@@ -470,14 +342,7 @@ class ServiceWAL:
             "lsn": self.lsn,
             "appends": self.appends,
             "compactions": self.compactions,
-            "snapshot_lsn": self.snapshot_lsn(),
+            "snapshot_lsn": self._snapshot_lsn,
             "pending_records": len(self.replay_records()),
             "last_skipped": self.last_skipped,
         }
-
-    def state_bytes(self) -> io.BytesIO:  # pragma: no cover - debug aid
-        """The raw log bytes (missing file → empty buffer)."""
-        try:
-            return io.BytesIO(self.log_path.read_bytes())
-        except OSError:
-            return io.BytesIO()

@@ -8,7 +8,7 @@ from repro import api
 from repro.core import assert_same_clustering
 from repro.graph.generators import erdos_renyi
 from repro.options import BackendKind, ExecMode, ExecutionOptions, Kernel
-from repro.parallel import FaultPlan, FaultTolerancePolicy, SerialBackend
+from repro.parallel import FaultPlan, FaultTolerancePolicy
 from repro.types import ScanParams
 
 
@@ -168,23 +168,6 @@ class TestExecutionOptions:
 
 
 class TestLegacyShims:
-    def test_legacy_exec_mode_kwarg_warns_but_works(self, graph, params):
-        with pytest.warns(DeprecationWarning, match="ExecutionOptions"):
-            result = api.cluster(graph, params, exec_mode="batched")
-        assert_same_clustering(result, api.cluster(graph, params))
-
-    def test_legacy_backend_object_kwarg(self, graph, params):
-        with pytest.warns(DeprecationWarning):
-            result = api.cluster(graph, params, backend=SerialBackend())
-        assert_same_clustering(result, api.cluster(graph, params))
-
-    def test_legacy_workers_kwarg(self, graph, params):
-        with pytest.warns(DeprecationWarning):
-            result = api.cluster(
-                graph, params, backend="process", workers=2
-            )
-        assert_same_clustering(result, api.cluster(graph, params))
-
     def test_unknown_kwarg_rejected(self, graph, params):
         with pytest.raises(TypeError, match="unexpected keyword"):
             api.cluster(graph, params, flux_capacitor=True)
@@ -205,81 +188,27 @@ class TestLegacyShims:
         result = ppscan(graph, params, exec_mode="batched", kernel="merge")
         assert_same_clustering(result, api.cluster(graph, params))
 
-    # Every legacy spelling, with the exact replacement string the
-    # warning must carry so call sites can migrate by copy-paste.
-    EVERY_SPELLING = [
-        ({"backend": "serial"}, "backend=BackendKind.SERIAL"),
-        ({"backend": "process"}, "backend=BackendKind.PROCESS"),
-        ({"backend": BackendKind.PROCESS}, "backend=BackendKind.PROCESS"),
-        ({"backend": None}, "backend=BackendKind.SERIAL"),
-        ({"backend": SerialBackend()}, "backend_obj=<SerialBackend>"),
-        ({"workers": 2}, "workers=2"),
-        ({"workers": None}, "workers=None"),
-        ({"exec_mode": "scalar"}, "exec_mode=ExecMode.SCALAR"),
-        ({"exec_mode": "batched"}, "exec_mode=ExecMode.BATCHED"),
-        ({"exec_mode": ExecMode.BATCHED}, "exec_mode=ExecMode.BATCHED"),
-        ({"kernel": "merge"}, "kernel=Kernel.MERGE"),
-        ({"kernel": "pivot"}, "kernel=Kernel.PIVOT"),
-        ({"kernel": "vectorized"}, "kernel=Kernel.VECTORIZED"),
-        ({"kernel": Kernel.MERGE}, "kernel=Kernel.MERGE"),
-        ({"kernel": None}, "kernel=None"),
-        ({"lanes": 4}, "lanes=4"),
-        ({"task_threshold": 512}, "task_threshold=512"),
-        (
-            {"backend": "process", "workers": 2, "exec_mode": "batched"},
-            "backend=BackendKind.PROCESS, workers=2, "
-            "exec_mode=ExecMode.BATCHED",
-        ),
-    ]
+    # The keyword arguments the facade took before ExecutionOptions;
+    # each is now an ordinary unexpected keyword.
+    FORMER_KWARGS = {
+        "backend": "process",
+        "workers": 2,
+        "exec_mode": "batched",
+        "kernel": "merge",
+        "lanes": 4,
+        "task_threshold": 512,
+    }
 
-    @pytest.mark.parametrize(
-        "legacy,replacement",
-        EVERY_SPELLING,
-        ids=[
-            "-".join(f"{k}={v}" for k, v in case.items())
-            for case, _ in EVERY_SPELLING
-        ],
-    )
-    def test_every_legacy_spelling_names_its_replacement(
-        self, graph, params, legacy, replacement
-    ):
-        with pytest.warns(DeprecationWarning) as caught:
-            result = api.cluster(graph, params, **legacy)
-        messages = [str(w.message) for w in caught]
-        shim = [m for m in messages if "deprecated" in m]
-        assert len(shim) == 1, messages
-        expected = f"options=ExecutionOptions({replacement})"
-        assert expected in shim[0], (shim[0], expected)
-        assert f"{sorted(legacy)}" in shim[0]
-        assert "cluster()" in shim[0]
-        assert_same_clustering(result, api.cluster(graph, params))
-
+    @pytest.mark.parametrize("kwarg", sorted(FORMER_KWARGS))
     @pytest.mark.parametrize("entry_point", ["cluster", "compare", "sweep"])
-    def test_shim_names_the_calling_entry_point(
-        self, graph, params, entry_point
+    def test_former_kwarg_raises_type_error(
+        self, graph, params, entry_point, kwarg
     ):
-        with pytest.warns(
-            DeprecationWarning, match=rf"{entry_point}\(\)"
-        ) as caught:
+        extra = {kwarg: self.FORMER_KWARGS[kwarg]}
+        with pytest.raises(TypeError, match=rf"unexpected keyword.*{kwarg}"):
             if entry_point == "cluster":
-                api.cluster(graph, params, exec_mode="batched")
+                api.cluster(graph, params, **extra)
             elif entry_point == "compare":
-                api.compare(
-                    graph, params, algorithms=["ppscan"],
-                    exec_mode="batched",
-                )
+                api.compare(graph, params, algorithms=["ppscan"], **extra)
             else:
-                api.sweep(graph, [0.4], [2], exec_mode="batched")
-        assert any(
-            "exec_mode=ExecMode.BATCHED" in str(w.message) for w in caught
-        )
-
-    def test_legacy_kwargs_layer_onto_explicit_options(self, graph, params):
-        # options= plus a legacy kwarg: the kwarg wins for its field,
-        # the typed options keep the rest.
-        base = ExecutionOptions(exec_mode=ExecMode.BATCHED)
-        with pytest.warns(DeprecationWarning):
-            result = api.cluster(
-                graph, params, options=base, kernel="merge"
-            )
-        assert_same_clustering(result, api.cluster(graph, params))
+                api.sweep(graph, [0.4], [2], **extra)

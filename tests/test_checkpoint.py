@@ -14,7 +14,7 @@ from repro.checkpoint import (
     atomic_write_text,
 )
 from repro.graph.generators import erdos_renyi
-from repro.parallel import CRASH_EXIT_CODE, ProcessCrashPoint
+from repro.parallel import CRASH_EXIT_CODE, CrashPoint
 from repro.types import ScanParams
 from repro.unionfind import AtomicUnionFind, UnionFind
 
@@ -273,27 +273,25 @@ class TestUnionFindSnapshot:
 
 class TestProcessCrashPoint:
     def test_inert_by_default(self):
-        ProcessCrashPoint().fire("before-save", 1)  # no epoch set: no-op
+        CrashPoint().fire("checkpoint:before-save", 1)  # no site set: no-op
 
     def test_fires_at_epoch_and_mode(self):
         fired = []
-        point = ProcessCrashPoint(
-            epoch=3, mode="after-save", exit_fn=fired.append
-        )
-        point.fire("after-save", 2)
-        point.fire("before-save", 3)
+        point = CrashPoint("checkpoint:after-save", 3, exit_fn=fired.append)
+        point.fire("checkpoint:after-save", 2)
+        point.fire("checkpoint:before-save", 3)
         assert fired == []
-        point.fire("after-save", 3)
+        point.fire("checkpoint:after-save", 3)
         assert fired == [CRASH_EXIT_CODE]
 
     def test_from_env(self):
-        point = ProcessCrashPoint.from_env(
-            {"REPRO_CRASH_EPOCH": "7", "REPRO_CRASH_MODE": "before-save"}
+        point = CrashPoint.from_env(
+            {"REPRO_CRASH": "checkpoint:before-save:7"}
         )
-        assert point.epoch == 7 and point.mode == "before-save"
+        assert point.n == 7 and point.site == "checkpoint:before-save"
 
     def test_from_env_default_inert(self):
-        assert ProcessCrashPoint.from_env({}).epoch is None
+        assert CrashPoint.from_env({}).n is None
 
     def test_save_respects_crash_point(self, tmp_path):
         graph = erdos_renyi(20, 60, seed=1)
@@ -308,9 +306,7 @@ class TestProcessCrashPoint:
 
         mgr = CheckpointManager(
             tmp_path / "ck",
-            crash_point=ProcessCrashPoint(
-                epoch=2, mode="before-save", exit_fn=die
-            ),
+            crash_point=CrashPoint("checkpoint:before-save", 2, exit_fn=die),
         )
         mgr.bind(graph, ScanParams(0.5, 2), algorithm="t")
         mgr.save(arrays={}, meta={}, phase="a")

@@ -18,7 +18,7 @@ from repro.obs import (
 )
 from repro.obs.ledger import migrate_legacy_line
 from repro.options import ExecutionOptions
-from repro.parallel import CRASH_EXIT_CODE, ProcessCrashPoint
+from repro.parallel import CRASH_EXIT_CODE, CrashPoint
 from repro.types import ScanParams
 
 
@@ -147,8 +147,8 @@ class TestCrashDurability:
         fired = []
         ledger = RunLedger(
             path,
-            crash_point=ProcessCrashPoint(
-                epoch=3, mode="before-save", exit_fn=crasher(fired)
+            crash_point=CrashPoint(
+                "ledger:mid-append", 3, exit_fn=crasher(fired)
             ),
         )
         ledger.append(make_record(1.0))
@@ -173,8 +173,8 @@ class TestCrashDurability:
         fired = []
         ledger = RunLedger(
             path,
-            crash_point=ProcessCrashPoint(
-                epoch=2, mode="after-save", exit_fn=crasher(fired)
+            crash_point=CrashPoint(
+                "ledger:post-append", 2, exit_fn=crasher(fired)
             ),
         )
         ledger.append(make_record(1.0))

@@ -15,12 +15,12 @@ from repro.checkpoint import CheckpointManager, ResumeMismatchError
 from repro.core import anyscan, assert_same_clustering, ppscan, pscan, scanxp
 from repro.graph.generators import erdos_renyi
 from repro.parallel import (
+    CrashPoint,
     Fault,
     FaultKind,
     FaultPlan,
     FaultTolerancePolicy,
     ProcessBackend,
-    ProcessCrashPoint,
     ResumableAbort,
     RetryBudgetExhaustedError,
 )
@@ -73,15 +73,15 @@ def run_crash_resume(tmp_path, graph, params, run, *, epoch, mode):
     ck = CheckpointManager(
         tmp_path / "ck",
         every=10,
-        crash_point=ProcessCrashPoint(
-            epoch=epoch, mode=mode, exit_fn=crasher(fired)
+        crash_point=CrashPoint(
+            f"checkpoint:{mode}", epoch, exit_fn=crasher(fired)
         ),
     )
     with pytest.raises(SimulatedCrash):
         run(graph, params, ck)
     assert fired, "crash point never fired"
     resumed = CheckpointManager(
-        tmp_path / "ck", every=10, resume=True, crash_point=ProcessCrashPoint()
+        tmp_path / "ck", every=10, resume=True, crash_point=CrashPoint()
     )
     return run(graph, params, resumed)
 
@@ -215,8 +215,8 @@ class TestSweepResume:
         fired = []
         ck = CheckpointManager(
             tmp_path / "ck",
-            crash_point=ProcessCrashPoint(
-                epoch=2, mode="after-save", exit_fn=crasher(fired)
+            crash_point=CrashPoint(
+                "checkpoint:after-save", 2, exit_fn=crasher(fired)
             ),
         )
         with pytest.raises(SimulatedCrash):
@@ -225,7 +225,7 @@ class TestSweepResume:
             ).run(self.EPS, self.MU)
         assert fired
         resumed = CheckpointManager(
-            tmp_path / "ck", resume=True, crash_point=ProcessCrashPoint()
+            tmp_path / "ck", resume=True, crash_point=CrashPoint()
         )
         outcome = SweepEngine(
             graph, cache_dir=tmp_path / "cache", checkpoint=resumed

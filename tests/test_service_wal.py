@@ -22,12 +22,12 @@ import pytest
 from repro import api
 from repro.cache import graph_fingerprint
 from repro.graph.generators import erdos_renyi
+from repro.parallel import CrashPoint
 from repro.service import (
     ClusteringService,
     GraphRegistry,
     RecoveryError,
     ServiceWAL,
-    WALCrashPoint,
     recover,
 )
 from repro.streaming import EditBatch
@@ -156,20 +156,18 @@ class TestServiceWAL:
         assert wal.graph_path(fp).exists()
 
     def test_crash_point_from_env(self):
-        assert WALCrashPoint.from_env({}).point is None
-        armed = WALCrashPoint.from_env({"REPRO_WAL_CRASH": "mid-append:3"})
-        assert (armed.point, armed.target) == ("mid-append", 3)
-        for bad in ("mid-append", "mid-append:x", "nope:1", ""):
-            assert (
-                WALCrashPoint.from_env({"REPRO_WAL_CRASH": bad}).point is None
-            )
+        assert CrashPoint.from_env({}).site is None
+        armed = CrashPoint.from_env({"REPRO_CRASH": "wal:mid-append:3"})
+        assert (armed.site, armed.n) == ("wal:mid-append", 3)
+        for bad in ("wal:mid-append", "wal:mid-append:x", "wal:nope:1", ""):
+            assert CrashPoint.from_env({"REPRO_CRASH": bad}).site is None
         with pytest.raises(ValueError):
-            WALCrashPoint(point="not-a-point", target=1)
+            CrashPoint("wal:not-a-point", 1)
 
     def test_mid_append_crash_leaves_torn_skip(self, tmp_path):
         wal = ServiceWAL(
             tmp_path / "wal",
-            crash_point=WALCrashPoint("mid-append", 2, exit_fn=_raise_exit),
+            crash_point=CrashPoint("wal:mid-append", 2, exit_fn=_raise_exit),
         )
         wal.append("submit", fingerprint="aa")
         with pytest.raises(_Died):
@@ -182,7 +180,7 @@ class TestServiceWAL:
     def test_post_append_crash_record_durable(self, tmp_path):
         wal = ServiceWAL(
             tmp_path / "wal",
-            crash_point=WALCrashPoint("post-append", 1, exit_fn=_raise_exit),
+            crash_point=CrashPoint("wal:post-append", 1, exit_fn=_raise_exit),
         )
         with pytest.raises(_Died):
             wal.append("submit", fingerprint="aa")
@@ -193,7 +191,7 @@ class TestServiceWAL:
     def test_compaction_crash_points(self, tmp_path):
         wal = ServiceWAL(
             tmp_path / "wal",
-            crash_point=WALCrashPoint("mid-compact", 1, exit_fn=_raise_exit),
+            crash_point=CrashPoint("wal:mid-compact", 1, exit_fn=_raise_exit),
         )
         wal.append("submit", fingerprint="aa")
         with pytest.raises(_Died):
@@ -205,7 +203,7 @@ class TestServiceWAL:
 
         wal = ServiceWAL(
             tmp_path / "wal",
-            crash_point=WALCrashPoint("post-compact", 1, exit_fn=_raise_exit),
+            crash_point=CrashPoint("wal:post-compact", 1, exit_fn=_raise_exit),
         )
         with pytest.raises(_Died):
             wal.compact({"graphs": []})
