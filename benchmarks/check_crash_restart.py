@@ -61,7 +61,6 @@ LEGS = [
     ("ppscan", "scalar"),
     ("ppscan", "batched"),
     ("pscan", "scalar"),
-    ("pscan", "batched"),
     ("scanxp", "scalar"),
     ("scanxp", "batched"),
     ("anyscan", "scalar"),

@@ -847,14 +847,13 @@ def _register_builtins() -> None:
             runner=_runner(
                 pscan,
                 backend=False,
-                exec_mode=True,
+                exec_mode=False,
                 kernel=True,
                 cache=True,
                 checkpoint=True,
                 sketch=True,
             ),
             description="pruning-based sequential SCAN",
-            supports_exec_mode=True,
             supports_kernel=True,
             supports_cache=True,
             supports_checkpoint=True,

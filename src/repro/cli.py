@@ -471,8 +471,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--exec-mode",
         choices=list(EXEC_MODES),
         default="scalar",
-        help="arc-resolution strategy: per-arc scalar kernels or batched "
-        "vectorized resolution (ppscan/pscan/scanxp)",
+        help="arc-resolution policy: per-arc scalar kernels or batched "
+        "vectorized resolution (ppscan/scanxp)",
     )
     _add_sketch_args(p_cluster)
     p_cluster.add_argument(
@@ -1638,7 +1638,15 @@ def main(argv: list[str] | None = None) -> int:
         "history": _cmd_history,
         "report": _cmd_report,
     }
-    return handlers[args.command](args)
+    from .graph.io import GraphFormatError
+
+    try:
+        return handlers[args.command](args)
+    except GraphFormatError as exc:
+        # A malformed input file is a usage error, not a crash: one line
+        # naming path:line, no traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

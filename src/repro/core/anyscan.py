@@ -27,13 +27,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..metrics.records import RunRecord, StageRecord, TaskCost
-from ..parallel.backend import ExecutionBackend, SerialBackend
+from ..metrics.records import RunRecord, TaskCost
+from ..parallel.backend import ExecutionBackend
 from ..parallel.scheduler import degree_based_tasks
-from ..parallel.supervisor import ExecutionFaultError, ResumableAbort
 from ..types import CORE, NONCORE, NSIM, SIM, UNKNOWN, ScanParams
 from ..unionfind import AtomicUnionFind
 from .context import RunContext
+from .phases import PhaseRunner
 from .result import ClusteringResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -99,8 +99,6 @@ def anyscan(
             )
     t0 = time.perf_counter()
     ctx = RunContext(graph, params, kernel="merge", sketch=sketch)
-    backend = backend if backend is not None else SerialBackend()
-    counter = ctx.engine.counter
     off, dst, adj, deg = ctx.off, ctx.dst, ctx.adj, ctx.deg
     sim, roles, mcn, rev = ctx.sim, ctx.roles, ctx.mcn, ctx.rev
     if ctx.engine.sketch is not None:
@@ -118,134 +116,25 @@ def anyscan(
         if task_threshold is not None
         else max(64, ctx.num_arcs // 2048)
     )
-    stages: list[StageRecord] = []
     uf = AtomicUnionFind(n)
-
-    # ==== Checkpoint/resume (same site protocol as ppscan) ===============
     # Sites in execution order: one per α-block of summarization, then
-    # merging.  cursor == len(stages) == number of completed sites.
-    ck = checkpoint
-    restored_cursor = 0
-    restored_pending: list[tuple[int, int]] | None = None
-    partial_records: list[TaskCost] = []
-    phase_no = 0
-
-    def _save_ckpt(
-        phase: str,
-        pending: list[tuple[int, int]] | None = None,
-        partial: list[TaskCost] | None = None,
-    ) -> int:
-        arrays: dict[str, np.ndarray] = {
-            "sim": np.asarray(sim, dtype=np.int8),
-            "roles": np.asarray(roles, dtype=np.int8),
-            "uf_parent": uf.snapshot()["parent"],
-        }
-        meta: dict = {
-            "cursor": len(stages),
-            "stage_records": [s.as_dict() for s in stages],
-            "counter": counter.as_dict(),
-        }
-        if pending is not None:
-            arrays["pending"] = np.asarray(
-                pending, dtype=np.int64
-            ).reshape(-1, 2)
-            meta["partial_records"] = [
-                r.as_dict() for r in (partial or [])
-            ]
-        return ck.save(arrays=arrays, meta=meta, phase=phase)
-
-    if ck is not None:
-        ck.bind(
-            graph,
-            params,
-            algorithm="anyscan",
-            exec_mode="scalar",
-            extra={"alpha": int(alpha), "threshold": int(threshold)}
-            | (
-                {"sketch": ctx.engine.sketch.key()}
-                if ctx.engine.sketch is not None
-                else {}
-            ),
-        )
-        snap = ck.load_latest()
-        if snap is not None:
-            restored_cursor = int(snap.meta["cursor"])
-            sim[:] = np.asarray(snap.arrays["sim"], dtype=np.int8).tolist()
-            roles[:] = np.asarray(
-                snap.arrays["roles"], dtype=np.int8
-            ).tolist()
-            uf.restore({"parent": snap.arrays["uf_parent"]})
-            stages.extend(
-                StageRecord.from_dict(d)
-                for d in snap.meta.get("stage_records", [])
-            )
-            saved_counter = snap.meta.get("counter")
-            if isinstance(saved_counter, dict):
-                for field, value in saved_counter.items():
-                    if field in type(counter).__slots__:
-                        setattr(counter, field, int(value))
-            if "pending" in snap.arrays:
-                restored_pending = [
-                    (int(b), int(e))
-                    for b, e in np.asarray(snap.arrays["pending"])
-                    .reshape(-1, 2)
-                    .tolist()
-                ]
-                partial_records = [
-                    TaskCost.from_dict(d)
-                    for d in snap.meta.get("partial_records", [])
-                ]
-
-    def _run_site(name, derive_tasks, run_task, commit) -> None:
-        nonlocal restored_pending, partial_records, phase_no
-        this_phase = phase_no
-        phase_no += 1
-        if this_phase < restored_cursor:
-            return  # effects and record restored from the snapshot
-        t_stage = time.perf_counter()
-        if this_phase == restored_cursor and restored_pending is not None:
-            tasks = restored_pending
-            records = list(partial_records)
-            restored_pending = None
-            partial_records = []
-        else:
-            tasks = derive_tasks()
-            records = []
-        chunk = (
-            len(tasks)
-            if ck is None or ck.every is None
-            else max(1, ck.every)
-        )
-        pos = 0
-        try:
-            while pos < len(tasks):
-                batch = tasks[pos : pos + chunk]
-                records.extend(backend.run_phase(batch, run_task, commit))
-                pos += len(batch)
-                if ck is not None and pos < len(tasks):
-                    _save_ckpt(name, pending=tasks[pos:], partial=records)
-        except ExecutionFaultError as exc:
-            located = exc.locate(stage=name, algorithm="anyscan")
-            if ck is not None:
-                epoch = _save_ckpt(
-                    name, pending=tasks[pos:], partial=records
-                )
-                raise ResumableAbort.from_fault(
-                    located, epoch=epoch, directory=ck.directory
-                )
-            raise located
-        stages.append(StageRecord(name, records, time.perf_counter() - t_stage))
-        if ck is not None:
-            _save_ckpt(name)
+    # merging; the final labeling is always recomputed.
+    runner = PhaseRunner(
+        "anyscan",
+        ctx,
+        sim=sim,
+        roles=roles,
+        uf=uf,
+        threshold=threshold,
+        backend=backend,
+        checkpoint=checkpoint,
+        bind_extra={"alpha": int(alpha)},
+    )
 
     # -- Summarization: α-blocks of full ε-neighborhood evaluations -------
 
     def block_task(beg: int, end: int):
-        snap = (
-            counter.scalar_cmp,
-            counter.bound_updates,
-            counter.invocations,
-        )
+        mark = runner.mark()
         sim_writes: list[tuple[int, int]] = []
         role_writes: list[tuple[int, int]] = []
         arcs = 0
@@ -273,14 +162,9 @@ def anyscan(
                     sd += 1
                     allocs += 1  # candidate push_back
             role_writes.append((u, CORE if sd >= mu else NONCORE))
-        cost = TaskCost(
-            scalar_cmp=counter.scalar_cmp - snap[0],
-            bound_updates=counter.bound_updates - snap[1],
-            compsims=counter.invocations - snap[2],
-            arcs=arcs,
-            allocs=allocs,
+        return (sim_writes, role_writes), runner.cost(
+            mark, arcs=arcs, allocs=allocs
         )
-        return (sim_writes, role_writes), cost
 
     def commit_block(writes) -> None:
         sim_writes, role_writes = writes
@@ -298,11 +182,11 @@ def anyscan(
 
     for block_beg in range(0, n, alpha):
         block_end = min(block_beg + alpha, n)
-        _run_site(
+        runner.run(
             "summarization",
-            lambda b=block_beg, e=block_end: block_tasks(b, e),
             block_task,
             commit_block,
+            tasks=lambda b=block_beg, e=block_end: block_tasks(b, e),
         )
 
     # -- Merging: union cores over known similar edges ---------------------
@@ -331,14 +215,7 @@ def anyscan(
         for u, v in unions:
             uf.union(u, v)
 
-    _run_site(
-        "merging",
-        lambda: degree_based_tasks(
-            deg, [r == CORE for r in roles], threshold
-        ),
-        merge_task,
-        commit_merge,
-    )
+    runner.run("merging", merge_task, commit_merge, needs_role=CORE)
 
     # -- Final: cluster ids + non-core memberships ------------------------
 
@@ -362,16 +239,14 @@ def anyscan(
             v = dst[arc]
             if roles[v] == NONCORE and sim[arc] == SIM:
                 pairs.append((cid, v))
-    stages.append(
-        StageRecord(
-            "labeling",
-            [TaskCost(arcs=pair_arcs, atomics=uf.num_finds)],
-            time.perf_counter() - t_stage,
-        )
+    runner.record(
+        "labeling", [TaskCost(arcs=pair_arcs, atomics=uf.num_finds)], t_stage
     )
 
     record = RunRecord(
-        algorithm="anySCAN", stages=stages, wall_seconds=time.perf_counter() - t0
+        algorithm="anySCAN",
+        stages=runner.stages,
+        wall_seconds=time.perf_counter() - t0,
     )
     return ClusteringResult(
         algorithm="anySCAN",

@@ -3,15 +3,17 @@
 Materializes the graph's CSR arrays, the reverse-arc index (pSCAN's
 similarity-reuse target, computed for the whole graph in one pass instead
 of per-edge binary searches), the per-arc similarity thresholds, and the
-mutable ``sim`` / ``role`` arrays.
+:class:`~repro.similarity.SimilarityEngine` whose ``exec_mode`` policy
+decides how arc blocks are resolved.
 
-The scalar algorithms consume plain Python lists — the fastest
-representation for the data-dependent early-terminating inner loops on
-this substrate (see the optimization guide: ndarray scalar access in tight
-loops is several times slower than list access).  The batched execution
-mode works on the NumPy forms exclusively, so every list view is a
-``cached_property``: a batched run never pays the O(n + m) ``tolist``
-materialization cost.
+ppSCAN and SCAN-XP keep their state in NumPy arrays and hand arc blocks
+to the engine.  The list-based algorithms (pSCAN, anySCAN, SCAN, SCAN++,
+the BSP variant) run their data-dependent inner loops on plain Python
+lists — the fastest representation for early-terminating per-arc loops on
+this substrate (ndarray scalar access in tight loops is several times
+slower than list access) — so every list view is a ``cached_property``
+built on first use.  :attr:`RunContext.adj` is the engine's own
+adjacency-list cache, so a run never builds two copies.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..similarity import SimilarityEngine, min_cn_arcs
+from ..similarity import SimilarityEngine
 from ..types import ROLE_UNKNOWN, UNKNOWN, ScanParams
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -56,22 +58,23 @@ class RunContext:
         lanes: int = 16,
         store: "SimilarityStore | None" = None,
         sketch=None,
+        exec_mode: str = "scalar",
     ) -> None:
         self.graph = graph
         self.params = params
         self.engine = SimilarityEngine(
             graph, params, kernel=kernel, lanes=lanes, store=store,
-            sketch=sketch,
+            sketch=sketch, exec_mode=exec_mode,
         )
 
         self.n = graph.num_vertices
         self.num_arcs = graph.num_arcs
-        #: NumPy forms, shared by both execution modes.
+        #: NumPy forms.
         self.rev_np: np.ndarray = reverse_arc_index(graph)
         self.src_np: np.ndarray = graph.arc_source()
-        self.mcn_np: np.ndarray = min_cn_arcs(graph, params.eps_fraction)
+        self.mcn_np: np.ndarray = self.engine.arc_thresholds()
 
-    # -- lazily-materialized list views (scalar-mode hot-path state) --------
+    # -- lazily-materialized list views (list-based algorithms) -------------
 
     @cached_property
     def off(self) -> list[int]:
@@ -85,12 +88,11 @@ class RunContext:
     def deg(self) -> list[int]:
         return self.graph.degrees.tolist()
 
-    @cached_property
+    @property
     def adj(self) -> list[list[int]]:
-        """Per-vertex adjacency lists (list slices; zero-copy kernel input)."""
-        off = self.off
-        dst = self.dst
-        return [dst[off[u] : off[u + 1]] for u in range(self.n)]
+        """Per-vertex adjacency lists (the engine's cache; zero-copy
+        kernel input)."""
+        return self.engine.adj_lists()
 
     @cached_property
     def rev(self) -> list[int]:

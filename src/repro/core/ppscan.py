@@ -2,7 +2,8 @@
 
 The computation is decomposed into barrier-separated phases, each a set of
 degree-bundled vertex-range tasks executed through an
-:class:`~repro.parallel.backend.ExecutionBackend`:
+:class:`~repro.parallel.backend.ExecutionBackend` by the shared
+:class:`~repro.core.phases.PhaseRunner`:
 
 ====  =============================  ===============================
 step  phase                           paper reference
@@ -24,41 +25,45 @@ the paper's Theorems 4.1–4.5 admit).  Either way every similarity value is
 computed at most once (Theorem 4.1) and the final roles/clusters are
 exact (Theorems 4.2, 4.5).
 
-Two execution modes share the phase structure:
+Each phase has one task body.  It selects its frontier with array
+operations on the int8 ``sim`` / ``roles`` state and hands the arc block
+to the run's :class:`~repro.similarity.engine.SimilarityEngine`, whose
+``exec_mode`` is the resolution policy:
 
-* ``exec_mode="scalar"`` — the counted reference: one early-terminating
-  kernel call per UNKNOWN arc, per-vertex early exit, exactly the paper's
-  control flow.
-* ``exec_mode="batched"`` — the throughput path: each task body folds the
-  known similarity states with vectorized segment reductions, *collects*
-  its unresolved frontier arcs, and resolves them through
-  :meth:`~repro.similarity.engine.SimilarityEngine.resolve_arcs`, whose
-  adaptive dispatcher routes each arc between the mark-and-count bulk
-  kernel and the early-terminating scalar kernels.  Roles, labels and
-  non-core memberships are identical to the scalar mode (enforced by the
-  batched-mode test suite); only *which* arcs get resolved may differ,
-  because batching trades per-vertex early exit for vector throughput.
+* ``scalar`` — the paper's counted control flow: one early-terminating
+  kernel call per arc, in arc order; each vertex's role walk stops at
+  its µ decision; both directions of an edge are resolved separately,
+  and a task's own results stay invisible to it.
+* ``batched`` — the throughput path: the whole frontier goes through the
+  adaptive dispatcher of
+  :meth:`~repro.similarity.engine.SimilarityEngine.resolve_arcs`; the
+  role walks resolve each undirected edge once per task and fold the
+  mirror results into the task's own walks.
+
+Roles, labels and non-core memberships are identical under both policies
+(enforced by the batched-mode test suite); only *which* arcs get resolved
+— and so the work each task is charged — may differ.  The bodies never
+read the policy; ``tests/test_work_records.py`` pins every per-task cost
+of both.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..intersect.batch import concat_ranges
-from ..metrics.records import RunRecord, StageRecord, TaskCost
+from ..metrics.records import RunRecord, TaskCost
 from ..obs.tracer import current_tracer
-from ..parallel.backend import ExecutionBackend, SerialBackend, commit_arc_states
+from ..parallel.backend import ExecutionBackend, commit_arc_states
 from ..parallel.scheduler import degree_based_tasks
-from ..parallel.supervisor import ExecutionFaultError, ResumableAbort
 from ..similarity.bulk import predicate_prune_arcs
-from ..similarity.engine import EXEC_MODES
 from ..types import CORE, NONCORE, NSIM, ROLE_UNKNOWN, SIM, UNKNOWN, ScanParams
 from ..unionfind import AtomicUnionFind
 from .context import RunContext
+from .phases import PhaseRunner
 from .result import ClusteringResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -68,6 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ppscan",
+    "cluster_cores",
     "auto_task_threshold",
     "auto_batch_task_threshold",
     "PPSCAN_STAGES",
@@ -85,8 +91,9 @@ PPSCAN_STAGES = (
     "non-core clustering",
 )
 
-_EMPTY_ARCS = np.empty(0, dtype=np.int64)
-_EMPTY_STATES = np.empty(0, dtype=np.int8)
+_NO_ARCS = np.empty(0, dtype=np.int64)
+_NO_STATES = np.empty(0, dtype=np.int8)
+_NO_ROLE_WRITES = (_NO_ARCS, _NO_STATES, _NO_ARCS, np.empty(0, dtype=bool))
 
 
 def auto_task_threshold(num_arcs: int) -> int:
@@ -109,6 +116,75 @@ def auto_batch_task_threshold(num_arcs: int) -> int:
     writes from earlier commits under the serial backend).
     """
     return max(auto_task_threshold(num_arcs), min(32768, num_arcs // 16))
+
+
+def cluster_cores(
+    runner: PhaseRunner,
+    ctx: RunContext,
+    name: str,
+    states: tuple[int, ...],
+) -> None:
+    """Run one core-clustering site (Algorithm 4 lines 9-16).
+
+    Each task unions the core pairs ``u < v`` of its range whose
+    similarity state is one of ``states``: known-SIM pairs directly,
+    UNKNOWN ones after the engine resolves them — both only when
+    union-find pruning has not already joined the pair.  ppSCAN runs it
+    twice (no-compsim, compsim); SCAN-XP once over its known states.
+    """
+    sim, roles, uf = runner.sim, runner.roles, runner.uf
+    engine = ctx.engine
+    graph = ctx.graph
+    deg, off, dst = graph.degrees, graph.offsets, graph.dst
+    src, rev, mcn = ctx.src_np, ctx.rev_np, ctx.mcn_np
+
+    def run_task(beg: int, end: int):
+        mark = runner.mark()
+        a0, a1 = int(off[beg]), int(off[end])
+        s_src, s_dst, seg = src[a0:a1], dst[a0:a1], sim[a0:a1]
+        picked = seg == states[0]
+        for other in states[1:]:
+            picked |= seg == other
+        cand = np.flatnonzero(
+            picked
+            & (s_dst > s_src)
+            & (roles[s_src] == CORE)
+            & (roles[s_dst] == CORE)
+        )
+        # Every core scans its arcs; each candidate pays two finds.
+        arcs = int(deg[beg:end][roles[beg:end] == CORE].sum())
+        arcs += 2 * int(cand.size)
+        unions: list[tuple[int, int]] = []
+        unknown: list[int] = []
+        for k, u, v, state in zip(
+            cand.tolist(),
+            s_src[cand].tolist(),
+            s_dst[cand].tolist(),
+            seg[cand].tolist(),
+        ):
+            if uf.same_set(u, v):
+                continue  # union-find pruning
+            if state == SIM:
+                unions.append((u, v))
+            else:
+                unknown.append(a0 + k)
+        f_arcs, f_states = _NO_ARCS, _NO_STATES
+        if unknown:
+            f_arcs = np.asarray(unknown, dtype=np.int64)
+            f_states = engine.resolve_arcs(f_arcs, mcn[f_arcs])
+            similar = f_arcs[f_states == SIM]
+            unions.extend(zip(src[similar].tolist(), dst[similar].tolist()))
+        return (unions, f_arcs, f_states), runner.cost(
+            mark, arcs=arcs, atomics=len(unions)  # one CAS per union
+        )
+
+    def commit(writes) -> None:
+        unions, arcs, states = writes
+        commit_arc_states(sim, rev, arcs, states)
+        for u, v in unions:
+            uf.union(u, v)
+
+    runner.run(name, run_task, commit, needs_role=CORE)
 
 
 def ppscan(
@@ -135,8 +211,8 @@ def ppscan(
     compsim passes), ``kernel``/``lanes`` (``"merge"`` gives ppSCAN-NO,
     ``"vectorized"`` with 8 or 16 lanes models AVX2/AVX512),
     ``task_threshold`` (Algorithm 5's degree-sum cut, auto-scaled by
-    default), and ``exec_mode`` (``"scalar"`` per-arc kernels vs
-    ``"batched"`` whole-frontier resolution — see the module docstring).
+    default), and ``exec_mode`` (the engine's ``"scalar"`` or
+    ``"batched"`` resolution policy — see the module docstring).
 
     ``store`` attaches a :class:`~repro.cache.SimilarityStore`: covered
     arcs are folded into the similarity-pruning phase from their cached
@@ -151,22 +227,19 @@ def ppscan(
     every phase barrier — and, with ``checkpoint.every`` set, after
     every N scheduler tasks inside a phase — so a killed run resumed
     from the same directory reproduces the uninterrupted clustering
-    bit-for-bit (the phase commits are deterministic facts, so
-    re-running the un-committed suffix is Theorems 4.1–4.5 territory).
-    A fatal :class:`~repro.parallel.supervisor.ExecutionFaultError`
-    first writes a final snapshot and re-raises as
-    :class:`~repro.parallel.supervisor.ResumableAbort`.
+    bit-for-bit (see :mod:`repro.core.phases`).
     """
-    if exec_mode not in EXEC_MODES:
-        raise ValueError(
-            f"unknown exec_mode {exec_mode!r}; known: {list(EXEC_MODES)}"
-        )
     t0 = time.perf_counter()
     ctx = RunContext(
-        graph, params, kernel=kernel, lanes=lanes, store=store, sketch=sketch
+        graph,
+        params,
+        kernel=kernel,
+        lanes=lanes,
+        store=store,
+        sketch=sketch,
+        exec_mode=exec_mode,
     )
-    backend = backend if backend is not None else SerialBackend()
-    batched = exec_mode == "batched"
+    engine = ctx.engine
     tracer = current_tracer()
     root_span = (
         tracer.start_span(
@@ -184,677 +257,148 @@ def ppscan(
     )
     if task_threshold is not None:
         threshold = task_threshold
-    elif batched:
-        threshold = auto_batch_task_threshold(ctx.num_arcs)
-    else:
+    elif exec_mode == "scalar":
         threshold = auto_task_threshold(ctx.num_arcs)
+    else:
+        threshold = auto_batch_task_threshold(ctx.num_arcs)
 
-    counter = ctx.engine.counter
-    engine = ctx.engine
-    kernel_fn = ctx.engine.kernel
-    use_store = store is not None
-    cached_arc = engine.resolve_arc_cached
     mu = ctx.mu
     n = ctx.n
-    deg_np = graph.degrees
-    off_np, dst_np = graph.offsets, graph.dst
-    src_np, rev_np, mcn_np = ctx.src_np, ctx.rev_np, ctx.mcn_np
-    if not batched:
-        # The scalar mode's tight loops run on plain lists (materialized
-        # lazily by the context; the batched mode never builds them).
-        off, dst, adj, deg = ctx.off, ctx.dst, ctx.adj, ctx.deg
-        sim, mcn, rev = ctx.sim, ctx.mcn, ctx.rev
-    #: roles stay a NumPy int8 array end-to-end; the per-stage "needs
-    #: work" mask is a single vectorized comparison instead of an O(n)
-    #: Python list comprehension per phase.
+    deg, off, dst = graph.degrees, graph.offsets, graph.dst
+    src, rev, mcn = ctx.src_np, ctx.rev_np, ctx.mcn_np
+    sim = np.full(ctx.num_arcs, UNKNOWN, dtype=np.int8)
     roles = np.full(n, ROLE_UNKNOWN, dtype=np.int8)
-    #: batched mode keeps similarity states in int8 as well (the scalar
-    #: mode's data-dependent inner loops stay on the faster plain list).
-    sim_np = np.full(ctx.num_arcs, UNKNOWN, dtype=np.int8)
     uf = AtomicUnionFind(n)
-    stages: list[StageRecord] = []
     cluster_id: dict[int, int] = {}  # phase 6 (CAS-min per root)
     pairs: list[tuple[int, int]] = []  # phase 7 (cid, non-core vertex)
 
-    # ==== Checkpoint/resume ==============================================
-    # Each phase appends exactly one StageRecord, in order, so the resume
-    # cursor is simply len(stages): a snapshot taken mid-phase (before the
-    # append) says "re-run this phase's remaining tasks", one at a barrier
-    # (after the append) says "start the next phase".
-    ck = checkpoint
-    restored_cursor = 0
-    restored_pending: list[tuple[int, int]] | None = None
-    partial_records: list[TaskCost] = []
-    phase_no = 0  # index of the next phase *site* in execution order
-
-    def _save_ckpt(
-        phase: str,
-        pending: list[tuple[int, int]] | None = None,
-        partial: list[TaskCost] | None = None,
-    ) -> int:
-        arrays: dict[str, np.ndarray] = {
-            "roles": roles.copy(),
-            "sim": (
-                sim_np.copy()
-                if batched
-                else np.asarray(ctx.sim, dtype=np.int8)
-            ),
-            "uf_parent": uf.snapshot()["parent"],
-            "pairs": np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
-        }
+    def extra_arrays() -> dict[str, np.ndarray]:
+        arrays = {"pairs": np.asarray(pairs, dtype=np.int64).reshape(-1, 2)}
         if cluster_id:
             roots = sorted(cluster_id)
             arrays["cid_roots"] = np.asarray(roots, dtype=np.int64)
             arrays["cid_vids"] = np.asarray(
                 [cluster_id[r] for r in roots], dtype=np.int64
             )
-        if use_store:
-            entry = store.entry_for(graph)
-            arrays["store_overlap"] = entry.overlap
-            arrays["store_coverage"] = np.packbits(entry.coverage)
-        meta: dict = {
-            "cursor": len(stages),
-            "stage_records": [s.as_dict() for s in stages],
-            "counter": counter.as_dict(),
-        }
-        if pending is not None:
-            arrays["pending"] = np.asarray(
-                pending, dtype=np.int64
-            ).reshape(-1, 2)
-            meta["partial_records"] = [
-                r.as_dict() for r in (partial or [])
-            ]
-        return ck.save(arrays=arrays, meta=meta, phase=phase)
+        return arrays
 
-    if ck is not None:
-        extra = {
+    runner = PhaseRunner(
+        "ppscan",
+        ctx,
+        sim=sim,
+        roles=roles,
+        uf=uf,
+        threshold=threshold,
+        backend=backend,
+        checkpoint=checkpoint,
+        bind_extra={
             "kernel": kernel,
             "prune_phase": bool(prune_phase),
             "two_phase_clustering": bool(two_phase_clustering),
-            "threshold": int(threshold),
-        }
-        if engine.sketch is not None:
-            # Part of the resume identity: a run folded through sketches
-            # must not resume a snapshot from a different sketch config
-            # (or from an exact run, and vice versa).
-            extra["sketch"] = engine.sketch.key()
-        ck.bind(
-            graph,
-            params,
-            algorithm="ppscan",
-            exec_mode=exec_mode,
-            extra=extra,
-        )
-        snap = ck.load_latest()
-        if snap is not None:
-            restored_cursor = int(snap.meta["cursor"])
-            roles[:] = np.asarray(snap.arrays["roles"], dtype=np.int8)
-            snap_sim = np.asarray(snap.arrays["sim"], dtype=np.int8)
-            if batched:
-                sim_np = snap_sim.copy()
-            else:
-                ctx.sim[:] = snap_sim.tolist()
-                sim = ctx.sim
-            uf.restore({"parent": snap.arrays["uf_parent"]})
-            if "cid_roots" in snap.arrays:
-                cluster_id.update(
-                    zip(
-                        np.asarray(snap.arrays["cid_roots"]).tolist(),
-                        np.asarray(snap.arrays["cid_vids"]).tolist(),
-                    )
+        },
+        extra_arrays=extra_arrays,
+    )
+    snap = runner.restored
+    if snap is not None:
+        if "cid_roots" in snap.arrays:
+            cluster_id.update(
+                zip(
+                    np.asarray(snap.arrays["cid_roots"]).tolist(),
+                    np.asarray(snap.arrays["cid_vids"]).tolist(),
                 )
-            pairs.extend(
-                (int(a), int(b))
-                for a, b in np.asarray(snap.arrays["pairs"])
-                .reshape(-1, 2)
-                .tolist()
             )
-            if use_store and "store_overlap" in snap.arrays:
-                entry = store.entry_for(graph)
-                entry.overlap = np.asarray(
-                    snap.arrays["store_overlap"], dtype=np.int64
-                ).copy()
-                entry.coverage = np.unpackbits(
-                    np.asarray(
-                        snap.arrays["store_coverage"], dtype=np.uint8
-                    ),
-                    count=entry.num_arcs,
-                ).astype(bool)
-                entry.dirty = True
-            stages.extend(
-                StageRecord.from_dict(d)
-                for d in snap.meta.get("stage_records", [])
-            )
-            saved_counter = snap.meta.get("counter")
-            if isinstance(saved_counter, dict):
-                for field, value in saved_counter.items():
-                    if field in type(counter).__slots__:
-                        setattr(counter, field, int(value))
-            if "pending" in snap.arrays:
-                restored_pending = [
-                    (int(b), int(e))
-                    for b, e in np.asarray(snap.arrays["pending"])
-                    .reshape(-1, 2)
-                    .tolist()
-                ]
-                partial_records = [
-                    TaskCost.from_dict(d)
-                    for d in snap.meta.get("partial_records", [])
-                ]
-
-    def _snap() -> tuple[int, int, int, int]:
-        return (
-            counter.scalar_cmp,
-            counter.vector_ops,
-            counter.bound_updates,
-            counter.invocations,
+        pairs.extend(
+            (int(a), int(b))
+            for a, b in np.asarray(snap.arrays["pairs"]).reshape(-1, 2).tolist()
         )
-
-    def _cost(
-        snap: tuple[int, int, int, int], arcs: int = 0, atomics: int = 0
-    ) -> TaskCost:
-        return TaskCost(
-            scalar_cmp=counter.scalar_cmp - snap[0],
-            vector_ops=counter.vector_ops - snap[1],
-            bound_updates=counter.bound_updates - snap[2],
-            compsims=counter.invocations - snap[3],
-            arcs=arcs,
-            atomics=atomics,
-        )
-
-    def _run_stage(
-        name: str,
-        needs_role: int | None,
-        run_task: Callable[[int, int], tuple[object, TaskCost]],
-        commit: Callable[[object], None],
-    ) -> None:
-        """Schedule (Algorithm 5), execute, commit, and record one phase.
-
-        With a checkpoint manager attached the phase's task list is
-        executed in chunks of ``checkpoint.every`` tasks (the whole
-        phase when unset), snapshotting between chunks with the
-        *remaining* tasks stored explicitly — they cannot be re-derived
-        on resume because committed chunks already mutated the roles
-        the schedule was cut from.
-        """
-        nonlocal restored_pending, partial_records, phase_no
-        this_phase = phase_no
-        phase_no += 1
-        if this_phase < restored_cursor:
-            return  # effects and record restored from the snapshot
-        t_stage = time.perf_counter()
-        if this_phase == restored_cursor and restored_pending is not None:
-            tasks = restored_pending
-            records = list(partial_records)
-            restored_pending = None
-            partial_records = []
-        else:
-            needs = None if needs_role is None else roles == needs_role
-            tasks = degree_based_tasks(deg_np, needs, threshold)
-            records = []
-        chunk = (
-            len(tasks)
-            if ck is None or ck.every is None
-            else max(1, ck.every)
-        )
-        pos = 0
-        try:
-            while pos < len(tasks):
-                batch = tasks[pos : pos + chunk]
-                if tracer.enabled:
-                    with tracer.span(name, lane=0, tasks=len(batch)):
-                        recs = backend.run_phase(batch, run_task, commit)
-                else:
-                    recs = backend.run_phase(batch, run_task, commit)
-                records.extend(recs)
-                pos += len(batch)
-                if ck is not None and pos < len(tasks):
-                    _save_ckpt(name, pending=tasks[pos:], partial=records)
-        except ExecutionFaultError as exc:
-            located = exc.locate(stage=name, algorithm="ppscan")
-            if ck is not None:
-                # Everything committed so far is durable; the failed
-                # chunk never committed, so its tasks stay pending.
-                epoch = _save_ckpt(
-                    name, pending=tasks[pos:], partial=records
-                )
-                raise ResumableAbort.from_fault(
-                    located, epoch=epoch, directory=ck.directory
-                )
-            raise located
-        stages.append(
-            StageRecord(name, records, time.perf_counter() - t_stage)
-        )
-        if ck is not None:
-            _save_ckpt(name)
 
     # ==== Step 1: role computing (Algorithm 3) ==========================
 
     # -- Phase 1: similarity pruning --------------------------------------
-    # The phase is one inline data-parallel kernel with no task barrier
-    # inside, so resume granularity is the whole phase: it runs only when
-    # no snapshot covers it (a crash mid-prune replays it from scratch).
-    phase_no += 1  # this is site 0, restored iff any snapshot exists
-    if restored_cursor == 0:
+    # One inline data-parallel kernel with no task barrier inside, so it
+    # runs only when no snapshot covers it (a crash mid-prune replays it).
+    if runner.claim():
         t_stage = time.perf_counter()
-        state0: np.ndarray | None = None
         if prune_phase:
-            state0 = predicate_prune_arcs(graph, mcn_np)
-        if use_store:
-            # Fold store-covered arcs alongside the degree-pruned ones: one
-            # vectorized overlap-vs-threshold comparison per covered arc, so
+            sim[:] = predicate_prune_arcs(graph, mcn)
+        if store is not None:
+            # Fold store-covered arcs alongside the degree-pruned ones, so
             # a warm store resolves the similarity work before any kernel
-            # runs.  Bounds only get tighter; the role fold below stays
-            # exact.
-            if state0 is None:
-                state0 = sim_np
-            engine.prefold_cached(state0, mcn_np)
+            # runs.  Bounds only get tighter; the role fold stays exact.
+            engine.prefold_cached(sim, mcn)
         if engine.sketch is not None:
-            # Sketch prefold after the exact folds (degrees, store): one
-            # vectorized classification of every still-unknown arc; only
-            # the uncertain remainder reaches the exact kernels below.
-            if state0 is None:
-                state0 = sim_np
-            engine.sketch_prefold(state0, mcn_np)
-        if state0 is not None:
-            if batched:
-                sim_np = state0
-            else:
-                ctx.sim[:] = state0.tolist()
-                sim = ctx.sim
-            sd0 = np.bincount(src_np[state0 == SIM], minlength=n)
-            nsim0 = np.bincount(src_np[state0 == NSIM], minlength=n)
-            ed0 = graph.degrees - nsim0
+            # Sketch prefold after the exact folds: only the uncertain
+            # remainder reaches the exact kernels below.
+            engine.sketch_prefold(sim, mcn)
+        if prune_phase or store is not None or engine.sketch is not None:
+            sd0 = np.bincount(src[sim == SIM], minlength=n)
+            ed0 = deg - np.bincount(src[sim == NSIM], minlength=n)
             roles[ed0 < mu] = NONCORE
             roles[sd0 >= mu] = CORE
-        # The phase is pure per-arc arithmetic executed as one data-parallel
-        # kernel; its per-task costs are synthesized from the same ranges the
-        # scheduler would cut (1 arc scan + 1 bound update per arc).
-        prune_tasks: list[TaskCost] = []
-        for beg, end in degree_based_tasks(deg_np, None, threshold):
-            arcs_in_range = int(off_np[end] - off_np[beg])
+        # Per-task costs are synthesized from the ranges the scheduler
+        # would cut (1 arc scan + 1 bound update per arc).
+        prune_tasks = []
+        for beg, end in degree_based_tasks(deg, None, threshold):
+            arcs_in_range = int(off[end] - off[beg])
             prune_tasks.append(
                 TaskCost(arcs=arcs_in_range, bound_updates=arcs_in_range)
             )
-        stages.append(
-            StageRecord(
-                "similarity pruning", prune_tasks, time.perf_counter() - t_stage
-            )
+        runner.finish(
+            "similarity pruning", prune_tasks, t_stage, enabled=prune_phase
         )
-        if tracer.enabled:
-            tracer.add_span(
-                "similarity pruning",
-                t_stage,
-                time.perf_counter(),
-                lane=0,
-                depth=1,
-                tasks=len(prune_tasks),
-                enabled=prune_phase,
-            )
-        if ck is not None:
-            _save_ckpt("similarity pruning")
 
     # -- Phases 2 & 3: core checking, core consolidating -----------------
 
-    def make_role_task(ordered: bool):
+    def make_role_task(final: bool):
         def run_task(beg: int, end: int):
-            snap = _snap()
-            sim_writes: list[tuple[int, int]] = []
-            role_writes: list[tuple[int, int]] = []
-            arcs = 0
-            for u in range(beg, end):
-                if roles[u] != ROLE_UNKNOWN:
-                    continue
-                lo, hi = off[u], off[u + 1]
-                sd = 0
-                ed = deg[u]
-                determined = False
-                # First pass: fold in already-known similarity values.
-                for arc in range(lo, hi):
-                    s = sim[arc]
-                    arcs += 1
-                    if s == SIM:
-                        sd += 1
-                        if sd >= mu:
-                            role_writes.append((u, CORE))
-                            determined = True
-                            break
-                    elif s == NSIM:
-                        ed -= 1
-                        if ed < mu:
-                            role_writes.append((u, NONCORE))
-                            determined = True
-                            break
-                if determined:
-                    continue
-                # Second pass: compute unknown similarities (u < v when
-                # ordered — the vertex-order constraint of §4.1).
-                adj_u = adj[u]
-                for arc in range(lo, hi):
-                    if sim[arc] != UNKNOWN:
-                        continue
-                    v = dst[arc]
-                    if ordered and u >= v:
-                        continue
-                    arcs += 1
-                    if use_store:
-                        state = cached_arc(arc, adj_u, adj[v], mcn[arc])
-                    else:
-                        state = SIM if kernel_fn(adj_u, adj[v], mcn[arc]) else NSIM
-                    sim_writes.append((arc, state))
-                    sim_writes.append((rev[arc], state))
-                    if state == SIM:
-                        sd += 1
-                        if sd >= mu:
-                            role_writes.append((u, CORE))
-                            determined = True
-                            break
-                    else:
-                        ed -= 1
-                        if ed < mu:
-                            role_writes.append((u, NONCORE))
-                            determined = True
-                            break
-                if not determined and not ordered:
-                    # Consolidation saw every similarity: sd is exact.
-                    role_writes.append((u, CORE if sd >= mu else NONCORE))
-            return (sim_writes, role_writes), _cost(snap, arcs=arcs)
+            mark = runner.mark()
+            walking = roles[beg:end] == ROLE_UNKNOWN
+            if not walking.any():
+                return _NO_ROLE_WRITES, runner.cost(mark)
+            # Core checking resolves only u < v (the vertex-order
+            # constraint of §4.1); consolidation resolves the rest and
+            # decides every vertex it walks.
+            *writes, scanned = engine.resolve_walks(
+                beg, end, walking, sim[off[beg] : off[end]], mu, final
+            )
+            return writes, runner.cost(mark, arcs=scanned)
 
         return run_task
 
     def commit_role(writes) -> None:
-        sim_writes, role_writes = writes
-        for arc, state in sim_writes:
-            sim[arc] = state
-        for u, role in role_writes:
-            roles[u] = role
+        arcs, states, decided, core = writes
+        commit_arc_states(sim, rev, arcs, states)
+        roles[decided] = np.where(core, CORE, NONCORE)
 
-    def make_role_task_batched(ordered: bool):
-        def run_task(beg: int, end: int):
-            snap = _snap()
-            a0, a1 = int(off_np[beg]), int(off_np[end])
-            active = np.flatnonzero(roles[beg:end] == ROLE_UNKNOWN) + beg
-            f_arcs, f_states = _EMPTY_ARCS, _EMPTY_STATES
-            det_v, det_r = _EMPTY_ARCS, _EMPTY_STATES
-            if active.size == 0:
-                return (f_arcs, f_states, det_v, det_r), _cost(snap)
-            # Pass 1: fold known states — per-vertex SIM/NSIM tallies via
-            # bincount over the task's arc slice (cost scales with the
-            # number of *known* arcs, which early phases keep small).
-            width = end - beg
-            seg = sim_np[a0:a1]
-            s_rel = src_np[a0:a1] - beg
-            sim_known = np.bincount(s_rel[seg == SIM], minlength=width)
-            nsim_known = np.bincount(s_rel[seg == NSIM], minlength=width)
-            rel_active = active - beg
-            sd = sim_known[rel_active]
-            ed = deg_np[active] - nsim_known[rel_active]
-            arcs = int(deg_np[active].sum())
-            is_core = sd >= mu
-            settled = is_core | (ed < mu)
-            det_v = active[settled]
-            det_r = np.where(is_core[settled], CORE, NONCORE).astype(np.int8)
-            undetermined = active[~settled]
-            if undetermined.size:
-                # Pass 2: collect the unresolved frontier and resolve it
-                # through the adaptive batch API.
-                frontier = concat_ranges(
-                    off_np[undetermined], off_np[undetermined + 1]
-                )
-                mask = sim_np[frontier] == UNKNOWN
-                if ordered:
-                    mask &= dst_np[frontier] > src_np[frontier]
-                frontier = frontier[mask]
-                if not ordered and frontier.size:
-                    # Resolve each undirected edge once per task: drop the
-                    # (v, u) direction when (u, v) is also in the frontier
-                    # (the mirror write restores it at commit).  The
-                    # frontier is ascending (concatenated ascending
-                    # ranges), so membership is a binary search.
-                    mirrors = rev_np[frontier]
-                    pos = np.searchsorted(frontier, mirrors)
-                    pos_clamped = np.minimum(pos, frontier.size - 1)
-                    mirror_present = frontier[pos_clamped] == mirrors
-                    keep = (src_np[frontier] < dst_np[frontier]) | ~mirror_present
-                    frontier = frontier[keep]
-                if frontier.size:
-                    f_states = engine.resolve_arcs(frontier, mcn=mcn_np[frontier])
-                    f_arcs = frontier
-                arcs += int(frontier.size)
-                # Recount by folding the resolved states as per-vertex
-                # bincount deltas: a resolved arc (u, v) updates u's tally
-                # directly and v's through its mirror when v is in-range.
-                sim_f = f_states == SIM
-                own = src_np[f_arcs] - beg
-                sim_add = np.bincount(own[sim_f], minlength=width)
-                nsim_add = np.bincount(own[~sim_f], minlength=width)
-                mirror_v = dst_np[f_arcs]
-                in_range = (mirror_v >= beg) & (mirror_v < end)
-                if in_range.any():
-                    sim_add += np.bincount(
-                        mirror_v[in_range & sim_f] - beg, minlength=width
-                    )
-                    nsim_add += np.bincount(
-                        mirror_v[in_range & ~sim_f] - beg, minlength=width
-                    )
-                rel_un = undetermined - beg
-                sd2 = sd[~settled] + sim_add[rel_un]
-                ed2 = ed[~settled] - nsim_add[rel_un]
-                core2 = sd2 >= mu
-                if ordered:
-                    settled2 = core2 | (ed2 < mu)
-                else:
-                    # Consolidation saw every similarity: sd2 is exact.
-                    settled2 = np.ones(undetermined.size, dtype=bool)
-                det_v = np.concatenate([det_v, undetermined[settled2]])
-                det_r = np.concatenate(
-                    [
-                        det_r,
-                        np.where(core2[settled2], CORE, NONCORE).astype(np.int8),
-                    ]
-                )
-            return (f_arcs, f_states, det_v, det_r), _cost(snap, arcs=arcs)
-
-        return run_task
-
-    def commit_role_batched(writes) -> None:
-        arcs, states, det_v, det_r = writes
-        commit_arc_states(sim_np, rev_np, arcs, states)
-        roles[det_v] = det_r
-
-    if batched:
-        _run_stage(
-            "core checking",
-            ROLE_UNKNOWN,
-            make_role_task_batched(True),
-            commit_role_batched,
-        )
-        _run_stage(
-            "core consolidating",
-            ROLE_UNKNOWN,
-            make_role_task_batched(False),
-            commit_role_batched,
-        )
-    else:
-        _run_stage(
-            "core checking", ROLE_UNKNOWN, make_role_task(True), commit_role
-        )
-        _run_stage(
-            "core consolidating",
-            ROLE_UNKNOWN,
-            make_role_task(False),
-            commit_role,
-        )
+    runner.run(
+        "core checking",
+        make_role_task(False),
+        commit_role,
+        needs_role=ROLE_UNKNOWN,
+    )
+    runner.run(
+        "core consolidating",
+        make_role_task(True),
+        commit_role,
+        needs_role=ROLE_UNKNOWN,
+    )
 
     # ==== Step 2: core and non-core clustering (Algorithm 4) ============
 
-    def _core_arc_budget(beg: int, end: int) -> int:
-        """Adjacency entries belonging to core vertices of the range (the
-        scalar mode's per-arc scan count, computed vectorized)."""
-        return int(deg_np[beg:end][roles[beg:end] == CORE].sum())
-
-    def cluster_no_compsim_task(beg: int, end: int):
-        unions: list[tuple[int, int]] = []
-        arcs = 0
-        atomics = 0
-        for u in range(beg, end):
-            if roles[u] != CORE:
-                continue
-            for arc in range(off[u], off[u + 1]):
-                arcs += 1
-                v = dst[arc]
-                if v <= u or roles[v] != CORE or sim[arc] != SIM:
-                    continue
-                arcs += 2  # IsSameSet = two pointer-chasing finds
-                if not uf.same_set(u, v):
-                    unions.append((u, v))
-                    atomics += 1  # the union's CAS
-        return (unions, []), TaskCost(arcs=arcs, atomics=atomics)
-
-    def cluster_no_compsim_task_batched(beg: int, end: int):
-        a0, a1 = int(off_np[beg]), int(off_np[end])
-        s_src, s_dst = src_np[a0:a1], dst_np[a0:a1]
-        mask = (
-            (s_dst > s_src)
-            & (roles[s_src] == CORE)
-            & (roles[s_dst] == CORE)
-            & (sim_np[a0:a1] == SIM)
-        )
-        unions: list[tuple[int, int]] = []
-        atomics = 0
-        edges_u = s_src[mask].tolist()
-        edges_v = s_dst[mask].tolist()
-        arcs = _core_arc_budget(beg, end) + 2 * len(edges_u)
-        for u, v in zip(edges_u, edges_v):
-            if not uf.same_set(u, v):
-                unions.append((u, v))
-                atomics += 1
-        return (
-            (unions, (_EMPTY_ARCS, _EMPTY_STATES)),
-            TaskCost(arcs=arcs, atomics=atomics),
-        )
-
-    def cluster_compsim_task(beg: int, end: int):
-        snap = _snap()
-        unions: list[tuple[int, int]] = []
-        sim_writes: list[tuple[int, int]] = []
-        arcs = 0
-        atomics = 0
-        for u in range(beg, end):
-            if roles[u] != CORE:
-                continue
-            adj_u = adj[u]
-            for arc in range(off[u], off[u + 1]):
-                arcs += 1
-                v = dst[arc]
-                if v <= u or roles[v] != CORE:
-                    continue
-                unknown = sim[arc] == UNKNOWN
-                if not unknown and not two_phase_clustering:
-                    # Single-phase ablation: handle known-SIM edges here.
-                    if sim[arc] == SIM:
-                        arcs += 2
-                        if not uf.same_set(u, v):
-                            unions.append((u, v))
-                            atomics += 1
-                    continue
-                if not unknown:
-                    continue
-                arcs += 2
-                if uf.same_set(u, v):
-                    continue  # union-find pruning
-                if use_store:
-                    state = cached_arc(arc, adj_u, adj[v], mcn[arc])
-                else:
-                    state = SIM if kernel_fn(adj_u, adj[v], mcn[arc]) else NSIM
-                sim_writes.append((arc, state))
-                sim_writes.append((rev[arc], state))
-                if state == SIM:
-                    unions.append((u, v))
-                    atomics += 1
-        return (unions, sim_writes), _cost(snap, arcs=arcs, atomics=atomics)
-
-    def cluster_compsim_task_batched(beg: int, end: int):
-        snap = _snap()
-        a0, a1 = int(off_np[beg]), int(off_np[end])
-        s_src, s_dst = src_np[a0:a1], dst_np[a0:a1]
-        seg = sim_np[a0:a1]
-        pair = (s_dst > s_src) & (roles[s_src] == CORE) & (roles[s_dst] == CORE)
-        unions: list[tuple[int, int]] = []
-        atomics = 0
-        arcs = _core_arc_budget(beg, end)
-        if not two_phase_clustering:
-            # Single-phase ablation: handle known-SIM edges here.
-            known = np.flatnonzero(pair & (seg == SIM))
-            for u, v in zip(s_src[known].tolist(), s_dst[known].tolist()):
-                arcs += 2
-                if not uf.same_set(u, v):
-                    unions.append((u, v))
-                    atomics += 1
-        unknown = np.flatnonzero(pair & (seg == UNKNOWN)) + a0
-        survivors: list[int] = []
-        for arc, u, v in zip(
-            unknown.tolist(),
-            src_np[unknown].tolist(),
-            dst_np[unknown].tolist(),
-        ):
-            arcs += 2
-            if not uf.same_set(u, v):  # union-find pruning
-                survivors.append(arc)
-        f_arcs = np.asarray(survivors, dtype=np.int64)
-        f_states = engine.resolve_arcs(f_arcs, mcn=mcn_np[f_arcs])
-        similar = f_arcs[f_states == SIM]
-        for u, v in zip(src_np[similar].tolist(), dst_np[similar].tolist()):
-            unions.append((u, v))
-            atomics += 1
-        return (
-            (unions, (f_arcs, f_states)),
-            _cost(snap, arcs=arcs, atomics=atomics),
-        )
-
-    def commit_cluster(writes) -> None:
-        unions, sim_writes = writes
-        for arc, state in sim_writes:
-            sim[arc] = state
-        for u, v in unions:
-            uf.union(u, v)
-
-    def commit_cluster_batched(writes) -> None:
-        unions, (arcs, states) = writes
-        commit_arc_states(sim_np, rev_np, arcs, states)
-        for u, v in unions:
-            uf.union(u, v)
-
-    no_compsim_task = (
-        cluster_no_compsim_task_batched if batched else cluster_no_compsim_task
-    )
-    compsim_task = (
-        cluster_compsim_task_batched if batched else cluster_compsim_task
-    )
-    cluster_commit = commit_cluster_batched if batched else commit_cluster
-
     if two_phase_clustering:
-        _run_stage(
-            "core clustering (no compsim)",
-            CORE,
-            no_compsim_task,
-            cluster_commit,
-        )
+        cluster_cores(runner, ctx, "core clustering (no compsim)", (SIM,))
+        cluster_cores(runner, ctx, "core clustering (compsim)", (UNKNOWN,))
     else:
-        # Single-phase ablation: the placeholder record still occupies a
-        # phase slot so the resume cursor arithmetic stays uniform.
-        if phase_no >= restored_cursor:
-            stages.append(StageRecord("core clustering (no compsim)", []))
-            if ck is not None:
-                _save_ckpt("core clustering (no compsim)")
-        phase_no += 1
-    _run_stage(
-        "core clustering (compsim)", CORE, compsim_task, cluster_commit
-    )
+        # Single-phase ablation: the compsim pass also takes the known-SIM
+        # pairs, and the placeholder record still occupies a site so the
+        # resume cursor arithmetic stays uniform.
+        if runner.claim():
+            runner.finish(
+                "core clustering (no compsim)", [], time.perf_counter()
+            )
+        cluster_cores(runner, ctx, "core clustering (compsim)", (UNKNOWN, SIM))
 
     # -- Phase 6: cluster id initialization (CAS-min per root) ------------
-    # (``cluster_id`` itself is declared with the run state above so a
-    # resumed run repopulates it from the snapshot.)
 
     def init_cluster_id_task(beg: int, end: int):
         mins: dict[int, int] = {}
@@ -868,96 +412,57 @@ def ppscan(
             if cur is None or u < cur:
                 mins[root] = u
                 atomics += 1  # the CAS attempt of Algorithm 4 line 23
-        return (mins, None), TaskCost(arcs=arcs, atomics=atomics)
+        return mins, TaskCost(arcs=arcs, atomics=atomics)
 
-    def commit_cluster_id(writes) -> None:
-        mins, _ = writes
+    def commit_cluster_id(mins) -> None:
         for root, vid in mins.items():
             cur = cluster_id.get(root)
             if cur is None or vid < cur:
                 cluster_id[root] = vid
 
-    _run_stage("cluster id init", CORE, init_cluster_id_task, commit_cluster_id)
+    runner.run(
+        "cluster id init",
+        init_cluster_id_task,
+        commit_cluster_id,
+        needs_role=CORE,
+    )
 
     # -- Phase 7: non-core clustering --------------------------------------
-    # (``pairs`` is declared with the run state above for the same reason.)
 
     def noncore_task(beg: int, end: int):
-        snap = _snap()
-        local_pairs: list[tuple[int, int]] = []
-        sim_writes: list[tuple[int, int]] = []
-        arcs = 0
-        atomics = 0
-        for u in range(beg, end):
-            if roles[u] != CORE:
-                continue
-            cid = cluster_id[uf.find(u)]
-            arcs += 2
-            adj_u = adj[u]
-            for arc in range(off[u], off[u + 1]):
-                arcs += 1
-                v = dst[arc]
-                if roles[v] != NONCORE:
-                    continue
-                state = sim[arc]
-                if state == UNKNOWN:
-                    if use_store:
-                        state = cached_arc(arc, adj_u, adj[v], mcn[arc])
-                    else:
-                        state = SIM if kernel_fn(adj_u, adj[v], mcn[arc]) else NSIM
-                    sim_writes.append((arc, state))
-                    sim_writes.append((rev[arc], state))
-                if state == SIM:
-                    local_pairs.append((cid, v))
-        return (local_pairs, sim_writes), _cost(snap, arcs=arcs, atomics=atomics)
-
-    def noncore_task_batched(beg: int, end: int):
-        snap = _snap()
-        a0, a1 = int(off_np[beg]), int(off_np[end])
-        s_src, s_dst = src_np[a0:a1], dst_np[a0:a1]
-        candidates = np.flatnonzero(
-            (roles[s_src] == CORE) & (roles[s_dst] == NONCORE)
+        mark = runner.mark()
+        a0, a1 = int(off[beg]), int(off[end])
+        s_src, s_dst = src[a0:a1], dst[a0:a1]
+        cand = (
+            np.flatnonzero((roles[s_src] == CORE) & (roles[s_dst] == NONCORE))
+            + a0
         )
+        # Every core scans its arcs after one find for its cluster id.
+        cores = roles[beg:end] == CORE
+        arcs = int(deg[beg:end][cores].sum()) + 2 * int(cores.sum())
+        state = sim[cand]
+        unknown = state == UNKNOWN
+        f_arcs = cand[unknown]
+        f_states = engine.resolve_arcs(f_arcs, mcn[f_arcs])
+        state[unknown] = f_states
+        similar = cand[state == SIM]
         local_pairs: list[tuple[int, int]] = []
-        f_arcs, f_states = _EMPTY_ARCS, _EMPTY_STATES
-        arcs = _core_arc_budget(beg, end)
-        arcs += 2 * int(np.count_nonzero(roles[beg:end] == CORE))
-        if candidates.size:
-            cand = candidates + a0
-            state = sim_np[cand].copy()
-            unknown = state == UNKNOWN
-            f_arcs = cand[unknown]
-            f_states = engine.resolve_arcs(f_arcs, mcn=mcn_np[f_arcs])
-            state[unknown] = f_states
-            similar = cand[state == SIM]
-            cids: dict[int, int] = {}
-            for u, v in zip(
-                src_np[similar].tolist(), dst_np[similar].tolist()
-            ):
-                cid = cids.get(u)
-                if cid is None:
-                    cid = cluster_id[uf.find(u)]
-                    cids[u] = cid
-                local_pairs.append((cid, v))
-        return (local_pairs, (f_arcs, f_states)), _cost(snap, arcs=arcs)
+        cids: dict[int, int] = {}
+        for u, v in zip(src[similar].tolist(), dst[similar].tolist()):
+            cid = cids.get(u)
+            if cid is None:
+                cid = cids[u] = cluster_id[uf.find(u)]
+            local_pairs.append((cid, v))
+        return (local_pairs, f_arcs, f_states), runner.cost(mark, arcs=arcs)
 
     def commit_noncore(writes) -> None:
-        local_pairs, sim_writes = writes
-        for arc, state in sim_writes:
-            sim[arc] = state
+        local_pairs, arcs, states = writes
+        commit_arc_states(sim, rev, arcs, states)
         pairs.extend(local_pairs)
 
-    def commit_noncore_batched(writes) -> None:
-        local_pairs, (arcs, states) = writes
-        commit_arc_states(sim_np, rev_np, arcs, states)
-        pairs.extend(local_pairs)
-
-    if batched:
-        _run_stage(
-            "non-core clustering", CORE, noncore_task_batched, commit_noncore_batched
-        )
-    else:
-        _run_stage("non-core clustering", CORE, noncore_task, commit_noncore)
+    runner.run(
+        "non-core clustering", noncore_task, commit_noncore, needs_role=CORE
+    )
 
     # ==== Result assembly ================================================
 
@@ -969,7 +474,9 @@ def ppscan(
         "ppSCAN" if kernel == "vectorized" else "ppSCAN-NO"
     )
     record = RunRecord(
-        algorithm=name, stages=stages, wall_seconds=time.perf_counter() - t0
+        algorithm=name,
+        stages=runner.stages,
+        wall_seconds=time.perf_counter() - t0,
     )
     if root_span is not None:
         root_span.attrs["algorithm"] = name

@@ -16,6 +16,11 @@ Like the reference C++ implementation, trivial predicates (``min_cn <= 2``
 or unreachable thresholds) are resolved from degrees alone and are *not*
 counted as set-intersection invocations — that convention makes the
 Figure-4 invocation comparison against ppSCAN meaningful.
+
+pSCAN is the paper's sequential, counted baseline (Figs. 1 and 4), so it
+has one execution mode: one kernel call per arc, in its vertex order.
+The ``exec_mode`` option of :mod:`repro.api` is reported as ignored for
+it.
 """
 
 from __future__ import annotations
@@ -29,11 +34,10 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..metrics.records import RunRecord, StageRecord, TaskCost
 from ..obs.tracer import current_tracer
-from ..parallel.backend import commit_arc_states
-from ..similarity.engine import EXEC_MODES
 from ..types import CORE, NONCORE, SIM, NSIM, UNKNOWN, ScanParams
 from ..unionfind import UnionFind
 from .context import RunContext
+from .phases import restore_counter, restore_store, store_arrays
 from .result import ClusteringResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,7 +53,6 @@ def pscan(
     params: ScanParams,
     kernel: str = "merge",
     use_ed_order: bool = True,
-    exec_mode: str = "scalar",
     store: "SimilarityStore | None" = None,
     checkpoint: "CheckpointManager | None" = None,
     sketch: "SketchParams | None" = None,
@@ -60,13 +63,6 @@ def pscan(
     evaluation`` (kernel work), ``workload reduction computation``
     (sd/ed maintenance, ordering, reuse bookkeeping) and ``other
     computation`` (iteration + clustering).
-
-    ``exec_mode="batched"`` keeps pSCAN's vertex ordering and pruning
-    structure but resolves each vertex's unknown frontier through the
-    batch API (:meth:`~repro.similarity.engine.SimilarityEngine.
-    resolve_arcs`) instead of one kernel call per arc; the clustering is
-    identical, though the per-arc early exits inside ``CheckCore`` are
-    traded for whole-neighborhood batches.
 
     ``store`` attaches a :class:`~repro.cache.SimilarityStore`: covered
     arcs seed the sd/ed bounds before the first vertex is popped (the
@@ -82,18 +78,12 @@ def pscan(
     bit-identical clustering.  The final labeling pass is pure derivation
     and is always recomputed.
     """
-    if exec_mode not in EXEC_MODES:
-        raise ValueError(
-            f"unknown exec_mode {exec_mode!r}; known: {list(EXEC_MODES)}"
-        )
-    batched = exec_mode == "batched"
     t0 = time.perf_counter()
     tracer = current_tracer()
     root_span = (
         tracer.start_span(
             "pscan",
             lane=0,
-            exec_mode=exec_mode,
             kernel=kernel,
             eps=params.eps,
             mu=params.mu,
@@ -111,11 +101,6 @@ def pscan(
     engine = ctx.engine
     use_store = store is not None
     cached_arc = engine.resolve_arc_cached
-    dst_np, mcn_np, rev_np = graph.dst, ctx.mcn_np, ctx.rev_np
-    # Batched mode mirrors the similarity states into int8 so frontier
-    # selection is one vectorized comparison per neighborhood (the list
-    # stays authoritative for the scalar bookkeeping above).
-    sim_np = np.full(ctx.num_arcs, UNKNOWN, dtype=np.int8) if batched else None
 
     sd = [0] * n
     ed = deg[:]  # copy
@@ -124,17 +109,12 @@ def pscan(
         # the sd/ed bounds from them — the min-max pruning starts from
         # the tightened state, so a warm store (or a decisive sketch
         # pass) decides most roles without any kernel work.
-        state0 = (
-            sim_np
-            if batched
-            else np.full(ctx.num_arcs, UNKNOWN, dtype=np.int8)
-        )
-        folded = engine.prefold_cached(state0, mcn_np) if use_store else 0
+        state0 = np.full(ctx.num_arcs, UNKNOWN, dtype=np.int8)
+        folded = engine.prefold_cached(state0, ctx.mcn_np) if use_store else 0
         if engine.sketch is not None:
-            folded += engine.sketch_prefold(state0, mcn_np)
+            folded += engine.sketch_prefold(state0, ctx.mcn_np)
         if folded:
-            if not batched:
-                ctx.sim[:] = state0.tolist()
+            sim[:] = state0.tolist()
             src_np = ctx.src_np
             sd = np.bincount(src_np[state0 == SIM], minlength=n).tolist()
             ed = (
@@ -168,28 +148,6 @@ def pscan(
         reduction_ops += 2
         return state
 
-    def resolve_frontier(u: int, arcs_np: np.ndarray) -> np.ndarray:
-        """Batch-resolve unknown arcs of one vertex (batched mode).
-
-        Mirrors the states through the batch commit and applies the
-        neighbor-side sd/ed updates (with lazy-heap re-insertions), the
-        batched counterpart of ``resolve_arc``'s bookkeeping.  The
-        caller folds the u-side aggregate.
-        """
-        nonlocal reduction_ops
-        states = engine.resolve_arcs(arcs_np, mcn=mcn_np[arcs_np])
-        commit_arc_states(sim_np, rev_np, arcs_np, states)
-        reduction_ops += 2 * int(arcs_np.size)
-        for v, s in zip(dst_np[arcs_np].tolist(), states.tolist()):
-            if s == SIM:
-                sd[v] += 1
-            else:
-                ed[v] -= 1
-                if use_ed_order and not processed[v]:
-                    heappush(heap, (-ed[v], v))
-                    reduction_ops += 1
-        return states
-
     # -- core checking and clustering (Algorithm 2 lines 4-7) -------------
 
     # Seeded from ed (== deg when no store tightened the bounds), so the
@@ -212,11 +170,7 @@ def pscan(
 
     def _save_ckpt(phase: str, cursor: int) -> int:
         arrays: dict[str, np.ndarray] = {
-            "sim": (
-                sim_np.copy()
-                if batched
-                else np.asarray(sim, dtype=np.int8)
-            ),
+            "sim": np.asarray(sim, dtype=np.int8),
             "roles": np.asarray(roles, dtype=np.int8),
             "sd": np.asarray(sd, dtype=np.int64),
             "ed": np.asarray(ed, dtype=np.int64),
@@ -227,9 +181,7 @@ def pscan(
         arrays["uf_parent"] = uf_state["parent"]
         arrays["uf_size"] = uf_state["size"]
         if use_store:
-            entry = store.entry_for(graph)
-            arrays["store_overlap"] = entry.overlap
-            arrays["store_coverage"] = np.packbits(entry.coverage)
+            arrays.update(store_arrays(store, graph))
         meta = {
             "cursor": cursor,
             "static_pos": static_pos,
@@ -245,7 +197,6 @@ def pscan(
             graph,
             params,
             algorithm="pscan",
-            exec_mode=exec_mode,
             extra={"kernel": kernel, "ed_order": bool(use_ed_order)}
             | (
                 {"sketch": engine.sketch.key()}
@@ -256,11 +207,7 @@ def pscan(
         snap = ck.load_latest()
         if snap is not None:
             restored_cursor = int(snap.meta["cursor"])
-            snap_sim = np.asarray(snap.arrays["sim"], dtype=np.int8)
-            if batched:
-                sim_np[:] = snap_sim
-            else:
-                sim[:] = snap_sim.tolist()
+            sim[:] = np.asarray(snap.arrays["sim"], dtype=np.int8).tolist()
             roles[:] = np.asarray(
                 snap.arrays["roles"], dtype=np.int8
             ).tolist()
@@ -281,27 +228,13 @@ def pscan(
                     "size": snap.arrays["uf_size"],
                 }
             )
-            if use_store and "store_overlap" in snap.arrays:
-                entry = store.entry_for(graph)
-                entry.overlap = np.asarray(
-                    snap.arrays["store_overlap"], dtype=np.int64
-                ).copy()
-                entry.coverage = np.unpackbits(
-                    np.asarray(
-                        snap.arrays["store_coverage"], dtype=np.uint8
-                    ),
-                    count=entry.num_arcs,
-                ).astype(bool)
-                entry.dirty = True
+            if use_store:
+                restore_store(store, graph, snap.arrays)
             static_pos = int(snap.meta["static_pos"])
             reduction_ops = int(snap.meta["reduction_ops"])
             other_arcs = int(snap.meta["other_arcs"])
             done = int(snap.meta["done"])
-            saved_counter = snap.meta.get("counter")
-            if isinstance(saved_counter, dict):
-                for field, value in saved_counter.items():
-                    if field in type(counter).__slots__:
-                        setattr(counter, field, int(value))
+            restore_counter(counter, snap.meta.get("counter"))
 
     def next_vertex() -> int | None:
         nonlocal static_pos, reduction_ops
@@ -363,51 +296,12 @@ def pscan(
             if sim[arc] == SIM:
                 uf.union(u, v)
 
-    def check_core_batched(u: int) -> None:
-        nonlocal reduction_ops, other_arcs
-        if sd[u] < mu and ed[u] >= mu:
-            lo, hi = off[u], off[u + 1]
-            other_arcs += hi - lo
-            unknown = np.flatnonzero(sim_np[lo:hi] == UNKNOWN) + lo
-            if unknown.size:
-                states = resolve_frontier(u, unknown)
-                n_sim = int(np.count_nonzero(states == SIM))
-                sd[u] += n_sim
-                ed[u] -= int(unknown.size) - n_sim
-                reduction_ops += 4 * int(unknown.size)
-        roles[u] = CORE if sd[u] >= mu else NONCORE
-
-    def cluster_core_batched(u: int) -> None:
-        nonlocal other_arcs
-        lo, hi = off[u], off[u + 1]
-        other_arcs += hi - lo
-        vs = dst_np[lo:hi].tolist()
-        unknown_flags = (sim_np[lo:hi] == UNKNOWN).tolist()
-        # Gate with the pre-loop union-find state; unlike the scalar walk
-        # the same-set check cannot observe this vertex's own unions, so
-        # a few more arcs may be resolved — the unions are identical.
-        eligible = [
-            i
-            for i, v in enumerate(vs)
-            if sd[v] >= mu and not uf.same_set(u, v)
-        ]
-        to_resolve = [lo + i for i in eligible if unknown_flags[i]]
-        if to_resolve:
-            resolve_frontier(u, np.asarray(to_resolve, dtype=np.int64))
-        seg = sim_np[lo:hi].tolist()
-        for i in eligible:
-            if seg[i] == SIM:
-                uf.union(u, vs[i])
-
-    do_check = check_core_batched if batched else check_core
-    do_cluster = cluster_core_batched if batched else cluster_core
-
     if restored_cursor < 1:
         while (u := next_vertex()) is not None:
             processed[u] = True
-            do_check(u)
+            check_core(u)
             if roles[u] == CORE:
-                do_cluster(u)
+                cluster_core(u)
             done += 1
             if (
                 ck is not None
@@ -430,39 +324,19 @@ def pscan(
             labels[u] = cluster_id[root]
 
     pairs: set[tuple[int, int]] = set()
-    if batched:
-        roles_np = np.array(roles, dtype=np.int8)
-        for u in range(n):
-            if roles[u] != CORE:
+    for u in range(n):
+        if roles[u] != CORE:
+            continue
+        cid = labels[u]
+        for arc in range(off[u], off[u + 1]):
+            other_arcs += 1
+            v = dst[arc]
+            if roles[v] != NONCORE:
                 continue
-            cid = labels[u]
-            lo, hi = off[u], off[u + 1]
-            other_arcs += hi - lo
-            cand = np.flatnonzero(roles_np[dst_np[lo:hi]] == NONCORE) + lo
-            if cand.size == 0:
-                continue
-            unknown = cand[sim_np[cand] == UNKNOWN]
-            if unknown.size:
-                states = engine.resolve_arcs(unknown, mcn=mcn_np[unknown])
-                commit_arc_states(sim_np, rev_np, unknown, states)
-                reduction_ops += 2 * int(unknown.size)
-            similar = cand[sim_np[cand] == SIM]
-            for v in dst_np[similar].tolist():
+            if sim[arc] == UNKNOWN:
+                resolve_arc(u, arc)
+            if sim[arc] == SIM:
                 pairs.add((cid, v))
-    else:
-        for u in range(n):
-            if roles[u] != CORE:
-                continue
-            cid = labels[u]
-            for arc in range(off[u], off[u + 1]):
-                other_arcs += 1
-                v = dst[arc]
-                if roles[v] != NONCORE:
-                    continue
-                if sim[arc] == UNKNOWN:
-                    resolve_arc(u, arc)
-                if sim[arc] == SIM:
-                    pairs.add((cid, v))
 
     wall = time.perf_counter() - t0
     sim_cost = TaskCost(

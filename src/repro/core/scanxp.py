@@ -6,6 +6,13 @@ vectorized intersection, independently per arc (each undirected edge is
 intersected twice — the synchronization-free design that lets it avoid
 all shared writes).  Its workload is therefore independent of ε, the
 property Figure 2/3 exposes (flat runtime while ppSCAN's falls).
+
+Each phase has one task body; the run's
+:class:`~repro.similarity.engine.SimilarityEngine` policy decides how the
+similarity phase's arc blocks are counted — one vectorized count per arc
+in order (``exec_mode="scalar"``) or one bulk ``arc_counts`` call per
+task (``"batched"``).  Both stay exhaustive.  The phases run through the
+shared :class:`~repro.core.phases.PhaseRunner`.
 """
 
 from __future__ import annotations
@@ -16,17 +23,19 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..intersect import pivot_vectorized_count
-from ..metrics.records import RunRecord, StageRecord, TaskCost
+from ..metrics.records import RunRecord, TaskCost
 from ..obs.tracer import current_tracer
-from ..parallel.backend import ExecutionBackend, SerialBackend
+from ..parallel.backend import ExecutionBackend
 from ..parallel.scheduler import degree_based_tasks
-from ..parallel.supervisor import ExecutionFaultError, ResumableAbort
-from ..similarity.engine import EXEC_MODES
-from ..types import CORE, NONCORE, NSIM, SIM, UNKNOWN, ScanParams
+from ..types import CORE, NONCORE, SIM, UNKNOWN, ScanParams
 from ..unionfind import AtomicUnionFind
 from .context import RunContext
-from .ppscan import auto_batch_task_threshold, auto_task_threshold
+from .phases import PhaseRunner
+from .ppscan import (
+    auto_batch_task_threshold,
+    auto_task_threshold,
+    cluster_cores,
+)
 from .result import ClusteringResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,11 +60,10 @@ def scanxp(
 ) -> ClusteringResult:
     """Run SCAN-XP; returns the canonical clustering result.
 
-    ``exec_mode="batched"`` resolves each task's whole arc range through
-    the batch intersector in one call — still exhaustive (every arc is
-    fully counted with no pruning and no reverse-arc reuse, preserving
-    SCAN-XP's ε-independent workload), just without the per-arc
-    interpreted kernel dispatch.
+    ``exec_mode="batched"`` counts each task's whole arc range in one
+    bulk call — still exhaustive (every arc is fully counted with no
+    pruning and no reverse-arc reuse, preserving SCAN-XP's ε-independent
+    workload), just without the per-arc interpreted kernel dispatch.
 
     ``store`` attaches a :class:`~repro.cache.SimilarityStore`: covered
     arcs are folded before the similarity phase and fresh overlaps are
@@ -64,11 +72,6 @@ def scanxp(
     clustering — are bit-identical; only the work accounting changes,
     which is why caching is opt-in.
     """
-    if exec_mode not in EXEC_MODES:
-        raise ValueError(
-            f"unknown exec_mode {exec_mode!r}; known: {list(EXEC_MODES)}"
-        )
-    batched = exec_mode == "batched"
     t0 = time.perf_counter()
     ctx = RunContext(
         graph,
@@ -77,8 +80,9 @@ def scanxp(
         lanes=lanes,
         store=store,
         sketch=sketch,
+        exec_mode=exec_mode,
     )
-    backend = backend if backend is not None else SerialBackend()
+    engine = ctx.engine
     tracer = current_tracer()
     root_span = (
         tracer.start_span(
@@ -95,439 +99,92 @@ def scanxp(
     )
     if task_threshold is not None:
         threshold = task_threshold
-    elif batched:
-        threshold = auto_batch_task_threshold(ctx.num_arcs)
-    else:
+    elif exec_mode == "scalar":
         threshold = auto_task_threshold(ctx.num_arcs)
-    counter = ctx.engine.counter
-    engine = ctx.engine
-    use_store = store is not None
-    cached_arc = engine.resolve_arc_cached
+    else:
+        threshold = auto_batch_task_threshold(ctx.num_arcs)
     mu = ctx.mu
     n = ctx.n
-    deg_np = graph.degrees
-    off_np, dst_np = graph.offsets, graph.dst
-    src_np, mcn_np = ctx.src_np, ctx.mcn_np
-    # Every arc's state is computed in phase 1, so no UNKNOWN seed is
-    # needed — unless a store or sketch gate is attached, in which case
-    # decided arcs are prefolded and only the UNKNOWN remainder is
-    # intersected.
-    use_fold = use_store or engine.sketch is not None
-    if batched:
-        sim_np = (
-            np.full(ctx.num_arcs, UNKNOWN, dtype=np.int8)
-            if use_fold
-            else np.empty(ctx.num_arcs, dtype=np.int8)
-        )
-    else:
-        sim_np = None
-    if use_fold:
-        if batched:
-            if use_store:
-                engine.prefold_cached(sim_np, mcn_np)
-            if engine.sketch is not None:
-                engine.sketch_prefold(sim_np, mcn_np)
-        else:
-            state0 = np.full(ctx.num_arcs, UNKNOWN, dtype=np.int8)
-            if use_store:
-                engine.prefold_cached(state0, mcn_np)
-            if engine.sketch is not None:
-                engine.sketch_prefold(state0, mcn_np)
-            ctx.sim[:] = state0.tolist()
-    if not batched:
-        off, dst, adj, deg = ctx.off, ctx.dst, ctx.adj, ctx.deg
-        sim, roles, mcn = ctx.sim, ctx.roles, ctx.mcn
-    stages: list[StageRecord] = []
-    #: roles as int8 end-to-end; zeros until phase 2 computes (or a
-    #: snapshot restores) them.
-    roles_np = np.zeros(n, dtype=np.int8)
+    deg, off, dst = graph.degrees, graph.offsets, graph.dst
+    src, mcn = ctx.src_np, ctx.mcn_np
+    sim = np.full(ctx.num_arcs, UNKNOWN, dtype=np.int8)
+    #: zeros until phase 2 computes (or a snapshot restores) them.
+    roles = np.zeros(n, dtype=np.int8)
     uf = AtomicUnionFind(n)
-
-    # ==== Checkpoint/resume (same protocol as ppscan) ====================
-    ck = checkpoint
-    restored_cursor = 0
-    restored_pending: list[tuple[int, int]] | None = None
-    partial_records: list[TaskCost] = []
-    phase_no = 0
-
-    def _save_ckpt(
-        phase: str,
-        pending: list[tuple[int, int]] | None = None,
-        partial: list[TaskCost] | None = None,
-    ) -> int:
-        arrays: dict[str, np.ndarray] = {
-            "sim": (
-                sim_np.copy()
-                if batched
-                else np.asarray(ctx.sim, dtype=np.int8)
-            ),
-            "roles": roles_np.copy(),
-            "uf_parent": uf.snapshot()["parent"],
-        }
-        if use_store:
-            entry = store.entry_for(graph)
-            arrays["store_overlap"] = entry.overlap
-            arrays["store_coverage"] = np.packbits(entry.coverage)
-        meta: dict = {
-            "cursor": len(stages),
-            "stage_records": [s.as_dict() for s in stages],
-            "counter": counter.as_dict(),
-        }
-        if pending is not None:
-            arrays["pending"] = np.asarray(
-                pending, dtype=np.int64
-            ).reshape(-1, 2)
-            meta["partial_records"] = [
-                r.as_dict() for r in (partial or [])
-            ]
-        return ck.save(arrays=arrays, meta=meta, phase=phase)
-
-    if ck is not None:
-        ck.bind(
-            graph,
-            params,
-            algorithm="scanxp",
-            exec_mode=exec_mode,
-            extra={"threshold": int(threshold)}
-            | (
-                {"sketch": engine.sketch.key()}
-                if engine.sketch is not None
-                else {}
-            ),
-        )
-        snap = ck.load_latest()
-        if snap is not None:
-            restored_cursor = int(snap.meta["cursor"])
-            snap_sim = np.asarray(snap.arrays["sim"], dtype=np.int8)
-            roles_np = np.asarray(
-                snap.arrays["roles"], dtype=np.int8
-            ).copy()
-            if batched:
-                sim_np = snap_sim.copy()
-            else:
-                ctx.sim[:] = snap_sim.tolist()
-                sim = ctx.sim
-                roles[:] = roles_np.tolist()
-            uf.restore({"parent": snap.arrays["uf_parent"]})
-            if use_store and "store_overlap" in snap.arrays:
-                entry = store.entry_for(graph)
-                entry.overlap = np.asarray(
-                    snap.arrays["store_overlap"], dtype=np.int64
-                ).copy()
-                entry.coverage = np.unpackbits(
-                    np.asarray(
-                        snap.arrays["store_coverage"], dtype=np.uint8
-                    ),
-                    count=entry.num_arcs,
-                ).astype(bool)
-                entry.dirty = True
-            stages.extend(
-                StageRecord.from_dict(d)
-                for d in snap.meta.get("stage_records", [])
-            )
-            saved_counter = snap.meta.get("counter")
-            if isinstance(saved_counter, dict):
-                for field, value in saved_counter.items():
-                    if field in type(counter).__slots__:
-                        setattr(counter, field, int(value))
-            if "pending" in snap.arrays:
-                restored_pending = [
-                    (int(b), int(e))
-                    for b, e in np.asarray(snap.arrays["pending"])
-                    .reshape(-1, 2)
-                    .tolist()
-                ]
-                partial_records = [
-                    TaskCost.from_dict(d)
-                    for d in snap.meta.get("partial_records", [])
-                ]
-
-    def _run_stage(name, needs, run_task, commit) -> None:
-        nonlocal restored_pending, partial_records, phase_no
-        this_phase = phase_no
-        phase_no += 1
-        if this_phase < restored_cursor:
-            return  # effects and record restored from the snapshot
-        t_stage = time.perf_counter()
-        if this_phase == restored_cursor and restored_pending is not None:
-            tasks = restored_pending
-            records = list(partial_records)
-            restored_pending = None
-            partial_records = []
-        else:
-            tasks = degree_based_tasks(
-                deg_np if batched else deg, needs, threshold
-            )
-            records = []
-        chunk = (
-            len(tasks)
-            if ck is None or ck.every is None
-            else max(1, ck.every)
-        )
-        pos = 0
-        try:
-            while pos < len(tasks):
-                batch_tasks = tasks[pos : pos + chunk]
-                if tracer.enabled:
-                    with tracer.span(name, lane=0, tasks=len(batch_tasks)):
-                        recs = backend.run_phase(
-                            batch_tasks, run_task, commit
-                        )
-                else:
-                    recs = backend.run_phase(batch_tasks, run_task, commit)
-                records.extend(recs)
-                pos += len(batch_tasks)
-                if ck is not None and pos < len(tasks):
-                    _save_ckpt(name, pending=tasks[pos:], partial=records)
-        except ExecutionFaultError as exc:
-            located = exc.locate(stage=name, algorithm="scanxp")
-            if ck is not None:
-                epoch = _save_ckpt(
-                    name, pending=tasks[pos:], partial=records
-                )
-                raise ResumableAbort.from_fault(
-                    located, epoch=epoch, directory=ck.directory
-                )
-            raise located
-        stages.append(StageRecord(name, records, time.perf_counter() - t_stage))
-        if ck is not None:
-            _save_ckpt(name)
+    # Every arc's state is computed in phase 1; an attached store or
+    # sketch gate prefolds the arcs it decides, so only the UNKNOWN
+    # remainder is intersected.
+    if store is not None:
+        engine.prefold_cached(sim, mcn)
+    if engine.sketch is not None:
+        engine.sketch_prefold(sim, mcn)
+    runner = PhaseRunner(
+        "scanxp",
+        ctx,
+        sim=sim,
+        roles=roles,
+        uf=uf,
+        threshold=threshold,
+        backend=backend,
+        checkpoint=checkpoint,
+    )
 
     # -- Phase 1: exhaustive similarity, one full intersection per arc ----
 
     def similarity_task(beg: int, end: int):
-        snap = (counter.scalar_cmp, counter.vector_ops, counter.invocations)
-        writes: list[tuple[int, int]] = []
-        arcs = 0
-        for u in range(beg, end):
-            adj_u = adj[u]
-            for arc in range(off[u], off[u + 1]):
-                arcs += 1
-                if use_fold:
-                    # Prefolded arcs (store- or sketch-decided) are done;
-                    # the rest go through the store when attached (a miss
-                    # runs an exact merge count and records it, so the
-                    # mirror arc becomes a hit) or a plain exact count.
-                    if sim[arc] == UNKNOWN:
-                        if use_store:
-                            state = cached_arc(
-                                arc, adj_u, adj[dst[arc]], mcn[arc]
-                            )
-                        else:
-                            common = pivot_vectorized_count(
-                                adj_u,
-                                adj[dst[arc]],
-                                lanes=lanes,
-                                counter=counter,
-                            )
-                            state = SIM if common + 2 >= mcn[arc] else NSIM
-                        writes.append((arc, state))
-                    continue
-                common = pivot_vectorized_count(
-                    adj_u, adj[dst[arc]], lanes=lanes, counter=counter
-                )
-                writes.append((arc, SIM if common + 2 >= mcn[arc] else NSIM))
-        cost = TaskCost(
-            scalar_cmp=counter.scalar_cmp - snap[0],
-            vector_ops=counter.vector_ops - snap[1],
-            compsims=counter.invocations - snap[2],
-            arcs=arcs,
-        )
-        return writes, cost
+        mark = runner.mark()
+        a0, a1 = int(off[beg]), int(off[end])
+        arcs = np.flatnonzero(sim[a0:a1] == UNKNOWN) + a0
+        states = engine.resolve_exhaustive(arcs, mcn[arcs])
+        return (arcs, states), runner.cost(mark, arcs=a1 - a0)
 
     def commit_similarity(writes) -> None:
-        for arc, state in writes:
-            sim[arc] = state
+        arcs, states = writes
+        sim[arcs] = states
 
-    def similarity_task_batched(beg: int, end: int):
-        snap = (counter.scalar_cmp, counter.vector_ops, counter.invocations)
-        a0, a1 = int(off_np[beg]), int(off_np[end])
-        arcs_np = np.arange(a0, a1, dtype=np.int64)
-        # Full counts for the whole range in one batch call — exhaustive
-        # like the scalar task (no trivial-predicate skip, no mirroring),
-        # so the workload stays independent of ε.
-        counts = batch.arc_counts(arcs_np, counter=counter, lanes=lanes)
-        states = np.where(counts + 2 >= mcn_np[a0:a1], SIM, NSIM).astype(
-            np.int8
-        )
-        cost = TaskCost(
-            scalar_cmp=counter.scalar_cmp - snap[0],
-            vector_ops=counter.vector_ops - snap[1],
-            compsims=counter.invocations - snap[2],
-            arcs=a1 - a0,
-        )
-        return (a0, states), cost
-
-    def commit_similarity_batched(writes) -> None:
-        a0, states = writes
-        sim_np[a0 : a0 + states.size] = states
-
-    def similarity_task_batched_cached(beg: int, end: int):
-        snap = (counter.scalar_cmp, counter.vector_ops, counter.invocations)
-        a0, a1 = int(off_np[beg]), int(off_np[end])
-        unknown = np.flatnonzero(sim_np[a0:a1] == UNKNOWN).astype(np.int64) + a0
-        states = engine.resolve_arcs(unknown, mcn=mcn_np[unknown])
-        cost = TaskCost(
-            scalar_cmp=counter.scalar_cmp - snap[0],
-            vector_ops=counter.vector_ops - snap[1],
-            compsims=counter.invocations - snap[2],
-            arcs=a1 - a0,
-        )
-        return (unknown, states), cost
-
-    def commit_similarity_batched_cached(writes) -> None:
-        unknown, states = writes
-        sim_np[unknown] = states
-
-    if batched:
-        batch = ctx.engine.batch_intersector()
-        _run_stage(
-            "similarity computation",
-            None,
-            similarity_task_batched_cached if use_fold else similarity_task_batched,
-            commit_similarity_batched_cached
-            if use_fold
-            else commit_similarity_batched,
-        )
-    else:
-        _run_stage(
-            "similarity computation", None, similarity_task, commit_similarity
-        )
+    runner.run("similarity computation", similarity_task, commit_similarity)
 
     # -- Phase 2: roles from exact similar-degree counts -------------------
 
-    if phase_no >= restored_cursor:
+    if runner.claim():
         t_stage = time.perf_counter()
-        if not batched:
-            sim_np = ctx.sim_array()
-        sd = np.bincount(src_np[sim_np == SIM], minlength=n)
-        roles_np = np.where(sd >= mu, CORE, NONCORE).astype(np.int8)
-        if not batched:
-            roles[:] = roles_np.tolist()
+        sd = np.bincount(src[sim == SIM], minlength=n)
+        roles[:] = np.where(sd >= mu, CORE, NONCORE)
         role_tasks = [
-            TaskCost(arcs=int(off_np[end] - off_np[beg]))
-            for beg, end in degree_based_tasks(
-                deg_np if batched else deg, None, threshold
-            )
+            TaskCost(arcs=int(off[end] - off[beg]))
+            for beg, end in degree_based_tasks(deg, None, threshold)
         ]
-        stages.append(
-            StageRecord(
-                "role computation", role_tasks, time.perf_counter() - t_stage
-            )
-        )
-        if tracer.enabled:
-            tracer.add_span(
-                "role computation",
-                t_stage,
-                time.perf_counter(),
-                lane=0,
-                depth=1,
-                tasks=len(role_tasks),
-            )
-        if ck is not None:
-            _save_ckpt("role computation")
-    elif not batched:
-        sim_np = ctx.sim_array()
-    phase_no += 1
+        runner.finish("role computation", role_tasks, t_stage)
 
     # -- Phase 3: core clustering over known similar edges ----------------
 
-    def cluster_task(beg: int, end: int):
-        unions: list[tuple[int, int]] = []
-        arcs = 0
-        atomics = 0
-        for u in range(beg, end):
-            if roles[u] != CORE:
-                continue
-            for arc in range(off[u], off[u + 1]):
-                arcs += 1
-                v = dst[arc]
-                if v <= u or roles[v] != CORE or sim[arc] != SIM:
-                    continue
-                arcs += 2
-                if not uf.same_set(u, v):
-                    unions.append((u, v))
-                    atomics += 1
-        return unions, TaskCost(arcs=arcs, atomics=atomics)
-
-    def cluster_task_batched(beg: int, end: int):
-        a0, a1 = int(off_np[beg]), int(off_np[end])
-        s_src, s_dst = src_np[a0:a1], dst_np[a0:a1]
-        mask = (
-            (s_dst > s_src)
-            & (roles_np[s_src] == CORE)
-            & (roles_np[s_dst] == CORE)
-            & (sim_np[a0:a1] == SIM)
-        )
-        unions: list[tuple[int, int]] = []
-        atomics = 0
-        edges_u = s_src[mask].tolist()
-        edges_v = s_dst[mask].tolist()
-        arcs = int(deg_np[beg:end][roles_np[beg:end] == CORE].sum())
-        arcs += 2 * len(edges_u)
-        for u, v in zip(edges_u, edges_v):
-            if not uf.same_set(u, v):
-                unions.append((u, v))
-                atomics += 1
-        return unions, TaskCost(arcs=arcs, atomics=atomics)
-
-    def commit_cluster(unions) -> None:
-        for u, v in unions:
-            uf.union(u, v)
-
-    _run_stage(
-        "core clustering",
-        roles_np == CORE if batched else [r == CORE for r in roles],
-        cluster_task_batched if batched else cluster_task,
-        commit_cluster,
-    )
+    cluster_cores(runner, ctx, "core clustering", (SIM,))
 
     # -- Phase 4: cluster ids + non-core memberships ----------------------
 
     t_stage = time.perf_counter()
     cluster_id: dict[int, int] = {}
     labels = np.full(n, -1, dtype=np.int64)
-    for u in np.flatnonzero(roles_np == CORE).tolist():
+    for u in np.flatnonzero(roles == CORE).tolist():
         root = uf.find(u)
         if root not in cluster_id:
             cluster_id[root] = u
         labels[u] = cluster_id[root]
-    pairs: list[tuple[int, int]] = []
-    if batched:
-        sel = np.flatnonzero(
-            (roles_np[src_np] == CORE)
-            & (roles_np[dst_np] == NONCORE)
-            & (sim_np == SIM)
-        )
-        pairs = list(
-            zip(labels[src_np[sel]].tolist(), dst_np[sel].tolist())
-        )
-        pair_arcs = int(deg_np[roles_np == CORE].sum())
-    else:
-        pair_arcs = 0
-        for u in range(n):
-            if roles[u] != CORE:
-                continue
-            cid = int(labels[u])
-            for arc in range(off[u], off[u + 1]):
-                pair_arcs += 1
-                v = dst[arc]
-                if roles[v] == NONCORE and sim[arc] == SIM:
-                    pairs.append((cid, v))
-    stages.append(
-        StageRecord(
-            "non-core clustering",
-            [TaskCost(arcs=pair_arcs, atomics=uf.num_finds)],
-            time.perf_counter() - t_stage,
-        )
+    sel = np.flatnonzero(
+        (roles[src] == CORE) & (roles[dst] == NONCORE) & (sim == SIM)
     )
-    if tracer.enabled:
-        tracer.add_span(
-            "non-core clustering", t_stage, time.perf_counter(), lane=0, depth=1
-        )
+    pairs = list(zip(labels[src[sel]].tolist(), dst[sel].tolist()))
+    pair_arcs = int(deg[roles == CORE].sum())
+    runner.record(
+        "non-core clustering",
+        [TaskCost(arcs=pair_arcs, atomics=uf.num_finds)],
+        t_stage,
+    )
 
     record = RunRecord(
-        algorithm="SCAN-XP", stages=stages, wall_seconds=time.perf_counter() - t0
+        algorithm="SCAN-XP",
+        stages=runner.stages,
+        wall_seconds=time.perf_counter() - t0,
     )
     if root_span is not None:
         tracer.end_span(root_span)
@@ -535,7 +192,7 @@ def scanxp(
     return ClusteringResult(
         algorithm="SCAN-XP",
         params=params,
-        roles=roles_np,
+        roles=roles,
         core_labels=labels,
         noncore_pairs=pairs,
         record=record,

@@ -61,6 +61,31 @@ class GraphFormatError(ValueError):
         super().__init__(prefix + message)
 
 
+#: Largest vertex id a graph file may name (ids are stored as int64).
+_MAX_ID = int(np.iinfo(VERTEX_DTYPE).max)
+
+
+def _undecodable(path, opener=open) -> GraphFormatError:
+    """The ``path:line`` error for a file that is not valid UTF-8.
+
+    Text-mode reads decode in chunks, so the line the decoder was on is
+    not the offending one; the error path re-reads the file as bytes to
+    name the first line that fails to decode.
+    """
+    if path == "<stdin>":
+        return GraphFormatError("input is not valid UTF-8", path=path)
+    with opener(path, "rb") as raw:
+        for lineno, line in enumerate(raw, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = line[exc.start : exc.end]
+                return GraphFormatError(
+                    f"invalid UTF-8 byte {bad!r}", path=path, line=lineno
+                )
+    return GraphFormatError("input is not valid UTF-8", path=path)
+
+
 def read_edge_list(
     path: str | os.PathLike,
     comment: str = "#",
@@ -76,7 +101,8 @@ def read_edge_list(
     to ``0..n-1`` (ascending original-id order) instead of materializing
     ``max(id) + 1`` vertices.
 
-    Malformed input raises :class:`GraphFormatError` with ``path:line:``
+    Malformed input — including a non-UTF-8 byte or a vertex id past
+    int64 — raises :class:`GraphFormatError` with ``path:line:``
     context.  ``strict=True`` additionally rejects what normalization
     would otherwise silently repair: self-loops and duplicate edges.
 
@@ -85,56 +111,64 @@ def read_edge_list(
     """
     rows: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] | None = set() if strict else None
+    opener = open
     if str(path) == "-":
         source = contextlib.nullcontext(sys.stdin)
         path = "<stdin>"
     else:
         opener = gzip.open if Path(path).suffix == ".gz" else open
         source = opener(path, "rt", encoding="utf-8")
-    with source as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith(comment):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise GraphFormatError(
-                    f"malformed edge line: {line!r} (expected at least "
-                    "two whitespace-separated vertex ids)",
-                    path=path,
-                    line=lineno,
-                )
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphFormatError(
-                    f"non-integer vertex id in line: {line!r}",
-                    path=path,
-                    line=lineno,
-                ) from None
-            if u < 0 or v < 0:
-                raise GraphFormatError(
-                    f"negative vertex id in line: {line!r}",
-                    path=path,
-                    line=lineno,
-                )
-            if seen is not None:
-                if u == v:
-                    raise GraphFormatError(
-                        f"self-loop {u}-{v}", path=path, line=lineno
-                    )
-                key = (u, v) if u < v else (v, u)
-                if key in seen:
-                    raise GraphFormatError(
-                        f"duplicate edge {u}-{v}", path=path, line=lineno
-                    )
-                seen.add(key)
-            rows.append((u, v))
+    try:
+        with source as fh:
+            _parse_edge_lines(fh, path, comment, rows, seen)
+    except UnicodeDecodeError:
+        raise _undecodable(path, opener) from None
     edges = np.array(rows, dtype=VERTEX_DTYPE).reshape(-1, 2)
     if compact_ids and edges.size:
         unique_ids, edges_flat = np.unique(edges, return_inverse=True)
         edges = edges_flat.reshape(-1, 2).astype(VERTEX_DTYPE)
     return from_edge_array(edges)
+
+
+def _parse_edge_lines(fh, path, comment: str, rows: list, seen) -> None:
+    max_id = _MAX_ID
+    for lineno, line in enumerate(fh, start=1):
+        line = line.strip()
+        if not line or line.startswith(comment):
+            continue
+        parts = line.split()
+        if len(parts) < 2:
+            raise GraphFormatError(
+                f"malformed edge line: {line!r} (expected at least "
+                "two whitespace-separated vertex ids)",
+                path=path,
+                line=lineno,
+            )
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(
+                f"non-integer vertex id in line: {line!r}",
+                path=path,
+                line=lineno,
+            ) from None
+        if not (0 <= u <= max_id and 0 <= v <= max_id):
+            what = "negative" if u < 0 or v < 0 else "past int64"
+            raise GraphFormatError(
+                f"vertex id {what} in line: {line!r}", path=path, line=lineno
+            )
+        if seen is not None:
+            if u == v:
+                raise GraphFormatError(
+                    f"self-loop {u}-{v}", path=path, line=lineno
+                )
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise GraphFormatError(
+                    f"duplicate edge {u}-{v}", path=path, line=lineno
+                )
+            seen.add(key)
+        rows.append((u, v))
 
 
 def write_edge_list(graph: CSRGraph, path: str | os.PathLike) -> None:
@@ -241,29 +275,48 @@ def read_matrix_market(path: str | os.PathLike) -> CSRGraph:
     Supports ``pattern``/``real``/``integer`` symmetric or general
     coordinate matrices (1-based indices per the format); entry values are
     ignored, self loops dropped, and the result normalized like every
-    other loader.
+    other loader.  Malformed input (a bad header, a non-integer index, a
+    non-UTF-8 byte) raises :class:`GraphFormatError` with ``path:line:``
+    context.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("%%MatrixMarket"):
-            raise ValueError(f"{path}: missing MatrixMarket header")
-        parts = header.split()
-        if len(parts) < 4 or parts[2] != "coordinate":
-            raise ValueError(f"{path}: only coordinate format is supported")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            n, pairs = _parse_matrix_market(fh, path)
+    except UnicodeDecodeError:
+        raise _undecodable(path) from None
+    edges = np.array(pairs, dtype=VERTEX_DTYPE).reshape(-1, 2)
+    return from_edge_array(edges, num_vertices=n)
+
+
+def _parse_matrix_market(fh, path) -> tuple[int, list[tuple[int, int]]]:
+    header = fh.readline()
+    if not header.startswith("%%MatrixMarket"):
+        raise GraphFormatError("missing MatrixMarket header", path=path, line=1)
+    parts = header.split()
+    if len(parts) < 4 or parts[2] != "coordinate":
+        raise GraphFormatError(
+            "only coordinate format is supported", path=path, line=1
+        )
+    lineno = 2
+    line = fh.readline()
+    while line.startswith("%"):
+        lineno += 1
         line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
+    try:
         rows, cols, _nnz = (int(x) for x in line.split()[:3])
         n = max(rows, cols)
         pairs: list[tuple[int, int]] = []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=lineno + 1):
             line = line.strip()
             if not line or line.startswith("%"):
                 continue
             fields = line.split()
             pairs.append((int(fields[0]) - 1, int(fields[1]) - 1))
-    edges = np.array(pairs, dtype=VERTEX_DTYPE).reshape(-1, 2)
-    return from_edge_array(edges, num_vertices=n)
+    except (ValueError, IndexError):
+        raise GraphFormatError(
+            f"malformed line: {line.strip()!r}", path=path, line=lineno
+        ) from None
+    return n, pairs
 
 
 def write_matrix_market(graph: CSRGraph, path: str | os.PathLike) -> None:

@@ -25,11 +25,13 @@ from ..graph.csr import CSRGraph
 from ..obs.tracer import current_tracer
 from ..intersect import (
     BatchIntersector,
+    concat_ranges,
     OpCounter,
     merge_compsim,
     merge_count,
     pivot_compsim,
     pivot_vectorized_compsim,
+    pivot_vectorized_count,
 )
 from ..types import NSIM, SIM, UNKNOWN, ScanParams
 from .threshold import ThresholdTable
@@ -40,9 +42,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 
 __all__ = ["SimilarityEngine", "KERNELS", "EXEC_MODES"]
 
-#: Execution modes for the arc-resolution hot path: ``scalar`` calls one
-#: early-terminating kernel per arc, ``batched`` collects arcs per task and
-#: resolves them through :meth:`SimilarityEngine.resolve_arcs`.
+_NO_ARCS = np.empty(0, dtype=np.int64)
+_NO_STATES = np.empty(0, dtype=np.int8)
+
+#: Resolution policies (``exec_mode``) of the engine's arc-block methods:
+#: ``scalar`` calls one kernel per arc in the given order (the paper's
+#: counted control flow), ``batched`` resolves a whole block at once
+#: through the adaptive bulk dispatcher.
 EXEC_MODES = ("scalar", "batched")
 
 #: Registered early-terminating CompSim kernels, by name.
@@ -66,10 +72,18 @@ class SimilarityEngine:
         counter: OpCounter | None = None,
         store: "SimilarityStore | None" = None,
         sketch: "SketchParams | None" = None,
+        exec_mode: str = "batched",
     ) -> None:
         if kernel not in KERNELS:
             raise ValueError(f"unknown kernel {kernel!r}; known: {sorted(KERNELS)}")
+        if exec_mode not in EXEC_MODES:
+            raise ValueError(
+                f"unknown exec_mode {exec_mode!r}; known: {list(EXEC_MODES)}"
+            )
         self.graph = graph
+        #: Resolution policy of :meth:`resolve_arcs`, :meth:`resolve_walks`
+        #: and :meth:`resolve_exhaustive` (see :data:`EXEC_MODES`).
+        self.exec_mode = exec_mode
         self.params = params
         self.kernel_name = kernel
         self.lanes = lanes
@@ -92,6 +106,8 @@ class SimilarityEngine:
         self._batch: BatchIntersector | None = None
         self._arc_mcn: np.ndarray | None = None
         self._adj: list[list[int]] | None = None
+        self._off: list[int] | None = None  # scalar walks' list views
+        self._mcn: list[int] | None = None
         self.store = store
         self._entry: "StoreEntry | None" = (
             store.entry_for(graph) if store is not None else None
@@ -174,7 +190,9 @@ class SimilarityEngine:
             self._batch = BatchIntersector(self.graph)
         return self._batch
 
-    def _adj_lists(self) -> list[list[int]]:
+    def adj_lists(self) -> list[list[int]]:
+        """Per-vertex adjacency lists (built once; the scalar kernels'
+        zero-copy input, shared with :attr:`RunContext.adj`)."""
         if self._adj is None:
             off = self.graph.offsets.tolist()
             dst = self.graph.dst.tolist()
@@ -367,15 +385,243 @@ class SimilarityEngine:
         entry.misses += 1
         return SIM if overlap >= min_cn else NSIM
 
-    def resolve_arcs(
-        self,
-        arcs: np.ndarray,
-        mcn: np.ndarray | None = None,
-        adj: Sequence[Sequence[int]] | None = None,
+    def _resolve_each(
+        self, arcs: np.ndarray, mcn: np.ndarray, exhaustive: bool = False
     ) -> np.ndarray:
-        """Resolve CompSim for a whole arc batch; returns SIM/NSIM states.
+        """The ``scalar`` policy for an arc block: one call per arc, in order.
 
-        The batched hot path: trivial predicates are folded from degrees
+        Each arc goes through the store when one is attached (a miss runs
+        an exact merge count and records it, so a later mirror arc in
+        the same block is a hit), else through the configured
+        early-terminating kernel — or, ``exhaustive``, through SCAN-XP's
+        full vectorized count.
+        """
+        adj = self.adj_lists()
+        counter = self.counter
+        cached = self.resolve_arc_cached if self._entry is not None else None
+        kernel = self._compsim_kernel
+        lanes = self.lanes
+        out = []
+        # Arc sources by binary search: the scalar policy never needs the
+        # batch intersector's O(m) source array.
+        srcs = np.searchsorted(self.graph.offsets, arcs, side="right") - 1
+        for arc, u, v, c in zip(
+            arcs.tolist(),
+            srcs.tolist(),
+            self.graph.dst[arcs].tolist(),
+            mcn.tolist(),
+        ):
+            if cached is not None:
+                out.append(cached(arc, adj[u], adj[v], c))
+            elif exhaustive:
+                common = pivot_vectorized_count(
+                    adj[u], adj[v], lanes=lanes, counter=counter
+                )
+                out.append(SIM if common + 2 >= c else NSIM)
+            else:
+                out.append(SIM if kernel(adj[u], adj[v], c, counter) else NSIM)
+        return np.array(out, dtype=np.int8)
+
+    def resolve_walks(
+        self,
+        beg: int,
+        end: int,
+        walking: np.ndarray,
+        states: np.ndarray,
+        mu: int,
+        final: bool,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+        """Walk vertices' arcs until each one's µ decision is known.
+
+        ppSCAN's role phases.  ``walking[i]`` says whether vertex
+        ``beg + i`` walks; ``states`` are the current states of the
+        arcs of ``[beg, end)``.  A walk first folds its vertex's known
+        states, then resolves its UNKNOWN arcs — only those to ``v > u``
+        unless ``final`` — and is decided once its SIM count reaches
+        ``mu`` or its degree minus its NSIM count drops below ``mu``.  A
+        ``final`` walk sees every similarity, so it always ends decided.
+
+        The ``scalar`` policy is the paper's counted control flow: each
+        walk runs in arc order, one kernel call per arc it resolves,
+        checks the bounds after every state it folds and stops at the
+        first one crossed; the arcs it scanned are its cost.  Both
+        directions of an edge are resolved separately, and a walk never
+        sees another walk's results.  The ``batched`` policy folds the
+        known states of every walk at once, resolves the arcs of all
+        undecided walks in one :meth:`resolve_arcs` block — each
+        undirected edge once, its mirror result folded into the other
+        endpoint's walk when that walk is in the block — and decides each
+        walk from its totals; its cost is every arc of every walk plus
+        each arc it resolved.
+
+        Returns the resolved arcs and their states, the decided vertices
+        and whether each is a core, and the number of arcs scanned.
+        """
+        if self.exec_mode == "scalar":
+            return self._walk_each(beg, walking, states, mu, final)
+        return self._walk_block(beg, end, walking, states, mu, final)
+
+    def _walk_each(self, beg, walking, states, mu, final):
+        if self._off is None:
+            self._off = self.graph.offsets.tolist()
+            self._mcn = self.arc_thresholds().tolist()
+        off, deg, mcns = self._off, self._deg, self._mcn
+        a0 = off[beg]
+        seg = states.tolist()
+        adj = self.adj_lists()
+        counter = self.counter
+        cached = self.resolve_arc_cached if self._entry is not None else None
+        kernel = self._compsim_kernel
+        arcs: list[int] = []
+        arc_states: list[int] = []
+        decided: list[int] = []
+        core: list[bool] = []
+        scanned = 0
+        for u, walks in enumerate(walking.tolist(), start=beg):
+            if not walks:
+                continue
+            lo, hi = off[u] - a0, off[u + 1] - a0
+            sims_left = mu
+            nsims_left = deg[u] - mu + 1
+            stop = False
+            for k in range(lo, hi):  # fold the known states
+                scanned += 1
+                s = seg[k]
+                if s == SIM:
+                    sims_left -= 1
+                    if sims_left <= 0:
+                        stop = True
+                        break
+                elif s == NSIM:
+                    nsims_left -= 1
+                    if nsims_left <= 0:
+                        stop = True
+                        break
+            if not stop:
+                adj_u = adj[u]
+                for k in range(lo, hi):  # resolve the UNKNOWN arcs
+                    if seg[k] != UNKNOWN:
+                        continue
+                    v = adj_u[k - lo]
+                    if not final and v <= u:
+                        continue
+                    scanned += 1
+                    arc = a0 + k
+                    c = mcns[arc]
+                    if cached is not None:
+                        s = cached(arc, adj_u, adj[v], c)
+                    else:
+                        s = SIM if kernel(adj_u, adj[v], c, counter) else NSIM
+                    arcs.append(arc)
+                    arc_states.append(s)
+                    if s == SIM:
+                        sims_left -= 1
+                        if sims_left <= 0:
+                            stop = True
+                            break
+                    else:
+                        nsims_left -= 1
+                        if nsims_left <= 0:
+                            stop = True
+                            break
+            if stop or final:
+                decided.append(u)
+                core.append(sims_left <= 0)
+        return (
+            np.array(arcs, dtype=np.int64),
+            np.array(arc_states, dtype=np.int8),
+            np.array(decided, dtype=np.int64),
+            np.array(core, dtype=bool),
+            scanned,
+        )
+
+    def _walk_block(self, beg, end, walking, states, mu, final):
+        graph = self.graph
+        off, deg, dst = graph.offsets, graph.degrees, graph.dst
+        batch = self.batch_intersector()
+        src = batch.arc_src
+        a0 = int(off[beg])
+        walks = np.flatnonzero(walking) + beg
+        own = src[a0 : a0 + states.size] - beg
+        walk_of = walks - beg
+        sims = np.bincount(own[states == SIM], minlength=end - beg)[walk_of]
+        nsims = np.bincount(own[states == NSIM], minlength=end - beg)[walk_of]
+        nsim_need = deg[walks] - mu + 1
+        decided = (sims >= mu) | (nsims >= nsim_need)
+        scanned = int(deg[walks].sum())
+        open_w = walks[~decided]
+        frontier = _NO_ARCS
+        if open_w.size:
+            frontier = concat_ranges(off[open_w], off[open_w + 1])
+            eligible = states[frontier - a0] == UNKNOWN
+            if not final:
+                eligible &= dst[frontier] > src[frontier]
+            frontier = frontier[eligible]
+        arc_states = _NO_STATES
+        if final and frontier.size:
+            # One direction per undirected edge: drop (v, u) when (u, v)
+            # is in the (ascending, so key-sorted) frontier as well.  (A
+            # forward-only frontier holds one direction already.)
+            n = graph.num_vertices
+            keys = src[frontier] * n + dst[frontier]
+            mirror = dst[frontier] * n + src[frontier]
+            pos = np.minimum(np.searchsorted(keys, mirror), frontier.size - 1)
+            frontier = frontier[
+                (src[frontier] < dst[frontier]) | (keys[pos] != mirror)
+            ]
+        if frontier.size:
+            arc_states = self.resolve_arcs(
+                frontier, self.arc_thresholds()[frontier]
+            )
+            scanned += int(frontier.size)
+            # Fold each result into its own walk and, through the mirror
+            # arc, into the other endpoint's walk when that one is in the
+            # range (only the open walks' tallies are read).
+            is_sim = arc_states == SIM
+            own = src[frontier] - beg
+            peer = dst[frontier] - beg
+            peer_in = (peer >= 0) & (peer < end - beg)
+            open_at = open_w - beg
+            for tally, hit in ((sims, is_sim), (nsims, ~is_sim)):
+                tally[~decided] += (
+                    np.bincount(own[hit], minlength=end - beg)
+                    + np.bincount(peer[hit & peer_in], minlength=end - beg)
+                )[open_at]
+        if final:
+            decided[:] = True
+        else:
+            decided = (sims >= mu) | (nsims >= nsim_need)
+        return frontier, arc_states, walks[decided], sims[decided] >= mu, scanned
+
+    def resolve_exhaustive(
+        self, arcs: np.ndarray, mcn: np.ndarray
+    ) -> np.ndarray:
+        """Full-count SIM/NSIM for an arc block (SCAN-XP's similarity phase).
+
+        Every arc is intersected to the end: per arc in order with the
+        vectorized count (``scalar``) or in one bulk ``arc_counts`` call
+        (``batched``).  With a store attached both policies take the
+        store path of :meth:`resolve_arcs`, whose misses are full counts.
+        """
+        arcs = np.asarray(arcs, dtype=np.int64)
+        mcn = np.asarray(mcn, dtype=np.int64)
+        if self._entry is not None or arcs.size == 0:
+            return self.resolve_arcs(arcs, mcn)
+        if self.exec_mode == "scalar":
+            return self._resolve_each(arcs, mcn, exhaustive=True)
+        counts = self.batch_intersector().arc_counts(
+            arcs, counter=self.counter, lanes=self.lanes
+        )
+        return np.where(counts + 2 >= mcn, SIM, NSIM).astype(np.int8)
+
+    def resolve_arcs(
+        self, arcs: np.ndarray, mcn: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Resolve CompSim for a whole arc block; returns SIM/NSIM states.
+
+        Under the ``scalar`` policy every arc is one early-terminating
+        kernel call (or store lookup), in the given order.  Under the
+        ``batched`` policy trivial predicates are folded from degrees
         alone (uncounted, like the scalar algorithms), the adaptive
         dispatcher routes each remaining arc between the vectorized
         mark-and-count bulk path (grouped by source vertex) and the
@@ -386,11 +632,13 @@ class SimilarityEngine:
         states = np.empty(arcs.size, dtype=np.int8)
         if arcs.size == 0:
             return states
-        batch = self.batch_intersector()
         if mcn is None:
             mcn = self.arc_thresholds()[arcs]
         else:
             mcn = np.asarray(mcn, dtype=np.int64)
+        if self.exec_mode == "scalar":
+            return self._resolve_each(arcs, mcn)
+        batch = self.batch_intersector()
         deg = self.graph.degrees
         dst = self.graph.dst[arcs]
         du = deg[batch.arc_src[arcs]]
@@ -477,8 +725,7 @@ class SimilarityEngine:
             )
             states[idx] = np.where(counts + 2 >= mcn[idx], SIM, NSIM)
         if scalar_sel.any():
-            if adj is None:
-                adj = self._adj_lists()
+            adj = self.adj_lists()
             idx = np.flatnonzero(scalar_sel)
             srcs = batch.arc_src[arcs[idx]].tolist()
             dsts = dst[idx].tolist()

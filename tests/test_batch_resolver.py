@@ -217,7 +217,7 @@ class TestResolveArcs:
         # The scalar reference: one early-terminating kernel call per arc,
         # through a fresh engine so op counting cannot interfere.
         ref = SimilarityEngine(graph, params, kernel=kernel, lanes=lanes)
-        adj = ref._adj_lists()
+        adj = ref.adj_lists()
         mcn = ref.arc_thresholds()
         src = graph.arc_source()
         for i, a in enumerate(arcs.tolist()):

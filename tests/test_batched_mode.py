@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.core import assert_same_clustering, ppscan, pscan, scanxp
+from repro.core import assert_same_clustering, ppscan, scanxp
 from repro.core.ppscan import auto_batch_task_threshold, auto_task_threshold
 from repro.graph import write_edge_list
 from repro.graph.generators import (
@@ -104,43 +104,6 @@ class TestPpscanBatched:
         assert len(result.record.stages) == len(
             ppscan(graph, ScanParams(0.4, 3)).record.stages
         )
-
-
-class TestPscanBatched:
-    @pytest.mark.parametrize("use_ed_order", [True, False])
-    def test_identical_to_scalar(self, use_ed_order):
-        for graph in sample_graphs():
-            params = ScanParams(0.5, 3)
-            scalar = pscan(graph, params, use_ed_order=use_ed_order)
-            batched = pscan(
-                graph, params, use_ed_order=use_ed_order, exec_mode="batched"
-            )
-            assert_same_clustering(scalar, batched)
-
-    @settings(
-        max_examples=20,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        st.integers(min_value=2, max_value=40),
-        st.integers(min_value=0, max_value=140),
-        st.integers(min_value=0, max_value=2**31),
-        st.sampled_from([0.25, 0.5, 0.75]),
-        st.integers(min_value=1, max_value=5),
-    )
-    def test_property_identical(self, n, m, seed, eps, mu):
-        graph = erdos_renyi(n, min(m, n * (n - 1) // 2), seed=seed)
-        params = ScanParams(eps, mu)
-        assert_same_clustering(
-            pscan(graph, params),
-            pscan(graph, params, exec_mode="batched"),
-        )
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="exec_mode"):
-            pscan(erdos_renyi(10, 20, seed=1), ScanParams(0.5, 2),
-                  exec_mode="turbo")
 
 
 class TestScanxpBatched:

@@ -163,6 +163,25 @@ class TestStats:
         assert "|E| = 160" in out
 
 
+class TestGraphFormatErrors:
+    """A malformed graph file is one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize("command", ["cluster", "stats", "compare"])
+    @pytest.mark.parametrize(
+        "content",
+        [b"0 1\n\xff 2\n", b"0 1\n0 99999999999999999999\n", b"0 1\nx y\n"],
+        ids=["non-utf8", "past-int64", "non-integer"],
+    )
+    def test_one_line_no_traceback(self, tmp_path, capsys, command, content):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content)
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: ")
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestGenerate:
     def test_standin(self, tmp_path, capsys):
         out_path = str(tmp_path / "o.txt")

@@ -1,7 +1,7 @@
 """Differential conformance suite for the SCAN family × the cache layer.
 
 Every registered exact algorithm (scan, pscan, scanxp, ppscan, gsindex),
-in both execution modes, with no store / a cold store / a warm store
+in every execution mode it supports, with no store / a cold store / a warm store
 shared across the whole parameter grid, must produce the *bit-identical*
 clustering — partitions, cores, and hub/outlier labels — on seeded
 Erdős–Rényi graphs, an LFR-style community graph, and a set of
@@ -62,11 +62,11 @@ GRID = [
     ScanParams(eps, mu) for eps in (0.25, 0.5, 0.75) for mu in (2, 4)
 ]
 
-#: (algorithm, exec_mode) pairs; scan and gsindex have no batched mode.
+#: (algorithm, exec_mode) pairs; scan, pscan and gsindex have no batched
+#: mode.
 VARIANTS = [
     ("scan", ExecMode.SCALAR),
     ("pscan", ExecMode.SCALAR),
-    ("pscan", ExecMode.BATCHED),
     ("scanxp", ExecMode.SCALAR),
     ("scanxp", ExecMode.BATCHED),
     ("ppscan", ExecMode.SCALAR),

@@ -188,6 +188,60 @@ class TestFormatErrors:
         with pytest.raises(GraphFormatError, match="non-integer"):
             read_edge_list(path)
 
+    def test_non_utf8_byte_located(self, tmp_path):
+        from repro.graph import GraphFormatError
+
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\n1 2\n\xff\xfe 3\n")
+        with pytest.raises(GraphFormatError, match="UTF-8") as excinfo:
+            read_edge_list(path)
+        assert excinfo.value.line == 3
+        assert f"{path}:3:" in str(excinfo.value)
+
+    def test_non_utf8_byte_located_past_decode_chunk(self, tmp_path):
+        # The text decoder reads ahead in chunks; the error must still
+        # name the line holding the bad byte, not the chunk's first line.
+        from repro.graph import GraphFormatError
+
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"0 1\n" * 5000 + b"7 \xc3\x28\n")
+        with pytest.raises(GraphFormatError) as excinfo:
+            read_edge_list(path)
+        assert excinfo.value.line == 5001
+
+    def test_id_past_int64_located(self, tmp_path):
+        from repro.graph import GraphFormatError
+
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n0 99999999999999999999\n")
+        with pytest.raises(GraphFormatError, match="int64") as excinfo:
+            read_edge_list(path)
+        assert excinfo.value.line == 2
+
+    def test_matrix_market_non_utf8_located(self, tmp_path):
+        from repro.graph import GraphFormatError, read_matrix_market
+
+        path = tmp_path / "g.mtx"
+        path.write_bytes(
+            b"%%MatrixMarket matrix coordinate pattern symmetric\n"
+            b"3 3 2\n1 2\n\xff 3\n"
+        )
+        with pytest.raises(GraphFormatError, match="UTF-8") as excinfo:
+            read_matrix_market(path)
+        assert excinfo.value.line == 4
+
+    def test_matrix_market_bad_entry_located(self, tmp_path):
+        from repro.graph import GraphFormatError, read_matrix_market
+
+        path = tmp_path / "g.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate pattern symmetric\n"
+            "% comment\n3 3 2\n1 2\nx 3\n"
+        )
+        with pytest.raises(GraphFormatError) as excinfo:
+            read_matrix_market(path)
+        assert excinfo.value.line == 5
+
     def test_is_a_value_error(self, tmp_path):
         # Historical call sites catch ValueError; the subclass keeps them.
         path = tmp_path / "g.txt"

@@ -56,9 +56,6 @@ RUNNERS = {
         g, p, exec_mode="batched", checkpoint=ck
     ),
     "pscan": lambda g, p, ck: pscan(g, p, checkpoint=ck),
-    "pscan-batched": lambda g, p, ck: pscan(
-        g, p, exec_mode="batched", checkpoint=ck
-    ),
     "scanxp": lambda g, p, ck: scanxp(g, p, checkpoint=ck),
     "scanxp-batched": lambda g, p, ck: scanxp(
         g, p, exec_mode="batched", checkpoint=ck

@@ -190,11 +190,10 @@ class TestConservativeSoundness:
         assert np.mean(states != UNKNOWN) > 0.9
 
 
-#: (algorithm, exec_mode); anyscan ignores exec_mode, gsindex is
-#: index-based — both still honour the sketch pre-pass.
+#: (algorithm, exec_mode); pscan and anyscan ignore exec_mode, gsindex is
+#: index-based — all still honour the sketch pre-pass.
 SKETCH_ALGOS = [
     ("pscan", ExecMode.SCALAR),
-    ("pscan", ExecMode.BATCHED),
     ("scanxp", ExecMode.SCALAR),
     ("scanxp", ExecMode.BATCHED),
     ("ppscan", ExecMode.SCALAR),
