@@ -37,7 +37,11 @@ from repro.core import assert_same_clustering  # noqa: E402
 from repro.graph.generators import real_world_standin  # noqa: E402
 from repro.obs import Tracer, use_tracer, write_trace  # noqa: E402
 from repro.options import BackendKind, ExecutionOptions  # noqa: E402
-from repro.parallel import FaultPlan, PoisonTaskError  # noqa: E402
+from repro.parallel import (  # noqa: E402
+    FaultPlan,
+    FaultTolerancePolicy,
+    PoisonTaskError,
+)
 from repro.types import ScanParams  # noqa: E402
 
 CHAOS_SEED = 42
@@ -111,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         backend=BackendKind.PROCESS,
         workers=WORKERS,
         chaos=FaultPlan.poison(0),
-        max_retries=5,
+        policy=FaultTolerancePolicy(max_retries=5),
     )
     try:
         api.cluster(graph, params, options=poison_options)

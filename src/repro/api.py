@@ -22,8 +22,9 @@ are reported (:meth:`AlgorithmSpec.ignored_options`) rather than
 silently dropped.
 
 Fault tolerance rides along transparently: when ``options`` selects the
-process backend, phases run under the
-:class:`~repro.parallel.supervisor.Supervisor` and a failed run raises
+process backend, every phase runs under the supervised loop of
+:class:`~repro.parallel.backend.ProcessBackend`, configured by
+``options.policy``, and a failed run raises
 :class:`~repro.parallel.supervisor.ExecutionFaultError` annotated with
 the algorithm and stage that could not be completed.
 """
@@ -100,11 +101,10 @@ class AlgorithmSpec:
     def ignored_options(self, options: ExecutionOptions) -> list[str]:
         """Names of non-default options this algorithm cannot honour."""
         ignored = []
-        wants_parallel = (
+        if (
             options.backend is BackendKind.PROCESS
-            or options.backend_obj is not None
-        )
-        if wants_parallel and not self.supports_backend:
+            and not self.supports_backend
+        ):
             ignored.append("backend")
         if (
             options.exec_mode is not ExecMode.SCALAR
@@ -770,14 +770,15 @@ def _with_cache_counters(fn, graph, params, kwargs, store):
 def _runner(
     fn,
     *,
-    backend: bool,
-    exec_mode: bool,
-    kernel: bool,
+    backend: bool = False,
+    exec_mode: bool = False,
+    kernel: bool = False,
     cache: bool = False,
     checkpoint: bool = False,
     sketch: bool = False,
 ) -> RunnerFn:
-    """Adapt a core algorithm function to the ``runner`` protocol."""
+    """Adapt a core algorithm function to the ``runner`` protocol,
+    forwarding exactly the options the flags declare it supports."""
 
     def run(
         graph: CSRGraph, params: ScanParams, options: ExecutionOptions
@@ -828,108 +829,53 @@ def _run_gsindex(
     return GSIndex(graph, sketch=sketch_params).query(params)
 
 
+def _register_core(
+    fn, name: str, display_name: str, description: str, **supports: bool
+) -> None:
+    """Register a core algorithm function from one capability declaration:
+    its runner forwards, and its spec reports, the same ``supports``."""
+    register_algorithm(
+        AlgorithmSpec(
+            name=name,
+            display_name=display_name,
+            runner=_runner(fn, **supports),
+            description=description,
+            **{f"supports_{option}": on for option, on in supports.items()},
+        )
+    )
+
+
 def _register_builtins() -> None:
-    register_algorithm(
-        AlgorithmSpec(
-            name="scan",
-            display_name="SCAN",
-            runner=_runner(
-                scan, backend=False, exec_mode=False, kernel=False, cache=True
-            ),
-            description="the original exhaustive algorithm (baseline)",
-            supports_cache=True,
-        )
+    _register_core(
+        scan, "scan", "SCAN",
+        "the original exhaustive algorithm (baseline)",
+        cache=True,
     )
-    register_algorithm(
-        AlgorithmSpec(
-            name="pscan",
-            display_name="pSCAN",
-            runner=_runner(
-                pscan,
-                backend=False,
-                exec_mode=False,
-                kernel=True,
-                cache=True,
-                checkpoint=True,
-                sketch=True,
-            ),
-            description="pruning-based sequential SCAN",
-            supports_kernel=True,
-            supports_cache=True,
-            supports_checkpoint=True,
-            supports_sketch=True,
-        )
+    _register_core(
+        pscan, "pscan", "pSCAN",
+        "pruning-based sequential SCAN",
+        kernel=True, cache=True, checkpoint=True, sketch=True,
     )
-    register_algorithm(
-        AlgorithmSpec(
-            name="scanpp",
-            display_name="SCAN++",
-            runner=_runner(
-                scanpp, backend=False, exec_mode=False, kernel=False
-            ),
-            description="two-hop-away sampling SCAN variant",
-        )
+    _register_core(
+        scanpp, "scanpp", "SCAN++",
+        "two-hop-away sampling SCAN variant",
     )
-    register_algorithm(
-        AlgorithmSpec(
-            name="anyscan",
-            display_name="anySCAN",
-            runner=_runner(
-                anyscan,
-                backend=True,
-                exec_mode=False,
-                kernel=False,
-                checkpoint=True,
-                sketch=True,
-            ),
-            description="anytime block-summarizing parallel SCAN",
-            supports_backend=True,
-            supports_checkpoint=True,
-            supports_sketch=True,
-        )
+    _register_core(
+        anyscan, "anyscan", "anySCAN",
+        "anytime block-summarizing parallel SCAN",
+        backend=True, checkpoint=True, sketch=True,
     )
-    register_algorithm(
-        AlgorithmSpec(
-            name="scanxp",
-            display_name="SCAN-XP",
-            runner=_runner(
-                scanxp,
-                backend=True,
-                exec_mode=True,
-                kernel=False,
-                cache=True,
-                checkpoint=True,
-                sketch=True,
-            ),
-            description="exhaustive vectorized parallel SCAN",
-            supports_backend=True,
-            supports_exec_mode=True,
-            supports_cache=True,
-            supports_checkpoint=True,
-            supports_sketch=True,
-        )
+    _register_core(
+        scanxp, "scanxp", "SCAN-XP",
+        "exhaustive vectorized parallel SCAN",
+        backend=True, exec_mode=True, cache=True, checkpoint=True,
+        sketch=True,
     )
-    register_algorithm(
-        AlgorithmSpec(
-            name="ppscan",
-            display_name="ppSCAN",
-            runner=_runner(
-                ppscan,
-                backend=True,
-                exec_mode=True,
-                kernel=True,
-                cache=True,
-                checkpoint=True,
-                sketch=True,
-            ),
-            description="the paper's pruning-based parallel SCAN",
-            supports_backend=True,
-            supports_exec_mode=True,
-            supports_kernel=True,
-            supports_cache=True,
-            supports_checkpoint=True,
-            supports_sketch=True,
-        )
+    _register_core(
+        ppscan, "ppscan", "ppSCAN",
+        "the paper's pruning-based parallel SCAN",
+        backend=True, exec_mode=True, kernel=True, cache=True,
+        checkpoint=True, sketch=True,
     )
     register_algorithm(
         AlgorithmSpec(

@@ -45,6 +45,7 @@ from .options import BackendKind, ExecMode, ExecutionOptions, Kernel
 from .parallel import (
     ExecutionFaultError,
     FaultPlan,
+    FaultTolerancePolicy,
     PoisonTaskError,
     ResumableAbort,
 )
@@ -147,14 +148,18 @@ def _execution_options(args: argparse.Namespace) -> ExecutionOptions:
     workers = getattr(args, "workers", 0)
     chaos_spec = getattr(args, "chaos_plan", None)
     kernel = getattr(args, "kernel", None)
+    limits = {  # --max-retries / --task-timeout, when given
+        name: value
+        for name in ("max_retries", "task_timeout")
+        if (value := getattr(args, name, None)) is not None
+    }
     return ExecutionOptions(
         backend=BackendKind.PROCESS if workers > 0 else BackendKind.SERIAL,
         workers=workers if workers > 0 else None,
         exec_mode=ExecMode(getattr(args, "exec_mode", "scalar")),
         kernel=Kernel(kernel) if kernel else None,
         sketch=_sketch_params(args),
-        max_retries=getattr(args, "max_retries", None),
-        task_timeout=getattr(args, "task_timeout", None),
+        policy=FaultTolerancePolicy(**limits) if limits else None,
         chaos=FaultPlan.parse(chaos_spec) if chaos_spec else None,
         cache=_cache_store(args),
         checkpoint=_checkpoint_manager(args),

@@ -9,9 +9,10 @@ those choices a typed home:
   ``str``-valued enums, so they compare equal to the historical strings
   and flow through existing code unchanged;
 * :class:`ExecutionOptions` bundles every knob — backend selection,
-  worker count, kernel, execution mode, and the fault-tolerance /
-  chaos-injection settings of the supervised process backend — into one
-  validated dataclass that :func:`repro.api.cluster` accepts.
+  worker count, kernel, execution mode, and the process backend's
+  :class:`~repro.parallel.supervisor.FaultTolerancePolicy` and chaos
+  plan — into one validated dataclass that :func:`repro.api.cluster`
+  accepts.
 
 Plain strings are still accepted everywhere an enum is expected; they
 are coerced through :func:`coerce_enum`, which emits a
@@ -29,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .cache import SimilarityStore
     from .checkpoint import CheckpointManager
     from .graph import CSRGraph
-    from .parallel.backend import ExecutionBackend
+    from .parallel.backend import ProcessBackend
     from .sketch import SketchParams
 
 from .parallel.chaos import FaultPlan
@@ -105,29 +106,23 @@ class ExecutionOptions:
     The clustering produced is bit-identical across all settings here —
     these knobs trade performance and resilience, not correctness.
 
-    ``backend=BackendKind.PROCESS`` builds a supervised
+    ``backend=BackendKind.PROCESS`` builds a
     :class:`~repro.parallel.backend.ProcessBackend`: crashed or hung
-    workers are detected and their tasks retried under ``max_retries``
-    with per-task deadlines of ``task_timeout`` (scaled by modelled task
-    cost).  ``chaos`` installs a deterministic
+    workers are detected and their tasks retried as ``policy`` (a
+    :class:`~repro.parallel.supervisor.FaultTolerancePolicy`, defaults
+    when ``None``) sets, with per-task deadlines scaled by modelled task
+    cost.  ``chaos`` installs a deterministic
     :class:`~repro.parallel.chaos.FaultPlan` for fault-injection runs.
-    An explicit ``backend_obj`` (any
-    :class:`~repro.parallel.backend.ExecutionBackend`) overrides all of
-    the backend-construction fields.
     """
 
     backend: BackendKind = BackendKind.SERIAL
     workers: int | None = None
     exec_mode: ExecMode = ExecMode.SCALAR
     kernel: Kernel | None = None  # None = each algorithm's default
-    lanes: int = 16
     task_threshold: int | None = None
-    # fault tolerance (supervised process backend)
-    max_retries: int | None = None
-    task_timeout: float | None = None
+    # fault tolerance (process backend)
     policy: FaultTolerancePolicy | None = None
     chaos: FaultPlan | None = None
-    backend_obj: "ExecutionBackend | None" = None
     #: Cross-run similarity store (see :mod:`repro.cache`): algorithms
     #: that support it reuse cached exact overlaps and record fresh ones;
     #: clustering stays bit-identical.  ``None`` disables caching.
@@ -162,10 +157,6 @@ class ExecutionOptions:
         )
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError("task_timeout must be > 0")
         if self.sketch is not None:
             from .sketch import SketchParams
 
@@ -195,36 +186,17 @@ class ExecutionOptions:
 
     # -- backend construction ---------------------------------------------
 
-    def resolve_policy(self) -> FaultTolerancePolicy | None:
-        """The effective fault-tolerance policy, or ``None`` for defaults.
-
-        ``max_retries`` / ``task_timeout`` shorthands overlay the
-        explicit ``policy`` (and force one into existence when set).
-        """
-        policy = self.policy
-        if self.max_retries is None and self.task_timeout is None:
-            return policy
-        base = policy if policy is not None else FaultTolerancePolicy()
-        overrides: dict = {}
-        if self.max_retries is not None:
-            overrides["max_retries"] = self.max_retries
-        if self.task_timeout is not None:
-            overrides["task_timeout"] = self.task_timeout
-        return replace(base, **overrides)
-
     def make_backend(
         self, graph: "CSRGraph | None" = None
-    ) -> "ExecutionBackend | None":
+    ) -> "ProcessBackend | None":
         """Build the configured backend for one run.
 
         Returns ``None`` for the serial default so that algorithms keep
         their own (serial) fallback construction — preserving the exact
-        counted reference path.  Process backends are always built
-        *supervised* with an arc-count cost model derived from ``graph``
-        (scaling per-task deadlines by modelled cost).
+        counted reference path.  Process backends get an arc-count cost
+        model derived from ``graph`` (scaling per-task deadlines by
+        modelled cost).
         """
-        if self.backend_obj is not None:
-            return self.backend_obj
         if self.backend is not BackendKind.PROCESS:
             return None
         from .parallel.backend import ProcessBackend
@@ -235,10 +207,9 @@ class ExecutionOptions:
             cost_model = arc_range_cost_model(graph.offsets)
         return ProcessBackend(
             self.workers,
-            policy=self.resolve_policy(),
+            policy=self.policy,
             chaos=self.chaos,
             cost_model=cost_model,
-            supervised=True,
         )
 
     def describe(self) -> dict:
@@ -256,28 +227,9 @@ class ExecutionOptions:
             "workers": self.workers,
             "exec_mode": self.exec_mode.value,
             "kernel": self.kernel.value if self.kernel else None,
-            "lanes": self.lanes,
             "task_threshold": self.task_threshold,
-            "supervised": (
-                self.backend is BackendKind.PROCESS
-                or self.backend_obj is not None
-            ),
-            "custom_backend": self.backend_obj is not None,
             "chaos": self.chaos is not None,
             "cache": self.cache is not None,
             "checkpoint": self.checkpoint is not None,
             "sketch": sketch.key() if sketch is not None else None,
         }
-
-    def algorithm_kwargs(self) -> dict:
-        """The subset of options expressed as legacy algorithm kwargs."""
-        out: dict = {}
-        if self.exec_mode is not ExecMode.SCALAR:
-            out["exec_mode"] = self.exec_mode.value
-        if self.kernel is not None:
-            out["kernel"] = self.kernel.value
-        if self.lanes != 16:
-            out["lanes"] = self.lanes
-        if self.task_threshold is not None:
-            out["task_threshold"] = self.task_threshold
-        return out

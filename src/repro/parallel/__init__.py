@@ -24,7 +24,6 @@ from .supervisor import (
     RecoveryEvent,
     ResumableAbort,
     RetryBudgetExhaustedError,
-    Supervisor,
     TaskFailure,
 )
 from .backend import (
@@ -53,7 +52,6 @@ __all__ = [
     "trace_stage",
     # fault tolerance
     "FaultTolerancePolicy",
-    "Supervisor",
     "RecoveryEvent",
     "TaskFailure",
     "QuarantineReport",

@@ -6,7 +6,8 @@ fork, so every worker sees the identical plan; each time a worker is
 about to execute a task attempt it asks the plan whether a fault fires
 for ``(phase, task_index, attempt, worker)``.  Because matching is pure
 (no clocks, no randomness at fire time), every recovery path of the
-:mod:`~repro.parallel.supervisor` is reproducible in CI from a seed.
+:class:`~repro.parallel.backend.ProcessBackend` loop is reproducible in
+CI from a seed.
 
 Fault kinds
 -----------

@@ -134,33 +134,23 @@ class TestExecutionOptions:
         with pytest.raises(ValueError):
             ExecutionOptions(workers=0)
         with pytest.raises(ValueError):
-            ExecutionOptions(max_retries=-1)
+            FaultTolerancePolicy(max_retries=-1)
         with pytest.raises(ValueError):
-            ExecutionOptions(task_timeout=0.0)
+            FaultTolerancePolicy(task_timeout=0.0)
 
     def test_serial_builds_no_backend(self, graph):
         assert ExecutionOptions().make_backend(graph) is None
 
     def test_process_builds_supervised_backend(self, graph):
         opts = ExecutionOptions(
-            backend=BackendKind.PROCESS, workers=2, max_retries=5
+            backend=BackendKind.PROCESS,
+            workers=2,
+            policy=FaultTolerancePolicy(max_retries=5),
         )
         backend = opts.make_backend(graph)
-        assert backend.supervised
         assert backend.workers == 2
         assert backend.policy.max_retries == 5
         assert backend.cost_model is not None
-
-    def test_shorthands_overlay_policy(self):
-        opts = ExecutionOptions(
-            policy=FaultTolerancePolicy(poison_threshold=9),
-            max_retries=7,
-            task_timeout=1.5,
-        )
-        policy = opts.resolve_policy()
-        assert policy.poison_threshold == 9
-        assert policy.max_retries == 7
-        assert policy.task_timeout == 1.5
 
     def test_evolve(self):
         opts = ExecutionOptions().evolve(workers=3)

@@ -1,5 +1,12 @@
 """Execution backends: serial vs process, write/commit protocol."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.metrics import TaskCost
@@ -63,13 +70,15 @@ class TestProcessBackend:
         observed = []
 
         def run_task(beg, end):
-            observed.append(len(state))
-            return list(range(beg, end)), TaskCost()
+            # Tasks run in forked workers: report what this one saw.
+            return (len(state), list(range(beg, end))), TaskCost()
 
         def commit(writes):
-            state.extend(writes)
+            seen, values = writes
+            observed.append(seen)
+            state.extend(values)
 
-        # workers=1 path still applies BSP semantics.
+        # A single worker still applies BSP semantics.
         ProcessBackend(workers=1).run_phase(
             [(0, 2), (2, 4), (4, 6)], run_task, commit
         )
@@ -85,7 +94,7 @@ class TestProcessBackend:
         )
         assert [r.scalar_cmp for r in records] == [5, 2]
 
-    def test_single_task_runs_inline(self):
+    def test_single_task_phase(self):
         records = ProcessBackend(workers=4).run_phase(
             [(0, 3)], lambda b, e: (None, TaskCost(arcs=e - b)), lambda w: None
         )
@@ -97,3 +106,59 @@ class TestProcessBackend:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             ProcessBackend(workers=0)
+
+
+# Runs in a child interpreter: the first attempt of task 0 kills its
+# worker with os._exit, and the phase must still commit every write.
+_CRASH_ONCE = textwrap.dedent(
+    """
+    import json, os, sys
+    from repro.metrics import TaskCost
+    from repro.parallel import ProcessBackend
+
+    marker = sys.argv[1]
+    parent = os.getpid()
+
+    def run_task(beg, end):
+        if beg == 0 and os.getpid() != parent:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                os._exit(1)
+        return [(i, i * i) for i in range(beg, end)], TaskCost()
+
+    state = {}
+    backend = ProcessBackend(workers=2)
+    backend.run_phase(
+        [(0, 3), (3, 6), (6, 9)], run_task, lambda writes: state.update(writes)
+    )
+    print(json.dumps({
+        "state": sorted(state.items()),
+        "events": [e.kind for e in backend.recovery_events],
+    }))
+    """
+)
+
+
+class TestProcessBackendLiveness:
+    def test_worker_crash_recovered_by_default(self, tmp_path):
+        """A default-constructed backend survives a worker that dies."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", _CRASH_ONCE, str(tmp_path / "died")],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                env=env,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("phase hung after a worker crash")
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "died").exists()  # the crash really happened
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["state"] == [[i, i * i] for i in range(9)]
+        assert "crash" in out["events"]

@@ -82,10 +82,43 @@ class TestFaultPlan:
             FaultPlan.from_seed(0, tasks=2, kills=3)
 
 
+class TestFaultTolerancePolicy:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("min_workers", 0),
+            ("poison_threshold", 0),
+            ("max_retries", -1),
+            ("max_respawns", -1),
+            ("heartbeat_interval", 0.0),
+            ("task_timeout", 0.0),
+            ("heartbeat_timeout", -1.0),
+            ("max_retry_wall", 0.0),
+            ("backoff_base", -0.1),
+            ("backoff_cap", -1.0),
+            ("backoff_jitter", -0.5),
+            ("straggler_after", -1.0),
+        ],
+    )
+    def test_rejects_invalid_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FaultTolerancePolicy(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        FaultTolerancePolicy(
+            max_retries=0,
+            max_respawns=0,
+            backoff_base=0.0,
+            backoff_cap=0.0,
+            backoff_jitter=0.0,
+            straggler_after=0.0,
+        )
+
+
 class TestSupervisorRecovery:
     def test_no_faults_matches_serial(self):
         acc, run_task, commit = make_phase()
-        ProcessBackend(4, supervised=True).run_phase(TASKS, run_task, commit)
+        ProcessBackend(4).run_phase(TASKS, run_task, commit)
         assert acc == EXPECT
 
     def test_worker_kills_recovered(self):
@@ -168,11 +201,6 @@ class TestSupervisorRecovery:
         backend.run_phase(TASKS, run_task, commit)
         assert acc == EXPECT
         assert "heartbeat_gap" in event_kinds(backend)
-
-    def test_plain_backend_not_supervised(self):
-        assert not ProcessBackend(2).supervised
-        assert ProcessBackend(2, chaos=FaultPlan.poison(0)).supervised
-        assert ProcessBackend(2, policy=FaultTolerancePolicy()).supervised
 
 
 class TestEndToEndClustering:

@@ -26,7 +26,7 @@ from repro.graph import from_edges
 from repro.graph.generators import erdos_renyi, lfr_graph
 from repro.intersect import merge_count
 from repro.options import BackendKind, ExecMode, ExecutionOptions
-from repro.parallel import FaultPlan, PoisonTaskError
+from repro.parallel import FaultPlan, FaultTolerancePolicy, PoisonTaskError
 from repro.sweep import SweepEngine
 from repro.types import ScanParams
 
@@ -181,7 +181,7 @@ class TestSupervisorCacheInterplay:
             backend=BackendKind.PROCESS,
             workers=2,
             chaos=FaultPlan.poison(0),
-            max_retries=3,
+            policy=FaultTolerancePolicy(max_retries=3),
             cache=store,
         )
         with pytest.raises(PoisonTaskError):

@@ -178,7 +178,7 @@ class TestBackendWiring:
             result = ppscan(
                 graph,
                 ScanParams(eps=0.4, mu=3),
-                backend=ProcessBackend(workers=2, supervised=True),
+                backend=ProcessBackend(workers=2),
             )
         snap = rep.snapshot()
         assert snap["phase"] >= 1
