@@ -180,12 +180,19 @@ class StoreEntry:
         if len(arcs) == 0 or os.getpid() != self._owner_pid:
             return
         arcs = np.asarray(arcs, dtype=np.int64)
-        rev = self._reverse()[arcs]
+        self.record_arcs(
+            np.concatenate((arcs, self._reverse()[arcs])),
+            np.concatenate((overlaps, overlaps)),
+        )
+
+    def record_arcs(self, arcs: np.ndarray, overlaps: np.ndarray) -> None:
+        """:meth:`record` without the mirroring: the caller passes both
+        arcs of every edge.  No-op outside the owning process."""
+        if len(arcs) == 0 or os.getpid() != self._owner_pid:
+            return
         with self._lock:
             self.overlap[arcs] = overlaps
-            self.overlap[rev] = overlaps
             self.coverage[arcs] = True
-            self.coverage[rev] = True
             self.dirty = True
 
     def record_one(self, arc: int, overlap: int) -> None:

@@ -2,35 +2,48 @@
 
 The GS*-Index paper supports edge updates with local index maintenance;
 this module reproduces that capability on top of
-:class:`~repro.graph.dynamic.DynamicGraph`:
+:class:`~repro.graph.dynamic.DynamicGraph`.  Let ``T`` be the touched
+vertices (endpoints of effective edits):
 
-* inserting/removing edge ``{u, v}`` updates exactly the affected state —
-  the overlap of ``{u, v}`` itself, the overlaps of edges incident to
-  ``u`` or ``v`` whose common-neighbor count changed (an O(d(u)+d(v))
-  membership sweep), and the neighbor orders of ``{u, v} ∪ N(u) ∪ N(v)``
-  (the only vertices whose similarity keys involve the changed degrees);
+* an overlap can change only on an edge incident to ``T``.  The per-edge
+  :meth:`~DynamicGSIndex.insert_edge` / :meth:`~DynamicGSIndex.remove_edge`
+  apply O(d(u)+d(v)) membership deltas; :meth:`~DynamicGSIndex.apply_batch`
+  recomputes every such edge once, in one bulk
+  :class:`~repro.intersect.BatchIntersector` pass over the post-batch
+  CSR snapshot;
+* a similarity key ``σ(w, t)`` can change only if ``w`` or ``t`` is in
+  ``T``, so :meth:`~DynamicGSIndex.refresh` repairs neighbor orders in
+  two tiers: each vertex of ``T`` is re-sorted exactly, and every other
+  vertex ``w`` keeps its order and only moves its entries for
+  ``T ∩ N(w)``, each by bisection;
 * queries are exact for any (ε, µ), verified against rebuilding a static
   :class:`~repro.core.gsindex.GSIndex` from a snapshot.
 
 Similarity keys stay exact rationals (``overlap² / ((d(u)+1)(d(v)+1))``)
-so boundary queries agree with every other implementation.
+so boundary queries agree with every other implementation.  Orders run
+by σ descending, then neighbor id ascending.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
+from ..graph.csr import CSRGraph
 from ..graph.dynamic import DynamicGraph
+from ..intersect import BatchIntersector
+from ..intersect.batch import concat_ranges
 from ..metrics.records import RunRecord, StageRecord, TaskCost
 from ..types import CORE, NONCORE, ScanParams
 from ..unionfind import UnionFind
-from .gsindex import arc_order, bulk_overlaps
+from .gsindex import arc_order, bulk_overlaps, descending_order, edge_overlaps
 from .result import ClusteringResult
 
-__all__ = ["BatchMaintenance", "DynamicGSIndex"]
+__all__ = ["BatchMaintenance", "DynamicGSIndex", "OrderRepair"]
 
 
 def _overlap_closed(adj_u: list[int], adj_v: list[int]) -> int:
@@ -68,6 +81,12 @@ class BatchMaintenance:
     effective edits); ``dirty`` additionally includes their
     post-batch neighbors (the vertices whose neighbor orders must be
     refreshed, since their similarity keys involve changed degrees).
+
+    ``snapshot`` is the post-batch CSR graph the overlaps were computed
+    on (``None`` when no edit took effect).  Row ``i`` of
+    ``frontier_arcs`` holds the arc ids of ``u → v`` and ``v → u`` in it
+    for ``frontier[i] == (u, v)``, whose overlap is
+    ``frontier_overlaps[i]``.
     """
 
     inserted: int
@@ -76,10 +95,33 @@ class BatchMaintenance:
     touched: tuple[int, ...]
     frontier: tuple[tuple[int, int], ...]
     dirty: tuple[int, ...] = field(default=())
+    snapshot: CSRGraph | None = field(default=None, compare=False, repr=False)
+    frontier_arcs: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 2), dtype=np.int64),
+        compare=False,
+        repr=False,
+    )
+    frontier_overlaps: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64),
+        compare=False,
+        repr=False,
+    )
 
     @property
     def effective(self) -> int:
         return self.inserted + self.removed
+
+
+class OrderRepair(NamedTuple):
+    """What one :meth:`DynamicGSIndex.refresh` changed.
+
+    ``resorted`` vertices got a whole new order; every vertex ``w`` in
+    ``moved`` kept its order except for the listed entries, given as
+    ``(rank before the move, σ² numerator, σ² denominator)``.
+    """
+
+    resorted: list[int]
+    moved: dict[int, list[tuple[int, int, int]]]
 
 
 class DynamicGSIndex:
@@ -87,12 +129,15 @@ class DynamicGSIndex:
 
     def __init__(self, graph: DynamicGraph) -> None:
         self.graph = graph
+        # Pending order repairs: touched vertices to re-sort whole, and
+        # for every other vertex the touched neighbors whose entries move.
         self._dirty: set[int] = set()
+        self._moved: dict[int, set[int]] = {}
         self.maintenance_ops = 0
         # Seed overlaps and neighbor orders from the static index's bulk
         # pass over the start state: arcs of u ascend with v, so the
         # sorted arc order's targets are the (exact descending, v
-        # ascending) vertex order that _refresh_orders maintains.  Keys
+        # ascending) vertex order that refresh maintains.  Keys
         # and orders share one int object per vertex id, which keeps the
         # index as small as the per-edge construction left it.
         snapshot = graph.snapshot()
@@ -151,7 +196,7 @@ class DynamicGSIndex:
                 if _contains(self.graph.neighbors(w), b):
                     edge = (a, w) if a < w else (w, a)
                     self._overlap[edge] += 1
-        self._mark_dirty(u, v)
+        self._mark((u, v))
         return True
 
     def remove_edge(self, u: int, v: int) -> bool:
@@ -176,7 +221,7 @@ class DynamicGSIndex:
                     self._overlap[edge] -= 1
         self.graph.remove_edge(u, v)
         del self._overlap[(min(u, v), max(u, v))]
-        self._mark_dirty(u, v)
+        self._mark((u, v))
         return True
 
     def apply_batch(self, edits) -> BatchMaintenance:
@@ -189,11 +234,12 @@ class DynamicGSIndex:
         * an arc's closed-neighborhood overlap can only change if one of
           its endpoints' adjacency changed, so the affected-arc frontier
           is exactly the arcs incident to the touched-vertex set ``T``;
-        * each frontier arc's overlap is recomputed by a single sorted
-          merge — once per arc, no matter how many edits touched its
-          endpoints;
-        * neighbor orders need refreshing only for ``T ∪ N(T)`` (the
-          vertices whose similarity keys involve a changed degree).
+        * every frontier edge's overlap is recomputed once, by one bulk
+          :func:`~repro.core.gsindex.edge_overlaps` pass over the
+          post-batch snapshot, no matter how many edits touched it;
+        * neighbor orders need repair only for ``T ∪ N(T)`` (the
+          vertices whose similarity keys involve a changed overlap or
+          degree); :meth:`refresh` does it.
 
         The whole batch is validated up front, so an invalid edit raises
         (``IndexError`` / ``ValueError``) before any mutation happens.
@@ -225,39 +271,42 @@ class DynamicGSIndex:
                     removed_pairs.add(pair)
                 else:
                     skipped += 1
+        if not touched:
+            return BatchMaintenance(inserted, removed, skipped, (), ())
 
         # Overlap keys of edges that no longer exist.
         for pair in removed_pairs:
             self._overlap.pop(pair, None)
 
-        # Recompute every frontier arc's overlap exactly once.
-        frontier: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        for a in touched:
-            for b in graph.neighbors(a):
-                pair = (a, b) if a < b else (b, a)
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                self._overlap[pair] = _overlap_closed(
-                    graph.neighbors(pair[0]), graph.neighbors(pair[1])
-                )
-                self.maintenance_ops += graph.degree(pair[0]) + graph.degree(
-                    pair[1]
-                )
-                frontier.append(pair)
+        # Every frontier edge once, as its u < v arc of the snapshot.
+        snapshot = graph.snapshot()
+        inter = BatchIntersector(snapshot)
+        src, dst, keys = inter.arc_src, snapshot.dst, inter.arc_keys
+        tv = np.fromiter(sorted(touched), dtype=np.int64, count=len(touched))
+        out = concat_ranges(snapshot.offsets[tv], snapshot.offsets[tv + 1])
+        a, b = src[out], dst[out]
+        back = np.searchsorted(keys, b * np.int64(snapshot.num_vertices) + a)
+        upper = a < b
+        arcs, first = np.unique(np.where(upper, out, back), return_index=True)
+        rev = np.where(upper, back, out)[first]
+        overlaps = edge_overlaps(snapshot, arcs, rev, inter)
+        lo, hi = src[arcs], dst[arcs]
+        frontier = tuple(zip(lo.tolist(), hi.tolist()))
+        self._overlap.update(zip(frontier, overlaps.tolist()))
+        deg = snapshot.degrees
+        self.maintenance_ops += int(deg[lo].sum() + deg[hi].sum())
 
-        dirty = set(touched)
-        for a in touched:
-            dirty.update(graph.neighbors(a))
-        self._dirty.update(dirty)
+        self._mark(touched)
         return BatchMaintenance(
             inserted=inserted,
             removed=removed,
             skipped=skipped,
-            touched=tuple(sorted(touched)),
-            frontier=tuple(sorted(frontier)),
-            dirty=tuple(sorted(dirty)),
+            touched=tuple(tv.tolist()),
+            frontier=frontier,
+            dirty=tuple(np.union1d(tv, b).tolist()),
+            snapshot=snapshot,
+            frontier_arcs=np.column_stack((arcs, rev)),
+            frontier_overlaps=overlaps,
         )
 
     def overlap(self, u: int, v: int) -> int:
@@ -268,64 +317,144 @@ class DynamicGSIndex:
         """Iterate ``((u, v), overlap)`` over every edge (``u < v``)."""
         return iter(self._overlap.items())
 
-    def _mark_dirty(self, u: int, v: int) -> None:
-        self._dirty.add(u)
-        self._dirty.add(v)
-        self._dirty.update(self.graph.neighbors(u))
-        self._dirty.update(self.graph.neighbors(v))
+    def _mark(self, touched) -> None:
+        """Queue the order repairs an adjacency change at ``touched``
+        needs: σ moved only on arcs incident to a touched vertex."""
+        self._dirty.update(touched)
+        for t in touched:
+            for w in self.graph.neighbors(t):
+                self._moved.setdefault(w, set()).add(t)
 
-    def _refresh_orders(self) -> None:
-        graph = self.graph
-        overlap = self._overlap
-        for u in self._dirty:
-            # Precompute each neighbor's exact key once: re-deriving it
-            # per comparison dominates batched maintenance otherwise.
-            du1 = graph.degree(u) + 1
-            keyed = []
-            for v in graph.neighbors(u):
-                o = overlap[(u, v) if u < v else (v, u)]
-                keyed.append((o * o, du1 * (graph.degree(v) + 1), v))
-            keyed.sort(key=lambda t: -(t[0] / t[1]))
-            # Exact repair of float-key near-ties (descending).
-            for i in range(1, len(keyed)):
-                j = i
-                while j > 0:
-                    na, da, _ = keyed[j - 1]
-                    nb, db, _ = keyed[j]
-                    if na * db < nb * da:
-                        keyed[j - 1], keyed[j] = keyed[j], keyed[j - 1]
-                        j -= 1
-                    else:
-                        break
-            self._order[u] = [t[2] for t in keyed]
+    def refresh(self) -> OrderRepair:
+        """Repair every pending neighbor order (idempotent).
+
+        Each pending touched vertex is re-sorted exactly.  Every other
+        vertex keeps its order: the entries whose σ did not change are
+        still sorted, so only the moved entries leave and are re-inserted
+        by bisection.
+        """
+        resorted = sorted(self._dirty)
+        pending = [
+            (w, ts) for w, ts in self._moved.items() if w not in self._dirty
+        ]
         self._dirty.clear()
+        self._moved.clear()
+        if resorted:
+            self._resort(resorted)
+        return OrderRepair(
+            resorted, {w: self._move(w, ts) for w, ts in pending}
+        )
 
-    def refresh(self) -> None:
-        """Re-sort every dirty vertex's neighbor order (idempotent)."""
-        self._refresh_orders()
+    def _resort(self, vertices: list[int]) -> None:
+        """Exact re-sort of ``vertices``' orders in one descending_order."""
+        adj, overlap = self.graph.adjacency, self._overlap
+        lists = [adj[u] for u in vertices]
+        sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
+        flat = list(chain.from_iterable(lists))
+        src = np.repeat(np.asarray(vertices, dtype=np.int64), sizes)
+        dst = np.asarray(flat, dtype=np.int64)
+        pairs = zip(np.minimum(src, dst).tolist(), np.maximum(src, dst).tolist())
+        ov = np.fromiter(
+            map(overlap.__getitem__, pairs), dtype=np.int64, count=len(flat)
+        )
+        deg = np.fromiter(
+            map(len, map(adj.__getitem__, flat)), dtype=np.int64, count=len(flat)
+        )
+        order = descending_order(
+            ov * ov,
+            (sizes + 1).repeat(sizes) * (deg + 1),
+            np.arange(len(vertices)).repeat(sizes),
+        )
+        # The adjacency's own int objects, in sorted order.
+        ranked = list(map(flat.__getitem__, order.tolist()))
+        end = 0
+        for u, size in zip(vertices, sizes.tolist()):
+            self._order[u] = ranked[end : end + size]
+            end += size
 
-    def similar_prefix(
-        self, u: int, eps_num: int, eps_den: int
-    ) -> list[int]:
-        """The ε-similar prefix of ``u``'s neighbor order (descending σ).
+    def _move(self, w: int, moved: set[int]) -> list[tuple[int, int, int]]:
+        """Re-insert ``w``'s entries for ``moved`` at their new keys, each
+        by bisection; returns ``(rank before the move, σ² numerator,
+        σ² denominator)`` per moved entry."""
+        order = self._order[w]
+        ranked = sorted([(order.index(t), t) for t in moved])
+        for rank, _ in reversed(ranked):
+            del order[rank]
+        overlap, adj = self._overlap, self.graph.adjacency
+        dw1 = len(adj[w]) + 1
+        out = []
+        for rank, t in ranked:
+            o = overlap[(w, t) if w < t else (t, w)]
+            num, dt1 = o * o, len(adj[t]) + 1
+            lo, hi = 0, len(order)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                x = order[mid]
+                ox = overlap[(w, x) if w < x else (x, w)]
+                # x goes after t iff σ(w, x) < σ(w, t), or they tie and
+                # x > t; the common factor d(w) + 1 cancels.
+                lhs, rhs = ox * ox * dt1, num * (len(adj[x]) + 1)
+                if lhs < rhs or (lhs == rhs and x > t):
+                    hi = mid
+                else:
+                    lo = mid + 1
+            order.insert(lo, t)
+            out.append((rank, num, dw1 * dt1))
+        return out
+
+    @property
+    def orders(self) -> list[list[int]]:
+        """Every vertex's neighbor order (refreshed; do not mutate)."""
+        return self._order
+
+    def prefix_length(self, u: int, eps_num: int, eps_den: int) -> int:
+        """Length of ``u``'s ε-similar prefix, by bisection on its order.
 
         Callers must :meth:`refresh` first; ``eps_num`` / ``eps_den``
         are the squared ε fraction's numerator and denominator (the same
         integers :meth:`query` compares against).
         """
-        prefix: list[int] = []
-        for v in self._order[u]:
-            if not self._similar(u, v, eps_num, eps_den):
-                break
-            prefix.append(v)
-        return prefix
+        order = self._order[u]
+        lo, hi = 0, len(order)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._similar(u, order[mid], eps_num, eps_den):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    def similar_prefix(
+        self, u: int, eps_num: int, eps_den: int
+    ) -> list[int]:
+        """The ε-similar prefix of ``u``'s neighbor order (descending σ);
+        arguments as for :meth:`prefix_length`."""
+        return self._order[u][: self.prefix_length(u, eps_num, eps_den)]
+
+    def repair_prefix_lengths(
+        self, lengths: list[int], repair: OrderRepair, eps_num: int, eps_den: int
+    ) -> None:
+        """Bring ``lengths`` (each vertex's ε-similar prefix length before
+        ``repair``) up to date in place.
+
+        A re-sorted vertex bisects its new order.  A vertex with moved
+        entries changed only in them: it loses those that ranked inside
+        its old prefix and gains those that are similar now.
+        """
+        for u in repair.resorted:
+            lengths[u] = self.prefix_length(u, eps_num, eps_den)
+        for w, moves in repair.moved.items():
+            old = k = lengths[w]
+            for rank, num, den in moves:
+                k += (num * eps_den >= eps_num * den) - (rank < old)
+            lengths[w] = k
 
     # -- queries ------------------------------------------------------------
 
     def query(self, params: ScanParams) -> ClusteringResult:
         """Exact SCAN clustering of the current graph state."""
         t0 = time.perf_counter()
-        self._refresh_orders()
+        self.refresh()
         graph = self.graph
         n = graph.num_vertices
         frac = params.eps_fraction

@@ -59,8 +59,7 @@ def bulk_overlaps(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact closed-neighborhood overlap of every arc, in one bulk pass.
 
-    Each edge is intersected once by ``BatchIntersector.arc_counts`` in
-    chunks, from the arc whose target has the smaller neighborhood, and
+    Every ``u < v`` arc goes through :func:`edge_overlaps` and is
     mirrored.  With a store, covered ``u < v`` arcs are read as hits and
     the misses committed with one ``record``.  Returns the overlaps and
     the ``u < v`` arcs actually intersected.
@@ -77,20 +76,39 @@ def bulk_overlaps(
         todo = upper[~hit]
         entry.hits += int(upper.size - todo.size)
     if todo.size:
-        deg = graph.degrees
-        # Arc ids ascend with their source, so sorting groups by source.
-        arcs = np.sort(np.where(deg[graph.dst[todo]] > deg[src[todo]], rev[todo], todo))
-        work = np.cumsum(deg[graph.dst[arcs]])
-        cuts = np.searchsorted(work, np.arange(_CHUNK_WORK, work[-1], _CHUNK_WORK))
-        inter = BatchIntersector(graph)
-        for chunk in np.split(arcs, cuts):
-            overlap[chunk] = inter.arc_counts(chunk) + 2
-        overlap[rev[arcs]] = overlap[arcs]
+        overlap[todo] = edge_overlaps(graph, todo, rev[todo])
         if entry is not None:
             entry.record(todo, overlap[todo])
             entry.misses += int(todo.size)
     overlap[rev[upper]] = overlap[upper]
     return overlap, todo
+
+
+def edge_overlaps(
+    graph: CSRGraph,
+    arcs: np.ndarray,
+    rev: np.ndarray,
+    inter: BatchIntersector | None = None,
+) -> np.ndarray:
+    """Exact closed-neighborhood overlap of each of ``arcs`` (whose
+    reverse arcs are ``rev``), by ``BatchIntersector.arc_counts`` in
+    chunks.  Each edge is probed from whichever of its two arcs has the
+    target with the smaller neighborhood."""
+    out = np.empty(arcs.size, dtype=np.int64)
+    if not arcs.size:
+        return out
+    deg = graph.degrees
+    probe = np.where(deg[graph.dst[arcs]] > deg[graph.dst[rev]], rev, arcs)
+    # Arc ids ascend with their source, so sorting groups by source.
+    rank = np.argsort(probe)
+    probe = probe[rank]
+    work = np.cumsum(deg[graph.dst[probe]])
+    cuts = np.searchsorted(work, np.arange(_CHUNK_WORK, work[-1], _CHUNK_WORK))
+    bounds = [0, *cuts.tolist(), probe.size]
+    inter = inter if inter is not None else BatchIntersector(graph)
+    for lo, hi in zip(bounds, bounds[1:]):
+        out[rank[lo:hi]] = inter.arc_counts(probe[lo:hi]) + 2
+    return out
 
 
 def arc_order(

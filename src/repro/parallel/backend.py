@@ -636,8 +636,12 @@ class ProcessBackend:
                              else kind, worker_id, detail)
             if fatal is not None:
                 return
+            # A lane that died mid-task is always replaced, so recovery
+            # does not depend on how far the survivors got before the
+            # death was seen; an idle one only while work outnumbers the
+            # live workers.
             outstanding = len(tasks) - completed
-            if outstanding > len(procs) and respawns():
+            if (flight is not None or outstanding > len(procs)) and respawns():
                 return
 
         def respawns() -> bool:

@@ -1,28 +1,32 @@
 """Batched streaming maintenance of the GS*-Index and its query state.
 
 The :class:`StreamingEngine` owns one evolving graph and keeps three
-layers consistent across batches of edge edits:
+layers consistent across batches of edge edits.  Let ``T`` be the
+touched vertices (endpoints of the batch's effective edits):
 
 1. **Index** — :meth:`~repro.core.dynamic_index.DynamicGSIndex.apply_batch`
-   repairs only the affected-arc frontier (arcs incident to a vertex
-   whose adjacency changed) and refreshes neighbor orders for the
-   touched vertices and their neighbors.
+   recomputes the overlaps of the edges incident to ``T`` in one bulk
+   pass over the post-batch snapshot, which the engine adopts as its
+   own; ``refresh`` re-sorts the orders of ``T`` and, for every other
+   neighbor of ``T``, moves only its entries for ``T``.
 2. **SimilarityStore** — every snapshot has its own content fingerprint,
    so a batch *moves* the store entry: overlaps of arcs untouched by the
    batch are migrated to the new fingerprint's entry (their exact values
    cannot have changed), touched arcs are deliberately dropped
-   (invalidated), frontier arcs are re-recorded from the just-repaired
-   index, and the superseded entry is discarded.
+   (invalidated), frontier arcs are re-recorded from the batch's bulk
+   overlap pass, and the superseded entry is discarded.
 3. **Materialized (ε, µ) points** — for every point a query has
-   materialized, the engine caches each vertex's ε-similar prefix.  A
-   batch re-derives prefixes only for the dirty vertices, then rebuilds
-   roles / core labels / non-core pairs from the cached prefixes — a
-   scoped re-cluster that is bit-identical to a from-scratch
+   materialized, the engine keeps each vertex's ε-similar prefix
+   length.  A batch repairs only the lengths of the repaired orders
+   (bisection for ``T``, the moved entries elsewhere), then rebuilds
+   roles / core labels / non-core pairs from them — a scoped re-cluster
+   that is bit-identical to a from-scratch
    :class:`~repro.core.gsindex.GSIndex` query (verified by the
    differential harness in :mod:`repro.streaming.differential`).
 
-Only the prefix-repair step scales with the batch's footprint; the
-label rebuild is a cheap union-find over cached prefixes.
+The index and prefix repairs scale with the batch's footprint; the
+snapshot, fingerprint and store migration are O(n + m) array passes,
+and the label rebuild is a union-find over the cores' prefixes.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..cache.store import SimilarityStore, graph_fingerprint
-from ..core.dynamic_index import BatchMaintenance, DynamicGSIndex
+from ..cache.store import SimilarityStore, StoreEntry, graph_fingerprint
+from ..core.dynamic_index import BatchMaintenance, DynamicGSIndex, OrderRepair
 from ..core.result import ClusteringResult
 from ..graph.csr import CSRGraph
 from ..graph.dynamic import DynamicGraph
@@ -85,15 +89,17 @@ class BatchReport:
 
 
 class _PointState:
-    """One materialized (ε, µ) point: per-vertex similar prefixes + result.
+    """One materialized (ε, µ) point: per-vertex similar prefix lengths
+    plus the result.
 
-    A vertex's prefix depends only on its own neighbor order and the
-    similarity keys of its incident arcs, so after a batch only the
-    dirty vertices' prefixes can change; everything downstream (roles,
-    labels, pairs) is rebuilt from the cached prefixes.
+    A vertex's ε-similar prefix is the head of its neighbor order, so
+    its length is all a point keeps.  After a batch only the repaired
+    orders' lengths can change (see
+    :meth:`~repro.core.dynamic_index.DynamicGSIndex.repair_prefix_lengths`);
+    everything downstream (roles, labels, pairs) is rebuilt from them.
     """
 
-    __slots__ = ("params", "eps_num", "eps_den", "prefixes", "result")
+    __slots__ = ("params", "eps_num", "eps_den", "lengths", "result")
 
     def __init__(self, params: ScanParams, index: DynamicGSIndex) -> None:
         self.params = params
@@ -101,23 +107,22 @@ class _PointState:
         self.eps_num = frac.numerator * frac.numerator
         self.eps_den = frac.denominator * frac.denominator
         n = index.graph.num_vertices
-        self.prefixes: list[list[int]] = [
-            index.similar_prefix(u, self.eps_num, self.eps_den)
+        self.lengths: list[int] = [
+            index.prefix_length(u, self.eps_num, self.eps_den)
             for u in range(n)
         ]
-        self.result = self._rebuild()
+        self.result = self._rebuild(index)
 
-    def repair(self, index: DynamicGSIndex, dirty) -> int:
-        """Re-derive the dirty vertices' prefixes, rebuild the result."""
-        for u in dirty:
-            self.prefixes[u] = index.similar_prefix(
-                u, self.eps_num, self.eps_den
-            )
-        self.result = self._rebuild()
-        return len(dirty)
+    def repair(self, index: DynamicGSIndex, repair: OrderRepair) -> int:
+        """Repair the changed prefix lengths, rebuild the result."""
+        index.repair_prefix_lengths(
+            self.lengths, repair, self.eps_num, self.eps_den
+        )
+        self.result = self._rebuild(index)
+        return len(repair.resorted) + len(repair.moved)
 
-    def _rebuild(self) -> ClusteringResult:
-        """Roles / labels / pairs from cached prefixes.
+    def _rebuild(self, index: DynamicGSIndex) -> ClusteringResult:
+        """Roles / labels / pairs from the cached prefix lengths.
 
         Mirrors :meth:`repro.core.gsindex.GSIndex.query` exactly — core
         iff the similar prefix reaches µ, ascending-core union order,
@@ -126,18 +131,15 @@ class _PointState:
         """
         t0 = time.perf_counter()
         mu = self.params.mu
-        prefixes = self.prefixes
-        n = len(prefixes)
-        lens = np.fromiter(
-            (len(p) for p in prefixes), count=n, dtype=np.int64
-        )
-        roles = np.where(lens >= mu, CORE, NONCORE).astype(np.int8)
+        lengths, orders = self.lengths, index.orders
+        n = len(lengths)
+        roles = np.where(np.array(lengths) >= mu, CORE, NONCORE).astype(np.int8)
 
         uf = UnionFind(n)
         pairs: list[tuple[int, int]] = []
         arcs_walked = n
         for u in np.flatnonzero(roles == CORE).tolist():
-            for v in prefixes[u]:
+            for v in orders[u][: lengths[u]]:
                 arcs_walked += 1
                 if roles[v] == CORE:
                     if u < v:
@@ -239,7 +241,6 @@ class StreamingEngine:
         key = self._point_key(params)
         state = self._points.get(key)
         if state is None:
-            self._index.refresh()
             state = _PointState(params, self._index)
             self._points[key] = state
         return state.result
@@ -262,24 +263,28 @@ class StreamingEngine:
             fingerprint=self._fingerprint[:12],
         ):
             stats = self._index.apply_batch(batch)
-            self._index.refresh()
+            repair = self._index.refresh()
 
             carried = 0
             if stats.effective:
                 old_snapshot = self._snapshot
                 old_fingerprint = self._fingerprint
-                self._snapshot = self._dyn.snapshot()
-                self._fingerprint = graph_fingerprint(self._snapshot)
-                if self.store is not None:
+                self._snapshot = stats.snapshot
+                if self.store is None:
+                    self._fingerprint = graph_fingerprint(self._snapshot)
+                else:
+                    # entry_for hashes the snapshot; reuse its fingerprint.
+                    new_entry = self.store.entry_for(self._snapshot)
+                    self._fingerprint = new_entry.fingerprint
                     carried = self._migrate_store(
-                        old_snapshot, old_fingerprint, stats
+                        old_snapshot, old_fingerprint, new_entry, stats
                     )
 
             points_repaired = 0
             reclustered = 0
             if stats.dirty:
                 for state in self._points.values():
-                    reclustered += state.repair(self._index, stats.dirty)
+                    reclustered += state.repair(self._index, repair)
                     points_repaired += 1
 
         wall = time.perf_counter() - t0
@@ -333,6 +338,7 @@ class StreamingEngine:
         self,
         old_snapshot: CSRGraph,
         old_fingerprint: str,
+        new_entry: StoreEntry,
         stats: BatchMaintenance,
     ) -> int:
         """Move the store entry across one batch's fingerprint change.
@@ -345,55 +351,34 @@ class StreamingEngine:
         closed neighborhoods) carries over verbatim.  Arcs incident to a
         touched vertex are *not* migrated: their old values may be stale,
         so they miss until recomputed (``record_frontier`` re-records
-        them immediately from the just-repaired index).
+        them immediately from the batch's bulk overlap pass).  Both arcs
+        of every edge are written directly, so no reverse-arc index is
+        built.  Returns the number of edges carried.
         """
         store = self.store
         new_snapshot = self._snapshot
         old_entry = store.peek(old_fingerprint)
-        new_entry = store.entry_for(new_snapshot)
         carried = 0
-        if old_entry is not None and old_entry.covered and stats.touched:
-            n = new_snapshot.num_vertices
-            touched_mask = np.zeros(n, dtype=bool)
-            touched_mask[list(stats.touched)] = True
-            src_new = np.repeat(
-                np.arange(n, dtype=np.int64), new_snapshot.degrees
+        if old_entry is not None and old_entry.covered:
+            untouched = np.ones(new_snapshot.num_vertices, dtype=bool)
+            untouched[list(stats.touched)] = False
+            src = new_snapshot.arc_source()
+            dst = new_snapshot.dst
+            arcs_new = np.flatnonzero(untouched[src] & untouched[dst])
+            src = src[arcs_new]
+            arcs_old = arcs_new + (
+                old_snapshot.offsets[src] - new_snapshot.offsets[src]
             )
-            dst_new = new_snapshot.dst.astype(np.int64)
-            # Forward arcs only: record() mirrors onto the reverse arc.
-            keep = (
-                ~touched_mask[src_new]
-                & ~touched_mask[dst_new]
-                & (src_new < dst_new)
+            covered = old_entry.coverage[arcs_old]
+            new_entry.record_arcs(
+                arcs_new[covered], old_entry.overlap[arcs_old[covered]]
             )
-            arcs_new = np.flatnonzero(keep)
-            if arcs_new.size:
-                shift = old_snapshot.offsets[src_new[arcs_new]].astype(
-                    np.int64
-                ) - new_snapshot.offsets[src_new[arcs_new]].astype(np.int64)
-                arcs_old = arcs_new + shift
-                covered = old_entry.coverage[arcs_old]
-                if np.any(covered):
-                    sel_new = arcs_new[covered]
-                    new_entry.record(
-                        sel_new, old_entry.overlap[arcs_old[covered]]
-                    )
-                    carried = int(sel_new.size)
+            carried = int(np.count_nonzero(covered & (src < dst[arcs_new])))
         if self.record_frontier and stats.frontier:
-            arcs = np.fromiter(
-                (
-                    new_snapshot.edge_offset(u, v)
-                    for u, v in stats.frontier
-                ),
-                count=len(stats.frontier),
-                dtype=np.int64,
+            new_entry.record_arcs(
+                stats.frontier_arcs.ravel(),
+                stats.frontier_overlaps.repeat(2),
             )
-            overlaps = np.fromiter(
-                (self._index.overlap(u, v) for u, v in stats.frontier),
-                count=len(stats.frontier),
-                dtype=np.int64,
-            )
-            new_entry.record(arcs, overlaps)
         store.discard(old_fingerprint)
         return carried
 

@@ -132,6 +132,16 @@ class TestSupervisorRecovery:
         assert kinds.count("crash") == 2
         assert "retry" in kinds and "respawn" in kinds
 
+    def test_kill_on_the_last_task_still_respawns(self):
+        # When the last task's worker dies, the survivors may already be
+        # done with every other task: the lane is replaced all the same.
+        acc, run_task, commit = make_phase()
+        plan = FaultPlan(faults=(Fault(FaultKind.KILL, task=15),))
+        backend = ProcessBackend(4, chaos=plan)
+        backend.run_phase(TASKS, run_task, commit)
+        assert acc == EXPECT
+        assert event_kinds(backend) == ["crash", "retry", "respawn"]
+
     def test_poison_task_quarantined(self):
         acc, run_task, commit = make_phase()
         backend = ProcessBackend(4, chaos=FaultPlan.poison(5))

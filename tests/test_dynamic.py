@@ -146,6 +146,49 @@ class TestDynamicGraph:
         got = {tuple(sorted(map(int, e))) for e in snap.edge_list()}
         assert got == edges
 
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.booleans(),
+                    st.integers(0, 39),
+                    st.integers(0, 39),
+                ),
+                max_size=6,
+            ),
+            max_size=5,
+        )
+    )
+    def test_patched_snapshot_matches_full_build(self, steps):
+        # A snapshot after a few changed lists is patched from the
+        # previous one; it must be byte-identical to a from-scratch build.
+        from repro.graph.builders import from_edge_array
+
+        start = erdos_renyi(40, 100, seed=2)
+        dyn = DynamicGraph.from_csr(start)
+        edges = {tuple(e) for e in start.edge_list().tolist()}
+        for edits in steps:
+            for insert, u, v in edits:
+                if u == v:
+                    continue
+                if insert:
+                    dyn.insert_edge(u, v)
+                    edges.add((min(u, v), max(u, v)))
+                else:
+                    dyn.remove_edge(u, v)
+                    edges.discard((min(u, v), max(u, v)))
+            snap = dyn.snapshot()
+            want = from_edge_array(
+                np.array(sorted(edges), dtype=np.int64).reshape(-1, 2), 40
+            )
+            assert np.array_equal(snap.offsets, want.offsets)
+            assert np.array_equal(snap.dst, want.dst)
+
 
 def per_edge_seed(graph):
     """The per-edge overlap pass the bulk seeding replaced."""
@@ -306,3 +349,136 @@ class TestDynamicIndex:
         assert idx.query(params).same_clustering(
             ppscan(dyn.snapshot(), params)
         )
+
+
+# ---------------------------------------------------------------------------
+# Two-tier order repair: touched vertices re-sorted, other entries moved
+# ---------------------------------------------------------------------------
+
+#: ε² as exact (numerator, denominator) pairs, for ε = 1/3, 1/2, 2/3, 3/4.
+EPS_SQUARED = ((1, 9), (1, 4), (4, 9), (9, 16))
+
+
+def star_joined_to_clique():
+    """Hub 0 with leaves 1..12, joined to every vertex of the 6-clique
+    13..18."""
+    clique = range(13, 19)
+    edges = [(0, v) for v in range(1, 19)]
+    edges += [(u, v) for u in clique for v in clique if u < v]
+    return from_edges(edges, num_vertices=19)
+
+
+def linear_prefix(idx, u, eps_num, eps_den):
+    """Reference ε-similar prefix: walk ``u``'s order until the first
+    neighbor below ε, with each key recomputed from scratch."""
+    degree = idx.graph.degree
+    prefix = []
+    for v in idx.orders[u]:
+        o = idx.overlap(u, v)
+        if o * o * eps_den < eps_num * (degree(u) + 1) * (degree(v) + 1):
+            break
+        prefix.append(v)
+    return prefix
+
+
+class TestTwoTierRepair:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        st.sampled_from(["star_clique", "chung_lu"]),
+        st.integers(0, 1_000),
+        st.lists(
+            st.tuples(
+                st.booleans(),  # per-edge calls instead of one batch
+                st.booleans(),  # refresh after this step
+                st.lists(
+                    st.tuples(
+                        st.booleans(),
+                        st.integers(0, 18),
+                        st.integers(0, 18),
+                    ),
+                    max_size=8,
+                ),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_interleaved_repairs_match_fresh_index(self, kind, seed, steps):
+        if kind == "star_clique":
+            csr = star_joined_to_clique()
+        else:
+            csr = chung_lu(powerlaw_weights(19, 2.05), 60, seed=seed)
+        n = csr.num_vertices
+        dyn = DynamicGraph.from_csr(csr)
+        idx = DynamicGSIndex(dyn)
+        lengths = {
+            eps: [idx.prefix_length(u, *eps) for u in range(n)]
+            for eps in EPS_SQUARED
+        }
+
+        def refresh():
+            repair = idx.refresh()
+            for eps in EPS_SQUARED:
+                idx.repair_prefix_lengths(lengths[eps], repair, *eps)
+
+        for per_edge, then_refresh, edits in steps:
+            edits = [(ins, u, v) for ins, u, v in edits if u != v]
+            if per_edge:
+                for ins, u, v in edits:
+                    (idx.insert_edge if ins else idx.remove_edge)(u, v)
+            else:
+                idx.apply_batch(edits)
+            if then_refresh:
+                refresh()
+        refresh()
+
+        fresh = DynamicGSIndex(DynamicGraph.from_csr(dyn.snapshot()))
+        assert dict(idx.overlaps()) == dict(fresh.overlaps())
+        assert idx.orders == fresh.orders
+        for eps in EPS_SQUARED:
+            for u in range(n):
+                prefix = linear_prefix(idx, u, *eps)
+                assert idx.similar_prefix(u, *eps) == prefix
+                assert lengths[eps][u] == len(prefix)
+
+    @pytest.mark.parametrize("per_edge", [False, True], ids=["batch", "edge"])
+    def test_exact_tie_at_eps_boundary_orders_by_vertex_id(self, per_edge):
+        # Before: σ(0, 3)² = 4/6 > σ(0, 1)² = 4/9, so 0's order is [3, 1].
+        # Inserting {3, 6} raises d(3) to 2: σ(0, 3)² = 4/9 exactly ties
+        # σ(0, 1)², and ε = 2/3 puts ε² on that value.  Vertex 0 is not
+        # touched, so it moves its entry for 3, which must land after 1.
+        dyn = DynamicGraph.from_csr(
+            from_edges([(0, 1), (0, 3), (1, 5)], num_vertices=7)
+        )
+        idx = DynamicGSIndex(dyn)
+        assert idx.orders[0] == [3, 1]
+        eps = (4, 9)
+        lengths = [idx.prefix_length(u, *eps) for u in range(7)]
+        if per_edge:
+            idx.insert_edge(3, 6)
+        else:
+            idx.apply_batch([(True, 3, 6)])
+        repair = idx.refresh()
+        assert 0 not in repair.resorted and 0 in repair.moved
+        assert idx.orders[0] == [1, 3]
+        idx.repair_prefix_lengths(lengths, repair, *eps)
+        assert idx.similar_prefix(0, *eps) == [1, 3] and lengths[0] == 2
+        fresh = DynamicGSIndex(DynamicGraph.from_csr(dyn.snapshot()))
+        assert idx.orders == fresh.orders
+
+    def test_removing_an_isolated_edge_takes_a_snapshot(self):
+        dyn = DynamicGraph.from_csr(
+            from_edges([(0, 1), (1, 2), (0, 2), (3, 4)], num_vertices=6)
+        )
+        idx = DynamicGSIndex(dyn)
+        stats = idx.apply_batch([(False, 3, 4)])
+        assert stats.effective == 1 and stats.frontier == ()
+        assert stats.touched == (3, 4) and stats.dirty == (3, 4)
+        assert stats.snapshot is not None
+        assert stats.snapshot.num_edges == 3
+        repair = idx.refresh()
+        assert repair.resorted == [3, 4] and repair.moved == {}
+        assert idx.orders[3] == [] and idx.orders[4] == []

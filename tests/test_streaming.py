@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.cache import SimilarityStore
 from repro.cache.store import graph_fingerprint
 from repro.core import DynamicGSIndex, GSIndex
-from repro.graph import DynamicGraph
+from repro.graph import DynamicGraph, from_edges
 from repro.graph.generators import erdos_renyi
 from repro.streaming import (
     DifferentialMismatch,
@@ -20,7 +20,7 @@ from repro.streaming import (
     random_edit_script,
     replay_differential,
 )
-from repro.types import ScanParams
+from repro.types import CORE, NONCORE, ScanParams
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +450,27 @@ class TestEngineBehavior:
         assert stats["arcs_repaired"] > 0
         assert stats["vertices_reclustered"] > 0
         assert stats["points_materialized"] == 1
+
+    def test_removing_an_isolated_edge_advances_snapshot(self):
+        # The only effective edit leaves both endpoints isolated, so the
+        # frontier is empty; snapshot, fingerprint and store entry must
+        # still move, and the pair must stop being cores.
+        graph = from_edges([(0, 1), (1, 2), (0, 2), (3, 4)], num_vertices=6)
+        store = SimilarityStore()
+        engine = StreamingEngine(graph, store=store)
+        params = ScanParams(0.5, 1)
+        assert engine.query(params).roles[[3, 4]].tolist() == [CORE, CORE]
+        fingerprint = engine.fingerprint
+        report = engine.apply([("-", 3, 4)])
+        assert report.effective == 1 and report.arcs_repaired == 0
+        assert engine.snapshot.num_edges == 3
+        assert engine.fingerprint == graph_fingerprint(engine.snapshot)
+        assert engine.fingerprint != fingerprint
+        assert store.peek(fingerprint) is None
+        assert store.peek(engine.fingerprint).covered == engine.snapshot.num_arcs
+        after = engine.query(params)
+        assert after.roles[[3, 4]].tolist() == [NONCORE, NONCORE]
+        assert after.same_clustering(GSIndex(engine.snapshot).query(params))
 
     def test_accepts_dynamic_graph(self):
         dyn = DynamicGraph(5)
