@@ -25,6 +25,7 @@ from repro import (
     ScanParams,
     classify_peripherals,
     fast_structural_clustering,
+    verify_clustering,
 )
 from repro.graph import graph_stats, largest_connected_component, relabel_by_degree
 from repro.graph.generators import planted_partition
@@ -53,6 +54,9 @@ print(
     f"({result.record.compsim_invocations:,} intersections for "
     f"{lcc.num_edges:,} edges)"
 )
+# Independent check against the SCAN definitions (raises on any error).
+verify_clustering(lcc, result)
+print("verify_clustering: exact")
 
 # 4. Hub/outlier classification as a parallel phase.
 labels, record = classify_peripherals(lcc, result)

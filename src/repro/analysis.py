@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph.csr import CSRGraph
-from .intersect.bulk import common_neighbor_counts
 from .similarity.bulk import min_cn_arcs, predicate_prune_arcs
 from .types import NSIM, SIM, UNKNOWN, ScanParams
 from .core.fastscan import fast_structural_clustering
+from .core.gsindex import bulk_overlaps
 from .types import CORE
 
 __all__ = [
@@ -34,14 +34,13 @@ def edge_similarities(graph: CSRGraph) -> np.ndarray:
 
     Returns a float array aligned with ``graph.edge_list()``.
     """
-    edges = graph.edge_list()
-    if edges.size == 0:
-        return np.zeros(0)
-    overlap = common_neighbor_counts(graph, edges) + 2
+    src = graph.arc_source()
+    upper = src < graph.dst
+    overlap = bulk_overlaps(graph)[0][upper]
     deg = graph.degrees
     denom = np.sqrt(
-        (deg[edges[:, 0]] + 1).astype(np.float64)
-        * (deg[edges[:, 1]] + 1).astype(np.float64)
+        (deg[src[upper]] + 1).astype(np.float64)
+        * (deg[graph.dst[upper]] + 1).astype(np.float64)
     )
     return overlap / denom
 

@@ -66,14 +66,11 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..graph.csr import CSRGraph, reverse_arc_index
 from ..obs.tracer import current_tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..graph.csr import CSRGraph
 
 __all__ = [
     "STORE_VERSION",
@@ -101,17 +98,6 @@ def graph_fingerprint(graph: "CSRGraph") -> str:
     h.update(np.ascontiguousarray(graph.offsets).tobytes())
     h.update(np.ascontiguousarray(graph.dst).tobytes())
     return h.hexdigest()
-
-
-def _reverse_arcs(graph: "CSRGraph") -> np.ndarray:
-    # Same construction as repro.core.context.reverse_arc_index, duplicated
-    # locally so the cache layer stays import-cycle-free below core/.
-    n = np.int64(graph.num_vertices)
-    src = np.repeat(
-        np.arange(graph.num_vertices, dtype=np.int64), graph.degrees
-    )
-    dst = graph.dst.astype(np.int64)
-    return np.searchsorted(src * n + dst, dst * n + src)
 
 
 class StoreEntry:
@@ -168,7 +154,7 @@ class StoreEntry:
             # Built outside the lock (it is pure); a racing duplicate
             # build computes the identical array, and publishing either
             # one via a single attribute store is safe.
-            rev = _reverse_arcs(self.graph)
+            rev = reverse_arc_index(self.graph)
             self._rev = rev
         return rev
 

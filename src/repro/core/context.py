@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, reverse_arc_index
 from ..similarity import SimilarityEngine
 from ..types import ROLE_UNKNOWN, UNKNOWN, ScanParams
 
@@ -31,20 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache import SimilarityStore
 
 __all__ = ["RunContext", "reverse_arc_index"]
-
-
-def reverse_arc_index(graph: CSRGraph) -> np.ndarray:
-    """``rev[i]`` = arc index of the reverse of arc ``i``.
-
-    Arcs in natural order are sorted by ``(src, dst)``, so the combined
-    key ``src * n + dst`` is a sorted array and the position of arc
-    ``(dst, src)`` — which always exists in an undirected graph — is one
-    vectorized binary search (cheaper than the lexsort this replaces).
-    """
-    src = graph.arc_source().astype(np.int64)
-    dst = graph.dst.astype(np.int64)
-    n = np.int64(graph.num_vertices)
-    return np.searchsorted(src * n + dst, dst * n + src).astype(np.int64)
 
 
 class RunContext:

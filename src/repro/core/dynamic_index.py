@@ -39,9 +39,14 @@ from ..intersect import BatchIntersector
 from ..intersect.batch import concat_ranges
 from ..metrics.records import RunRecord, StageRecord, TaskCost
 from ..types import CORE, NONCORE, ScanParams
-from ..unionfind import UnionFind
-from .gsindex import arc_order, bulk_overlaps, descending_order, edge_overlaps
-from .result import ClusteringResult
+from .gsindex import (
+    _eps_squared,
+    arc_order,
+    bulk_overlaps,
+    descending_order,
+    edge_overlaps,
+)
+from .result import ClusteringResult, assemble_clustering
 
 __all__ = ["BatchMaintenance", "DynamicGSIndex", "OrderRepair"]
 
@@ -451,63 +456,57 @@ class DynamicGSIndex:
 
     # -- queries ------------------------------------------------------------
 
+    def cluster_prefixes(
+        self,
+        params: ScanParams,
+        lengths: list[int],
+        t0: float,
+        *,
+        algorithm: str = "DynamicGS*-Index",
+        task: str = "query",
+        stage: str = "index query",
+    ) -> ClusteringResult:
+        """The clustering at ``params`` from every vertex's ε-similar
+        prefix length (``lengths``, taken on refreshed orders).
+
+        A vertex is a core iff its prefix reaches µ; the cores' prefixes
+        go to :func:`~repro.core.result.assemble_clustering`.  The record
+        ``"{algorithm} ({task})"`` charges one arc per vertex plus the
+        prefix arcs walked, its wall runs from ``t0``.
+        """
+        n = len(lengths)
+        length = np.asarray(lengths, dtype=np.int64)
+        roles = np.where(length >= params.mu, CORE, NONCORE).astype(np.int8)
+        cores = np.flatnonzero(roles == CORE)
+        counts = length[cores]
+        total = int(counts.sum())
+        orders = self._order
+        dst = np.fromiter(
+            chain.from_iterable(
+                orders[u][:k] for u, k in zip(cores.tolist(), counts.tolist())
+            ),
+            np.int64,
+            total,
+        )
+        result, merges = assemble_clustering(
+            algorithm, params, roles, np.repeat(cores, counts), dst
+        )
+        result.record = RunRecord(
+            algorithm=f"{algorithm} ({task})",
+            stages=[
+                StageRecord(stage, [TaskCost(arcs=n + total, atomics=merges)])
+            ],
+            wall_seconds=time.perf_counter() - t0,
+        )
+        result.record.apportion_wall()
+        return result
+
     def query(self, params: ScanParams) -> ClusteringResult:
         """Exact SCAN clustering of the current graph state."""
         t0 = time.perf_counter()
         self.refresh()
-        graph = self.graph
-        n = graph.num_vertices
-        frac = params.eps_fraction
-        eps_num = frac.numerator * frac.numerator
-        eps_den = frac.denominator * frac.denominator
-
-        arcs_walked = n
-        roles = np.full(n, NONCORE, dtype=np.int8)
-        for u in range(n):
-            order = self._order[u]
-            if len(order) >= params.mu and self._similar(
-                u, order[params.mu - 1], eps_num, eps_den
-            ):
-                roles[u] = CORE
-
-        uf = UnionFind(n)
-        pairs: list[tuple[int, int]] = []
-        for u in np.flatnonzero(roles == CORE).tolist():
-            for v in self._order[u]:
-                if not self._similar(u, v, eps_num, eps_den):
-                    break
-                arcs_walked += 1
-                if roles[v] == CORE:
-                    if u < v:
-                        uf.union(u, v)
-                else:
-                    pairs.append((u, v))
-
-        cluster_id: dict[int, int] = {}
-        labels = np.full(n, -1, dtype=np.int64)
-        for u in np.flatnonzero(roles == CORE).tolist():
-            root = uf.find(u)
-            if root not in cluster_id:
-                cluster_id[root] = u
-            labels[u] = cluster_id[root]
-        pair_rows = [(int(labels[u]), v) for u, v in pairs]
-
-        record = RunRecord(
-            algorithm="DynamicGS*-Index (query)",
-            stages=[
-                StageRecord(
-                    "index query",
-                    [TaskCost(arcs=arcs_walked, atomics=uf.num_unions)],
-                )
-            ],
-            wall_seconds=time.perf_counter() - t0,
-        )
-        record.apportion_wall()
-        return ClusteringResult(
-            algorithm="DynamicGS*-Index",
-            params=params,
-            roles=roles,
-            core_labels=labels,
-            noncore_pairs=pair_rows,
-            record=record,
-        )
+        eps = _eps_squared(params)
+        lengths = [
+            self.prefix_length(u, *eps) for u in range(self.graph.num_vertices)
+        ]
+        return self.cluster_prefixes(params, lengths, t0)

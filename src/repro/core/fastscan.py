@@ -7,10 +7,13 @@ idiomatic-NumPy path below is the fastest way to the exact same result:
 
 * thresholds and predicate pruning for all arcs at once (§3.2.2 as array
   arithmetic),
-* one bulk common-neighbor pass over the surviving ``u < v`` arcs (each
-  undirected edge intersected exactly once — Theorem 4.1's bound, met
-  trivially),
-* roles, core unions and membership pairs by masked array reductions.
+* one bulk overlap pass over the surviving ``u < v`` arcs with the
+  GS*-Index build's kernel (:func:`~repro.core.gsindex.edge_overlaps`:
+  each undirected edge intersected exactly once — Theorem 4.1's bound,
+  met trivially),
+* roles by one array reduction, then the shared cluster assembly
+  (:func:`~repro.core.result.assemble_clustering`) for core labels and
+  membership pairs.
 
 Exactness against every other implementation is enforced by the
 cross-validation tests.
@@ -22,14 +25,12 @@ import time
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
-from ..intersect.bulk import common_neighbor_counts
+from ..graph.csr import CSRGraph, reverse_arc_index
 from ..metrics.records import RunRecord, StageRecord, TaskCost
 from ..similarity.bulk import min_cn_arcs, predicate_prune_arcs
-from ..types import CORE, SIM, UNKNOWN, ScanParams
-from ..unionfind import UnionFind
-from .context import reverse_arc_index
-from .result import ClusteringResult
+from ..types import CORE, NONCORE, NSIM, SIM, UNKNOWN, ScanParams
+from .gsindex import edge_overlaps
+from .result import ClusteringResult, assemble_clustering
 
 __all__ = ["fast_structural_clustering"]
 
@@ -39,8 +40,6 @@ def fast_structural_clustering(
 ) -> ClusteringResult:
     """Exact SCAN clustering, vectorized end to end."""
     t0 = time.perf_counter()
-    n = graph.num_vertices
-    mu = params.mu
     src = graph.arc_source()
     dst = graph.dst
 
@@ -48,64 +47,27 @@ def fast_structural_clustering(
     mcn = min_cn_arcs(graph, params.eps_fraction)
     state = predicate_prune_arcs(graph, mcn)
     forward_unknown = np.flatnonzero((state == UNKNOWN) & (src < dst))
-    edges = np.column_stack([src[forward_unknown], dst[forward_unknown]])
-    counts = common_neighbor_counts(graph, edges) + 2  # closed overlap
-    similar = counts >= mcn[forward_unknown]
-    state[forward_unknown] = np.where(similar, SIM, 2).astype(np.int8)
-    rev = reverse_arc_index(graph)
-    state[rev[forward_unknown]] = state[forward_unknown]
+    rev = reverse_arc_index(graph)[forward_unknown]
+    similar = edge_overlaps(graph, forward_unknown, rev) >= mcn[forward_unknown]
+    state[forward_unknown] = np.where(similar, SIM, NSIM)
+    state[rev] = state[forward_unknown]
 
-    # -- roles ---------------------------------------------------------------
-    sim_mask = state == SIM
-    sd = np.bincount(src[sim_mask], minlength=n)
-    roles = np.where(sd >= mu, CORE, 2).astype(np.int8)  # 2 = NONCORE
-
-    # -- core clustering -------------------------------------------------
-    is_core = roles == CORE
-    core_edge_mask = (
-        sim_mask & (src < dst) & is_core[src] & is_core[dst]
-    )
-    uf = UnionFind(n)
-    for u, v in zip(
-        src[core_edge_mask].tolist(), dst[core_edge_mask].tolist()
-    ):
-        uf.union(u, v)
-    labels = np.full(n, -1, dtype=np.int64)
-    cluster_id: dict[int, int] = {}
-    for u in np.flatnonzero(is_core).tolist():
-        root = uf.find(u)
-        if root not in cluster_id:
-            cluster_id[root] = u
-        labels[u] = cluster_id[root]
-
-    # -- non-core memberships -----------------------------------------------
-    member_mask = sim_mask & is_core[src] & ~is_core[dst]
-    pairs = np.column_stack(
-        [labels[src[member_mask]], dst[member_mask]]
+    # -- roles and clusters ------------------------------------------------
+    sim = state == SIM
+    sd = np.bincount(src[sim], minlength=graph.num_vertices)
+    roles = np.where(sd >= params.mu, CORE, NONCORE).astype(np.int8)
+    leaving = sim & (roles[src] == CORE)
+    result, merges = assemble_clustering(
+        "fast-exact", params, roles, src[leaving], dst[leaving]
     )
 
-    record = RunRecord(
+    cost = TaskCost(
+        arcs=graph.num_arcs, compsims=int(forward_unknown.size), atomics=merges
+    )
+    result.record = RunRecord(
         algorithm="fast-exact",
-        stages=[
-            StageRecord(
-                "bulk clustering",
-                [
-                    TaskCost(
-                        arcs=graph.num_arcs,
-                        compsims=int(forward_unknown.size),
-                        atomics=uf.num_unions,
-                    )
-                ],
-            )
-        ],
+        stages=[StageRecord("bulk clustering", [cost])],
         wall_seconds=time.perf_counter() - t0,
     )
-    record.apportion_wall()
-    return ClusteringResult(
-        algorithm="fast-exact",
-        params=params,
-        roles=roles,
-        core_labels=labels,
-        noncore_pairs=pairs,
-        record=record,
-    )
+    result.record.apportion_wall()
+    return result

@@ -13,9 +13,10 @@ measurable:
   descending similarity — the neighbor-order structure — plus the
   per-``k`` core thresholds — the core-order structure.
 * **Query(ε, µ)** resolves every core in O(1) per vertex (is the µ-th
-  best neighbor similarity ≥ ε?), walks only the similar prefix of each
-  core's neighbor order, and reuses the library's union-find for
-  clusters.  Results are bit-identical to ppSCAN for every (ε, µ).
+  best neighbor similarity ≥ ε?), bisects each core's neighbor order
+  for its similar prefix, and hands those arcs to the shared cluster
+  assembly (:func:`~repro.core.result.assemble_clustering`).  Results
+  are bit-identical to ppSCAN for every (ε, µ).
 
 Similarity values are kept exact: an edge's similarity is the rational
 ``overlap² / ((d(u)+1)(d(v)+1))``, compared to ``ε²`` in integer
@@ -31,13 +32,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, reverse_arc_index
 from ..intersect import BatchIntersector
 from ..metrics.records import RunRecord, StageRecord, TaskCost
 from ..types import CORE, NONCORE, ScanParams
-from ..unionfind import UnionFind
-from .context import reverse_arc_index
-from .result import ClusteringResult
+from .result import ClusteringResult, assemble_clustering
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache import SimilarityStore
@@ -259,9 +258,6 @@ class GSIndex:
         del overlap, sim_num, sim_den
         self._neighbor_order = _unflatten(order, graph.offsets)
         del order
-        self._deg = deg.tolist()
-        self._off = graph.offsets.tolist()
-        self._dst = graph.dst.tolist()
 
         self.construction_record = RunRecord(
             algorithm="GS*-Index (construction)",
@@ -363,9 +359,6 @@ class GSIndex:
             index._overlap = data["overlap"].tolist()
             index._sim_num = data["sim_num"].tolist()
             index._sim_den = data["sim_den"].tolist()
-            index._deg = graph.degrees.tolist()
-            index._off = graph.offsets.tolist()
-            index._dst = graph.dst.tolist()
             index._neighbor_order = _unflatten(
                 data["order_flat"], data["order_offsets"]
             )
@@ -420,55 +413,50 @@ class GSIndex:
 
     # -- query ------------------------------------------------------------
 
+    def _prefix_length(self, u: int, eps_num: int, eps_den: int) -> int:
+        """Length of ``u``'s ε-similar prefix, by bisection on its
+        descending neighbor order."""
+        order = self._neighbor_order[u]
+        lo, hi = 0, len(order)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._arc_similar(order[mid], eps_num, eps_den):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
     def query(self, params: ScanParams) -> ClusteringResult:
-        """Exact SCAN clustering for (ε, µ) from the index."""
+        """Exact SCAN clustering for (ε, µ) from the index: the cores'
+        similar prefixes, assembled by :func:`assemble_clustering`."""
         t0 = time.perf_counter()
-        graph = self.graph
-        n = graph.num_vertices
+        n = self.graph.num_vertices
         eps_num, eps_den = _eps_squared(params)
-        dst = self._dst
-
-        arcs_walked = n
+        cores = self.cores(params)
         roles = np.full(n, NONCORE, dtype=np.int8)
-        roles[self.cores(params)] = CORE
-
-        uf = UnionFind(n)
-        pairs: list[tuple[int, int]] = []
-        core_vertices = np.flatnonzero(roles == CORE)
-        # Core clustering + membership from the similar prefix only.
-        for u in core_vertices.tolist():
-            for arc in self._neighbor_order[u]:
-                if not self._arc_similar(arc, eps_num, eps_den):
-                    break  # descending order: the prefix ends here
-                arcs_walked += 1
-                v = dst[arc]
-                if roles[v] == CORE:
-                    if u < v:
-                        uf.union(u, v)
-                else:
-                    pairs.append((u, v))
-
-        cluster_id: dict[int, int] = {}
-        labels = np.full(n, -1, dtype=np.int64)
-        for u in core_vertices.tolist():
-            root = uf.find(u)
-            if root not in cluster_id:
-                cluster_id[root] = u
-            labels[u] = cluster_id[root]
-        pair_rows = [(int(labels[u]), v) for u, v in pairs]
-
-        cost = TaskCost(arcs=arcs_walked, atomics=uf.num_unions)
-        record = RunRecord(
+        roles[cores] = CORE
+        lengths = [self._prefix_length(u, eps_num, eps_den) for u in cores]
+        orders = self._neighbor_order
+        total = sum(lengths)
+        arcs = np.fromiter(
+            chain.from_iterable(
+                orders[u][:k] for u, k in zip(cores, lengths)
+            ),
+            np.int64,
+            total,
+        )
+        result, merges = assemble_clustering(
+            "GS*-Index",
+            params,
+            roles,
+            np.repeat(np.asarray(cores, dtype=np.int64), lengths),
+            self.graph.dst[arcs],
+        )
+        cost = TaskCost(arcs=n + total, atomics=merges)
+        result.record = RunRecord(
             algorithm="GS*-Index (query)",
             stages=[StageRecord("index query", [cost])],
             wall_seconds=time.perf_counter() - t0,
         )
-        record.apportion_wall()
-        return ClusteringResult(
-            algorithm="GS*-Index",
-            params=params,
-            roles=roles,
-            core_labels=labels,
-            noncore_pairs=pair_rows,
-            record=record,
-        )
+        result.record.apportion_wall()
+        return result

@@ -12,6 +12,10 @@ A SCAN clustering is fully described by three pieces (Definitions 2.5,
 
 Two algorithms produce the same clustering iff these three pieces match,
 which is what :meth:`ClusteringResult.same_clustering` compares.
+
+:func:`assemble_clustering` derives the last two pieces from the roles
+and the ε-similar arcs leaving cores; every exact path without pinned
+union-find counters (the fast path and the GS*-Index family) ends in it.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..graph.csr import CSRGraph
+from ..graph.transform import component_labels
 from ..metrics.records import RunRecord
 from ..types import CORE, HUB, NONCORE, OUTLIER, ScanParams
 
-__all__ = ["ClusteringResult"]
+__all__ = ["ClusteringResult", "assemble_clustering"]
 
 
 @dataclass
@@ -161,6 +166,50 @@ class ClusteringResult:
                 core_labels=data["core_labels"],
                 noncore_pairs=data["noncore_pairs"],
             )
+
+
+def assemble_clustering(
+    algorithm: str,
+    params: ScanParams,
+    roles: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+) -> tuple[ClusteringResult, int]:
+    """The canonical clustering for ``roles`` and the ε-similar arcs
+    ``src[i] → dst[i]`` leaving cores, plus its merge count.
+
+    Core labels are the smallest core id per connected component of the
+    core → core arcs (Definition 3.7), from one
+    :func:`~repro.graph.transform.component_labels` pass over the cores;
+    each core → non-core arc adds the pair ``(label[src], dst)``.  The
+    merge count, cores minus core clusters, is what a union-find over
+    the same arcs counts as successful unions.
+    """
+    roles = np.asarray(roles, dtype=np.int8)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    cores = np.flatnonzero(roles == CORE)
+    to_core = roles[dst] == CORE
+    # Components over the cores' ranks: the rank order is the id order,
+    # so each component's smallest rank is its smallest core id.
+    ranks = np.arange(cores.size)
+    rank_of = np.zeros(roles.size, dtype=np.int64)
+    rank_of[cores] = ranks
+    comp = component_labels(
+        cores.size, rank_of[src[to_core]], rank_of[dst[to_core]]
+    )
+    labels = np.full(roles.size, -1, dtype=np.int64)
+    labels[cores] = cores[comp]
+    merges = cores.size - int(np.count_nonzero(comp == ranks))
+    to_noncore = ~to_core
+    result = ClusteringResult(
+        algorithm=algorithm,
+        params=params,
+        roles=roles,
+        core_labels=labels,
+        noncore_pairs=np.column_stack((labels[src[to_noncore]], dst[to_noncore])),
+    )
+    return result, merges
 
 
 def _is_hub(neighbors: np.ndarray, member: list[set[int]]) -> bool:

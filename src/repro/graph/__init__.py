@@ -32,6 +32,7 @@ from .stats import (
 )
 from .dynamic import DynamicGraph
 from .transform import (
+    component_labels,
     connected_component_labels,
     largest_connected_component,
     relabel_by_degree,
@@ -67,5 +68,6 @@ __all__ = [
     "largest_connected_component",
     "subgraph",
     "connected_component_labels",
+    "component_labels",
     "DynamicGraph",
 ]

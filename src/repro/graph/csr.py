@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "reverse_arc_index"]
 
 #: dtype used for vertex ids and offsets throughout the library.  int64
 #: offsets allow billion-edge-scale CSR; vertex ids stay int32-compatible
@@ -164,3 +164,16 @@ class CSRGraph:
         return np.repeat(
             np.arange(self.num_vertices, dtype=VERTEX_DTYPE), self.degrees
         )
+
+
+def reverse_arc_index(graph: CSRGraph) -> np.ndarray:
+    """``rev[i]`` = arc index of the reverse of arc ``i``.
+
+    Arcs in natural order are sorted by ``(src, dst)``, so the combined
+    key ``src * n + dst`` is a sorted array and the position of arc
+    ``(dst, src)`` — which always exists in an undirected graph — is one
+    vectorized binary search.
+    """
+    src, dst = graph.arc_source(), graph.dst
+    n = np.int64(graph.num_vertices)
+    return np.searchsorted(src * n + dst, dst * n + src).astype(np.int64)

@@ -1,9 +1,14 @@
-"""Graph preprocessing transforms.
+"""Graph preprocessing transforms and the array connectivity pass.
 
 The pSCAN/ppSCAN code bases preprocess their inputs: vertex ids are
 relabelled for locality and disconnected debris can be dropped.  These
 transforms keep every algorithm's input assumptions (sorted CSR, no self
 loops) intact and return the id mapping so results can be translated back.
+
+:func:`component_labels` is the library's one array connectivity pass
+(min-label hook and shortcut over edge arrays, after GBBS's
+connectivity); the clustering assembly in :mod:`repro.core.result` and
+:func:`largest_connected_component` both run on it.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ __all__ = [
     "largest_connected_component",
     "subgraph",
     "connected_component_labels",
+    "component_labels",
 ]
 
 
@@ -43,24 +49,36 @@ def relabel_by_degree(
     )
 
 
+def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``labels[x]`` = smallest vertex id in ``x``'s connected component
+    of the graph on ``0..n-1`` with edges ``(u[i], v[i])``.
+
+    Min-label hook and shortcut: each round hooks the larger label of
+    every edge to the smaller one (``np.minimum.at``, so a root hooks to
+    its smallest neighbor label), pointer-jumps until every vertex holds
+    its root, and drops the edges whose endpoints now share a label.
+    Labels only ever decrease and stay inside the component, so at the
+    fixpoint each component carries its smallest id.
+    """
+    labels = np.arange(n, dtype=VERTEX_DTYPE)
+    u = np.asarray(u, dtype=VERTEX_DTYPE)
+    v = np.asarray(v, dtype=VERTEX_DTYPE)
+    while u.size:
+        lu, lv = labels[u], labels[v]
+        live = lu != lv
+        u, v, lu, lv = u[live], v[live], lu[live], lv[live]
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+    return labels
+
+
 def connected_component_labels(graph: CSRGraph) -> np.ndarray:
     """``labels[v]`` = smallest vertex id in ``v``'s connected component."""
-    n = graph.num_vertices
-    labels = np.full(n, -1, dtype=VERTEX_DTYPE)
-    offsets, dst = graph.offsets, graph.dst
-    for seed in range(n):
-        if labels[seed] != -1:
-            continue
-        labels[seed] = seed
-        stack = [seed]
-        while stack:
-            u = stack.pop()
-            for v in dst[offsets[u] : offsets[u + 1]]:
-                v = int(v)
-                if labels[v] == -1:
-                    labels[v] = seed
-                    stack.append(v)
-    return labels
+    return component_labels(graph.num_vertices, graph.arc_source(), graph.dst)
 
 
 def subgraph(

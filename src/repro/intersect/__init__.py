@@ -1,12 +1,19 @@
-"""Set-intersection kernels and operation counters."""
+"""Set-intersection kernels and operation counters.
+
+The scalar kernels (merge, galloping, branchless, pivot) count or decide
+one pair at a time with operation counters; :class:`BatchIntersector`
+is the bulk NumPy path — ``group_counts`` is the mark-and-count mask
+kernel for one source and any candidates, ``arc_counts`` resolves whole
+arc batches (the GS*-Index build, the fast exact mode and the batched
+execution mode all run on it).
+"""
 
 from .counters import OpCounter
 from .merge import merge_compsim, merge_count
 from .galloping import galloping_compsim, galloping_count
 from .branchless import branchless_merge_count, simd_shuffle_count
 from .pivot import pivot_compsim, pivot_vectorized_compsim, pivot_vectorized_count
-from .bulk import BulkIntersector, common_neighbor_counts
-from .batch import BatchIntersector, batched_arc_counts, concat_ranges
+from .batch import BatchIntersector, concat_ranges
 
 __all__ = [
     "OpCounter",
@@ -19,9 +26,6 @@ __all__ = [
     "pivot_compsim",
     "pivot_vectorized_compsim",
     "pivot_vectorized_count",
-    "BulkIntersector",
-    "common_neighbor_counts",
     "BatchIntersector",
-    "batched_arc_counts",
     "concat_ranges",
 ]

@@ -38,7 +38,7 @@ from ..graph.csr import CSRGraph
 from ..obs.tracer import current_tracer
 from .counters import OpCounter
 
-__all__ = ["BatchIntersector", "concat_ranges", "batched_arc_counts"]
+__all__ = ["BatchIntersector", "concat_ranges"]
 
 
 def _segment_sums(hits: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -118,7 +118,11 @@ class BatchIntersector:
         counter: OpCounter | None = None,
         lanes: int = 16,
     ) -> np.ndarray:
-        """``out[i] = |N(u) ∩ N(candidates[i])|`` with one mark pass."""
+        """``out[i] = |N(u) ∩ N(candidates[i])|`` with one mark pass.
+
+        The bulk mask kernel: candidates need not be neighbors of ``u``
+        and may repeat or be isolated; every count is exact.
+        """
         graph = self._graph
         candidates = np.asarray(candidates, dtype=np.int64)
         out = np.zeros(candidates.size, dtype=np.int64)
@@ -241,12 +245,3 @@ class BatchIntersector:
         out[order] = out_sorted
         return out
 
-
-def batched_arc_counts(
-    graph: CSRGraph,
-    arcs: np.ndarray,
-    counter: OpCounter | None = None,
-    lanes: int = 16,
-) -> np.ndarray:
-    """One-shot convenience wrapper around :class:`BatchIntersector`."""
-    return BatchIntersector(graph).arc_counts(arcs, counter=counter, lanes=lanes)

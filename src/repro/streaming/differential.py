@@ -7,6 +7,10 @@ at **every** batch checkpoint, rebuild a from-scratch
 assert bit-identity — roles, core labels, non-core pairs — at every
 requested (ε, µ) point (plus fingerprint equality of the snapshot
 against an independently maintained plain :class:`DynamicGraph`).
+Engine and rebuild share the cluster assembly, so every checkpoint's
+reference is also checked against the SCAN definitions by the
+independent :func:`~repro.core.verify.verify_clustering`, outside both
+timed regions.
 
 :func:`replay_differential` also times both sides, so the CI gate reads
 its per-batch speedup (incremental apply + query vs. full rebuild +
@@ -25,6 +29,7 @@ from dataclasses import dataclass, field
 
 from ..cache.store import SimilarityStore, graph_fingerprint
 from ..core.gsindex import GSIndex
+from ..core.verify import ClusteringVerificationError, verify_clustering
 from ..graph.csr import CSRGraph
 from ..graph.dynamic import DynamicGraph
 from ..graph.generators import chung_lu, erdos_renyi, lfr_graph
@@ -119,8 +124,9 @@ def replay_differential(
 
     Raises :class:`DifferentialMismatch` on the first divergence —
     snapshot fingerprint vs. an independently maintained plain
-    :class:`DynamicGraph`, or any (ε, µ) clustering vs. a from-scratch
-    :class:`GSIndex` rebuild.  Timings for the incremental side (batch
+    :class:`DynamicGraph`, any (ε, µ) clustering vs. a from-scratch
+    :class:`GSIndex` rebuild, or a rebuild that fails
+    :func:`verify_clustering`.  Timings for the incremental side (batch
     apply + warm queries) and the rebuild side (index construction +
     queries) accumulate in the returned :class:`ReplayReport`.
     """
@@ -183,6 +189,12 @@ def replay_differential(
                     "clustering diverged from from-scratch rebuild",
                     f"eps={float(params.eps)} mu={params.mu}",
                 )
+            try:
+                verify_clustering(engine.snapshot, want)
+            except ClusteringVerificationError as exc:
+                raise DifferentialMismatch(
+                    batch_no, "rebuild failed verify_clustering", str(exc)
+                ) from exc
         if collect_checkpoints:
             report.checkpoints.append(
                 {

@@ -19,14 +19,17 @@ touched vertices (endpoints of the batch's effective edits):
    materialized, the engine keeps each vertex's ε-similar prefix
    length.  A batch repairs only the lengths of the repaired orders
    (bisection for ``T``, the moved entries elsewhere), then rebuilds
-   roles / core labels / non-core pairs from them — a scoped re-cluster
-   that is bit-identical to a from-scratch
+   roles / core labels / non-core pairs from them with the cluster
+   assembly every GS*-Index query shares
+   (:meth:`~repro.core.dynamic_index.DynamicGSIndex.cluster_prefixes`),
+   bit-identical to a from-scratch
    :class:`~repro.core.gsindex.GSIndex` query (verified by the
    differential harness in :mod:`repro.streaming.differential`).
 
 The index and prefix repairs scale with the batch's footprint; the
 snapshot, fingerprint and store migration are O(n + m) array passes,
-and the label rebuild is a union-find over the cores' prefixes.
+and the label rebuild is one array connectivity pass over the cores'
+prefixes.
 """
 
 from __future__ import annotations
@@ -41,10 +44,8 @@ from ..core.dynamic_index import BatchMaintenance, DynamicGSIndex, OrderRepair
 from ..core.result import ClusteringResult
 from ..graph.csr import CSRGraph
 from ..graph.dynamic import DynamicGraph
-from ..metrics.records import RunRecord, StageRecord, TaskCost
 from ..obs.tracer import current_tracer
-from ..types import CORE, NONCORE, ScanParams
-from ..unionfind import UnionFind
+from ..types import ScanParams
 from .edits import EditBatch
 
 __all__ = ["BatchReport", "StreamingEngine"]
@@ -122,58 +123,16 @@ class _PointState:
         return len(repair.resorted) + len(repair.moved)
 
     def _rebuild(self, index: DynamicGSIndex) -> ClusteringResult:
-        """Roles / labels / pairs from the cached prefix lengths.
-
-        Mirrors :meth:`repro.core.gsindex.GSIndex.query` exactly — core
-        iff the similar prefix reaches µ, ascending-core union order,
-        cluster id = first core seen per union-find root — so the
-        result is bit-identical to a from-scratch index build.
-        """
-        t0 = time.perf_counter()
-        mu = self.params.mu
-        lengths, orders = self.lengths, index.orders
-        n = len(lengths)
-        roles = np.where(np.array(lengths) >= mu, CORE, NONCORE).astype(np.int8)
-
-        uf = UnionFind(n)
-        pairs: list[tuple[int, int]] = []
-        arcs_walked = n
-        for u in np.flatnonzero(roles == CORE).tolist():
-            for v in orders[u][: lengths[u]]:
-                arcs_walked += 1
-                if roles[v] == CORE:
-                    if u < v:
-                        uf.union(u, v)
-                else:
-                    pairs.append((u, v))
-
-        cluster_id: dict[int, int] = {}
-        labels = np.full(n, -1, dtype=np.int64)
-        for u in np.flatnonzero(roles == CORE).tolist():
-            root = uf.find(u)
-            if root not in cluster_id:
-                cluster_id[root] = u
-            labels[u] = cluster_id[root]
-        pair_rows = [(int(labels[u]), v) for u, v in pairs]
-
-        record = RunRecord(
-            algorithm="StreamingEngine (recluster)",
-            stages=[
-                StageRecord(
-                    "scoped recluster",
-                    [TaskCost(arcs=arcs_walked, atomics=uf.num_unions)],
-                )
-            ],
-            wall_seconds=time.perf_counter() - t0,
-        )
-        record.apportion_wall()
-        return ClusteringResult(
+        """Roles / labels / pairs from the cached prefix lengths, by the
+        same :meth:`~repro.core.dynamic_index.DynamicGSIndex.cluster_prefixes`
+        assembly a from-scratch query runs."""
+        return index.cluster_prefixes(
+            self.params,
+            self.lengths,
+            time.perf_counter(),
             algorithm="StreamingEngine",
-            params=self.params,
-            roles=roles,
-            core_labels=labels,
-            noncore_pairs=pair_rows,
-            record=record,
+            task="recluster",
+            stage="scoped recluster",
         )
 
 

@@ -25,7 +25,7 @@ from repro.cache import SimilarityStore
 from repro.core import assert_same_clustering
 from repro.graph import from_edges
 from repro.graph.generators import erdos_renyi, lfr_graph
-from repro.intersect import common_neighbor_counts
+from repro.intersect import BatchIntersector
 from repro.options import ExecMode, ExecutionOptions, Kernel
 from repro.quality import adjusted_rand_index, primary_labels
 from repro.similarity import min_cn_arcs
@@ -110,9 +110,7 @@ class TestCertifiedBounds:
         sk = build_sketches(graph, sp)
         src, dst = _arc_endpoints(graph)
         lb, ub = overlap_bounds(sk, src, dst)
-        exact = common_neighbor_counts(
-            graph, np.column_stack([src, dst])
-        )
+        exact = BatchIntersector(graph).arc_counts(np.arange(graph.num_arcs))
         assert np.all(lb <= exact), name
         assert np.all(exact <= ub), name
 
@@ -128,9 +126,7 @@ class TestCertifiedBounds:
         if not small.any():
             pytest.skip("no small-degree arcs")
         lb, ub = overlap_bounds(sk, src[small], dst[small])
-        exact = common_neighbor_counts(
-            graph, np.column_stack([src[small], dst[small]])
-        )
+        exact = BatchIntersector(graph).arc_counts(np.flatnonzero(small))
         np.testing.assert_array_equal(lb, exact)
         np.testing.assert_array_equal(ub, exact)
 
@@ -162,7 +158,7 @@ class TestConservativeSoundness:
             pytest.skip("no arcs")
         src, dst = _arc_endpoints(graph)
         exact_closed = (
-            common_neighbor_counts(graph, np.column_stack([src, dst])) + 2
+            BatchIntersector(graph).arc_counts(np.arange(graph.num_arcs)) + 2
         )
         for params in (ScanParams(0.25, 2), ScanParams(0.5, 4)):
             mcn = min_cn_arcs(graph, params.eps_fraction)
@@ -302,14 +298,8 @@ class TestEngineIntegration:
         entry = store.entry_for(graph)
         if entry is None or not entry.covered:
             return  # everything was sketch-decided: nothing recorded
-        src, dst = _arc_endpoints(graph)
         covered = np.flatnonzero(entry.coverage)
-        exact = (
-            common_neighbor_counts(
-                graph, np.column_stack([src[covered], dst[covered]])
-            )
-            + 2
-        )
+        exact = BatchIntersector(graph).arc_counts(covered) + 2
         np.testing.assert_array_equal(entry.overlap[covered], exact)
 
     def test_options_validation(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.cache import SimilarityStore
 from repro.cache.store import graph_fingerprint
 from repro.core import DynamicGSIndex, GSIndex
+from repro.core.result import assemble_clustering
 from repro.graph import DynamicGraph, from_edges
 from repro.graph.generators import erdos_renyi
 from repro.streaming import (
@@ -274,6 +275,24 @@ class TestDifferential:
                 replay_differential(graph, script, POINTS)
         finally:
             differential.StreamingEngine = original
+
+    def test_shared_assembly_bug_is_caught(self, monkeypatch):
+        # Engine and rebuild share the cluster assembly, so a bug there
+        # agrees with itself; the verify_clustering oracle must catch it.
+        import repro.core.dynamic_index as dynamic_index
+        import repro.core.gsindex as gsindex
+
+        def broken(algorithm, params, roles, src, dst):
+            result, merges = assemble_clustering(algorithm, params, roles, src, dst)
+            result.noncore_pairs = result.noncore_pairs[1:]  # drop a member
+            return result, merges
+
+        monkeypatch.setattr(gsindex, "assemble_clustering", broken)
+        monkeypatch.setattr(dynamic_index, "assemble_clustering", broken)
+        graph = erdos_renyi(30, 90, seed=16)
+        script = random_edit_script(graph, seed=17, batches=2, batch_size=6)
+        with pytest.raises(DifferentialMismatch, match="verify_clustering"):
+            replay_differential(graph, script, POINTS)
 
 
 @settings(
