@@ -1,6 +1,8 @@
 """Sampling flight recorder: attribution, memory accounting, overhead."""
 
+import statistics
 import time
+from contextlib import nullcontext
 
 import pytest
 
@@ -121,30 +123,34 @@ class TestOverhead:
         """The acceptance budget: ≤ 5% wall on the smoke workload.
 
         Same graph family/parameters as ``run_smoke`` (scale reduced to
-        keep the suite fast), interleaved best-of-N so scheduler noise
-        cancels; best-vs-best is the same statistic the smoke benchmark
-        itself gates on.
+        keep the suite fast).  Each round times one plain and one
+        profiled run back to back, alternating which goes first, and the
+        gate is the median of the per-round ratios: a burst of load from
+        other processes slows both runs of a round alike and is outvoted
+        by the other rounds, where a best-of-N minimum per arm hinges on
+        whichever arm happened to catch the one quiet window.
         """
         graph = real_world_standin("livejournal", scale=0.4)
         params = ScanParams(eps=0.4, mu=5)
         ppscan(graph, params)  # warm caches outside the measurement
 
-        plain = float("inf")
-        profiled = float("inf")
-        for _ in range(6):
+        def timed(profile):
             tracer = Tracer()
-            with use_tracer(tracer):
+            sampler = SpanProfiler(tracer) if profile else nullcontext()
+            with use_tracer(tracer), sampler:
                 t0 = time.perf_counter()
                 ppscan(graph, params)
-                plain = min(plain, time.perf_counter() - t0)
-            tracer = Tracer()
-            with use_tracer(tracer), SpanProfiler(tracer):
-                t0 = time.perf_counter()
-                ppscan(graph, params)
-                profiled = min(profiled, time.perf_counter() - t0)
-        # 2ms absolute floor keeps sub-100ms runs from failing on a
-        # single scheduler hiccup; the relative band is the real gate.
-        assert profiled <= plain * 1.05 + 0.002, (
-            f"profiler overhead {profiled / plain - 1:.1%} "
-            f"(plain {plain * 1e3:.1f}ms, profiled {profiled * 1e3:.1f}ms)"
+                return time.perf_counter() - t0
+
+        ratios = []
+        for round_ in range(12):
+            order = (False, True) if round_ % 2 == 0 else (True, False)
+            wall = {profile: timed(profile) for profile in order}
+            # 2ms absolute floor keeps sub-100ms runs from failing on a
+            # single scheduler hiccup; the relative band is the real gate.
+            ratios.append((wall[True] - 0.002) / wall[False])
+        overhead = statistics.median(ratios) - 1
+        assert overhead <= 0.05, (
+            f"profiler overhead {overhead:.1%} beyond the 2ms floor "
+            f"(median of {len(ratios)} paired rounds)"
         )
