@@ -148,6 +148,7 @@ def _execution_options(args: argparse.Namespace) -> ExecutionOptions:
     workers = getattr(args, "workers", 0)
     chaos_spec = getattr(args, "chaos_plan", None)
     kernel = getattr(args, "kernel", None)
+    exec_mode = getattr(args, "exec_mode", None)
     limits = {  # --max-retries / --task-timeout, when given
         name: value
         for name in ("max_retries", "task_timeout")
@@ -156,7 +157,7 @@ def _execution_options(args: argparse.Namespace) -> ExecutionOptions:
     return ExecutionOptions(
         backend=BackendKind.PROCESS if workers > 0 else BackendKind.SERIAL,
         workers=workers if workers > 0 else None,
-        exec_mode=ExecMode(getattr(args, "exec_mode", "scalar")),
+        exec_mode=ExecMode(exec_mode) if exec_mode else None,
         kernel=Kernel(kernel) if kernel else None,
         sketch=_sketch_params(args),
         policy=FaultTolerancePolicy(**limits) if limits else None,
@@ -475,9 +476,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cluster.add_argument(
         "--exec-mode",
         choices=list(EXEC_MODES),
-        default="scalar",
-        help="arc-resolution policy: per-arc scalar kernels or batched "
-        "vectorized resolution (ppscan/scanxp)",
+        default=None,
+        help="arc-resolution policy (ppscan/scanxp): batched vectorized "
+        "resolution (the default) or per-arc scalar kernels, the counted "
+        "reference of the paper's figures",
     )
     _add_sketch_args(p_cluster)
     p_cluster.add_argument(

@@ -117,7 +117,10 @@ class ExecutionOptions:
 
     backend: BackendKind = BackendKind.SERIAL
     workers: int | None = None
-    exec_mode: ExecMode = ExecMode.SCALAR
+    #: ``None`` = the algorithm's fastest exact policy (batched for
+    #: ppSCAN and SCAN-XP); ``ExecMode.SCALAR`` gives the counted
+    #: reference of the paper's figures.
+    exec_mode: ExecMode | None = None
     kernel: Kernel | None = None  # None = each algorithm's default
     task_threshold: int | None = None
     # fault tolerance (process backend)
@@ -180,6 +183,12 @@ class ExecutionOptions:
             return SketchParams()
         return None
 
+    @property
+    def resolved_exec_mode(self) -> ExecMode:
+        """The policy an algorithm with an ``exec_mode`` runs: the one
+        asked for, else the fastest exact one (batched)."""
+        return self.exec_mode or ExecMode.BATCHED
+
     def evolve(self, **changes) -> "ExecutionOptions":
         """A copy with ``changes`` applied (frozen-dataclass ``replace``)."""
         return replace(self, **changes)
@@ -225,7 +234,7 @@ class ExecutionOptions:
         return {
             "backend": self.backend.value,
             "workers": self.workers,
-            "exec_mode": self.exec_mode.value,
+            "exec_mode": self.exec_mode.value if self.exec_mode else None,
             "kernel": self.kernel.value if self.kernel else None,
             "task_threshold": self.task_threshold,
             "chaos": self.chaos is not None,

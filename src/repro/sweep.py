@@ -194,7 +194,7 @@ class SweepEngine:
                 self.graph,
                 ScanParams(order[0][0], order[0][1]),
                 algorithm=f"sweep:{self.algorithm}",
-                exec_mode=str(opts.exec_mode.value),
+                exec_mode=opts.resolved_exec_mode.value,
                 extra={
                     "grid": [[e, m] for e, m in order],
                     "cached": self.store is not None,

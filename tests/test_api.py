@@ -75,6 +75,22 @@ class TestRegistry:
         ]
         assert api.get_algorithm("ppscan").ignored_options(opts) == []
 
+    @pytest.mark.parametrize("name", sorted(api.available_algorithms()))
+    def test_default_options_ignore_nothing(self, name):
+        # exec_mode=None means "the fastest exact policy", which every
+        # algorithm honours: no spurious "--exec-mode ignored" note.
+        assert api.get_algorithm(name).ignored_options(ExecutionOptions()) == []
+
+    @pytest.mark.parametrize(
+        "name", ["scan", "pscan", "scanpp", "anyscan", "gsindex"]
+    )
+    def test_explicit_modes_on_scalar_only_algorithms(self, name):
+        spec = api.get_algorithm(name)
+        batched = ExecutionOptions(exec_mode=ExecMode.BATCHED)
+        assert spec.ignored_options(batched) == ["exec_mode"]
+        scalar = ExecutionOptions(exec_mode=ExecMode.SCALAR)
+        assert spec.ignored_options(scalar) == []
+
 
 class TestClusterFacade:
     def test_all_algorithms_agree_via_facade(self, graph, params):
@@ -155,6 +171,19 @@ class TestExecutionOptions:
     def test_evolve(self):
         opts = ExecutionOptions().evolve(workers=3)
         assert opts.workers == 3
+
+    def test_exec_mode_defaults_to_fastest_policy(self):
+        opts = ExecutionOptions()
+        assert opts.exec_mode is None
+        assert opts.resolved_exec_mode is ExecMode.BATCHED
+        scalar = ExecutionOptions(exec_mode=ExecMode.SCALAR)
+        assert scalar.resolved_exec_mode is ExecMode.SCALAR
+
+    def test_describe_is_deterministic(self):
+        assert ExecutionOptions().describe() == ExecutionOptions().describe()
+        assert ExecutionOptions().describe()["exec_mode"] is None
+        explicit = ExecutionOptions(exec_mode=ExecMode.BATCHED).describe()
+        assert explicit["exec_mode"] == "batched"
 
 
 class TestLegacyShims:

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.cli import main
-from repro.core import assert_same_clustering, ppscan, scanxp
+from repro.core import ClusteringResult, assert_same_clustering, ppscan, scanxp
+from repro.core.context import RunContext
 from repro.core.ppscan import auto_batch_task_threshold, auto_task_threshold
 from repro.graph import write_edge_list
 from repro.graph.generators import (
@@ -17,6 +19,7 @@ from repro.graph.generators import (
     planted_partition,
     powerlaw_weights,
 )
+from repro.options import ExecMode, ExecutionOptions
 from repro.parallel import ProcessBackend, commit_arc_states
 from repro.types import ScanParams
 
@@ -227,3 +230,68 @@ class TestCliExecMode:
             == 0
         )
         assert "ignored" in capsys.readouterr().err
+
+
+@pytest.fixture
+def run_modes(monkeypatch):
+    """The ``exec_mode`` of every :class:`RunContext` built while active."""
+    modes = []
+    init = RunContext.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        modes.append(self.engine.exec_mode)
+
+    monkeypatch.setattr(RunContext, "__init__", spy)
+    return modes
+
+
+class TestDefaultPolicy:
+    """ppSCAN and SCAN-XP resolve batched unless scalar is asked for;
+    the core functions and ``RunContext`` keep the counted scalar path."""
+
+    GRAPH = chung_lu(powerlaw_weights(90, 2.2), 360, seed=4)
+    PARAMS = ScanParams(0.4, 3)
+    SCALAR = ExecutionOptions(exec_mode=ExecMode.SCALAR)
+
+    @pytest.mark.parametrize("algo", ["ppscan", "scanxp"])
+    def test_facade_defaults_to_batched(self, run_modes, algo):
+        result = api.cluster(self.GRAPH, self.PARAMS, algorithm=algo)
+        assert run_modes == ["batched"]
+        scalar = api.cluster(
+            self.GRAPH, self.PARAMS, algorithm=algo, options=self.SCALAR
+        )
+        assert run_modes == ["batched", "scalar"]
+        assert_same_clustering(result, scalar)
+
+    @pytest.mark.parametrize("algo", ["ppscan", "scanxp"])
+    def test_graph_handle_defaults_to_batched(self, run_modes, algo):
+        handle = api.open(self.GRAPH)
+        result = handle.cluster(self.PARAMS, algorithm=algo)
+        assert run_modes == ["batched"]
+        scalar = handle.cluster(self.PARAMS, algorithm=algo, options=self.SCALAR)
+        assert run_modes == ["batched", "scalar"]
+        assert_same_clustering(result, scalar)
+
+    @pytest.mark.parametrize("algo", ["ppscan", "scanxp"])
+    def test_cli_defaults_to_batched(self, tmp_path, capsys, run_modes, algo):
+        graph_file = tmp_path / "g.txt"
+        write_edge_list(self.GRAPH, graph_file)
+        saved = {}
+        for mode in (None, "scalar"):
+            out = tmp_path / f"{mode}.npz"
+            argv = ["cluster", str(graph_file), "--algorithm", algo,
+                    "--eps", "0.4", "--mu", "3", "--save", str(out)]
+            if mode is not None:
+                argv += ["--exec-mode", mode]
+            assert main(argv) == 0
+            saved[mode] = ClusteringResult.load(out)
+        assert "ignored" not in capsys.readouterr().err
+        assert run_modes == ["batched", "scalar"]
+        assert_same_clustering(saved[None], saved["scalar"])
+
+    def test_core_functions_and_run_context_stay_scalar(self, run_modes):
+        ppscan(self.GRAPH, self.PARAMS)
+        scanxp(self.GRAPH, self.PARAMS)
+        assert run_modes == ["scalar", "scalar"]
+        assert RunContext(self.GRAPH, self.PARAMS).engine.exec_mode == "scalar"
