@@ -65,6 +65,7 @@ import threading
 import zipfile
 import zlib
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +80,10 @@ __all__ = [
     "StoreEntry",
     "graph_fingerprint",
 ]
+
+#: How many ε values' threshold arrays one entry keeps (a sweep grid's ε
+#: axis fits; older values are dropped first).
+THRESHOLD_MEMO = 8
 
 #: On-disk format version; bumped whenever the npz/sidecar layout changes.
 #: A persisted entry with any other version is rejected as a clean miss.
@@ -121,6 +126,7 @@ class StoreEntry:
         "dirty",
         "_owner_pid",
         "_rev",
+        "_thresholds",
         "_lock",
     )
 
@@ -135,6 +141,7 @@ class StoreEntry:
         self.dirty = False
         self._owner_pid = os.getpid()
         self._rev: np.ndarray | None = None
+        self._thresholds: dict[tuple[int, int], np.ndarray] = {}
         self._lock = threading.Lock()
 
     # -- views ----------------------------------------------------------
@@ -148,15 +155,40 @@ class StoreEntry:
     def coverage_fraction(self) -> float:
         return self.covered / self.num_arcs if self.num_arcs else 0.0
 
-    def _reverse(self) -> np.ndarray:
+    # -- derived per-graph arrays ---------------------------------------
+    #
+    # Runs sharing this entry (the points of a sweep, a service's queries)
+    # also share these arrays instead of rebuilding them per run.  They
+    # are session memoization, never spilled, and read-only so no run can
+    # change what another one sees.
+
+    def reverse_arcs(self) -> np.ndarray:
+        """The graph's reverse-arc index (built once)."""
         rev = self._rev
         if rev is None:
             # Built outside the lock (it is pure); a racing duplicate
             # build computes the identical array, and publishing either
             # one via a single attribute store is safe.
             rev = reverse_arc_index(self.graph)
+            rev.flags.writeable = False
             self._rev = rev
         return rev
+
+    def thresholds(self, eps: Fraction) -> np.ndarray:
+        """Per-arc ``min_cn`` thresholds at ``eps`` (memoized for the
+        :data:`THRESHOLD_MEMO` most recently built ε values)."""
+        key = (eps.numerator, eps.denominator)
+        mcn = self._thresholds.get(key)
+        if mcn is None:
+            from ..similarity.bulk import min_cn_arcs
+
+            mcn = min_cn_arcs(self.graph, eps)
+            mcn.flags.writeable = False
+            with self._lock:
+                if len(self._thresholds) >= THRESHOLD_MEMO:
+                    self._thresholds.pop(next(iter(self._thresholds)))
+                self._thresholds[key] = mcn
+        return mcn
 
     # -- writes ---------------------------------------------------------
 
@@ -167,7 +199,7 @@ class StoreEntry:
             return
         arcs = np.asarray(arcs, dtype=np.int64)
         self.record_arcs(
-            np.concatenate((arcs, self._reverse()[arcs])),
+            np.concatenate((arcs, self.reverse_arcs()[arcs])),
             np.concatenate((overlaps, overlaps)),
         )
 
@@ -185,7 +217,7 @@ class StoreEntry:
         """Scalar-path :meth:`record` (one arc + its mirror)."""
         if os.getpid() != self._owner_pid:
             return
-        rev = int(self._reverse()[arc])
+        rev = int(self.reverse_arcs()[arc])
         with self._lock:
             self.overlap[arc] = overlap
             self.overlap[rev] = overlap

@@ -4,7 +4,9 @@ Materializes the graph's CSR arrays, the reverse-arc index (pSCAN's
 similarity-reuse target, computed for the whole graph in one pass instead
 of per-edge binary searches), the per-arc similarity thresholds, and the
 :class:`~repro.similarity.SimilarityEngine` whose ``exec_mode`` policy
-decides how arc blocks are resolved.
+decides how arc blocks are resolved.  With a similarity store attached,
+the reverse index and the thresholds come from the store's entry for the
+graph, so the points of a sweep build each of them once.
 
 ppSCAN and SCAN-XP keep their state in NumPy arrays and hand arc blocks
 to the engine.  The list-based algorithms (pSCAN, anySCAN, SCAN, SCAN++,
@@ -56,7 +58,12 @@ class RunContext:
         self.n = graph.num_vertices
         self.num_arcs = graph.num_arcs
         #: NumPy forms.
-        self.rev_np: np.ndarray = reverse_arc_index(graph)
+        entry = self.engine.store_entry
+        self.rev_np: np.ndarray = (
+            entry.reverse_arcs()
+            if entry is not None
+            else reverse_arc_index(graph)
+        )
         self.src_np: np.ndarray = graph.arc_source()
         self.mcn_np: np.ndarray = self.engine.arc_thresholds()
 

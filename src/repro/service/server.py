@@ -106,6 +106,9 @@ from .wal import ServiceWAL
 
 __all__ = ["ClusteringService"]
 
+#: ``asyncio.timeout`` (Python 3.11+); older interpreters use ``wait_for``.
+_timeout = getattr(asyncio, "timeout", None)
+
 #: Ledger flush threshold: one ``service`` record summarizes this many
 #: queries (latency percentiles + coalescing traffic per batch).
 DEFAULT_LEDGER_FLUSH = 64
@@ -455,14 +458,21 @@ class ClusteringService:
         try:
             while True:
                 try:
-                    if self.idle_timeout_seconds is not None:
+                    if self.idle_timeout_seconds is None:
+                        request = await read_request(
+                            reader, max_body=self.max_body_bytes
+                        )
+                    elif _timeout is not None:
+                        # A deadline on the current task: no extra task
+                        # per request, unlike wait_for on Python < 3.12.
+                        async with _timeout(self.idle_timeout_seconds):
+                            request = await read_request(
+                                reader, max_body=self.max_body_bytes
+                            )
+                    else:
                         request = await asyncio.wait_for(
                             read_request(reader, max_body=self.max_body_bytes),
                             self.idle_timeout_seconds,
-                        )
-                    else:
-                        request = await read_request(
-                            reader, max_body=self.max_body_bytes
                         )
                 except asyncio.TimeoutError:
                     # Idle (or glacially slow) peer: reclaim the slot.
@@ -1310,14 +1320,15 @@ class ClusteringService:
             self.counters["warm_hits"] += 1
         seconds = time.perf_counter() - t0
         self._observe("cluster", seconds)
+        num_clusters, num_cores, num_vertices = handle.counts(result)
         payload = {
             "fingerprint": fingerprint,
             "eps": float(params.eps),
             "mu": int(params.mu),
             "algorithm": algorithm or "gsindex",
-            "num_clusters": result.num_clusters,
-            "num_cores": result.num_cores,
-            "num_vertices": result.num_vertices,
+            "num_clusters": num_clusters,
+            "num_cores": num_cores,
+            "num_vertices": num_vertices,
             "warm": warm,
             "wall_seconds": seconds,
         }

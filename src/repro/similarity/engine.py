@@ -177,11 +177,16 @@ class SimilarityEngine:
     # -- batched resolution -------------------------------------------------
 
     def arc_thresholds(self) -> np.ndarray:
-        """Per-arc ``min_cn`` thresholds for the whole graph (cached)."""
+        """Per-arc ``min_cn`` thresholds for the whole graph (cached; with
+        a store attached, shared with every run at the same ε)."""
         if self._arc_mcn is None:
-            from .bulk import min_cn_arcs
+            eps = self.params.eps_fraction
+            if self._entry is not None:
+                self._arc_mcn = self._entry.thresholds(eps)
+            else:
+                from .bulk import min_cn_arcs
 
-            self._arc_mcn = min_cn_arcs(self.graph, self.params.eps_fraction)
+                self._arc_mcn = min_cn_arcs(self.graph, eps)
         return self._arc_mcn
 
     def batch_intersector(self) -> BatchIntersector:
@@ -218,9 +223,12 @@ class SimilarityEngine:
         needs at most ``min_cn - 2`` matches to return SIM and tolerates at
         most ``min(d(u), d(v)) + 2 - min_cn`` mismatches on the smaller
         side before returning NSIM, so the distance to the nearest bound
-        caps its comparisons.  The bulk path always touches
-        ``d(u) + d(v)`` elements but retires ``lanes`` per vector block
-        and pays no per-step interpreter overhead, hence the
+        caps its comparisons.  The bulk estimate charges
+        ``d(u) + d(v)`` elements — what a mark pass touches; the keyed
+        pass and a swapped leaf→hub arc (see
+        :data:`~repro.intersect.batch.PROBE_SWAP_RATIO`) touch fewer, so
+        it is an upper bound — but the bulk path retires ``lanes`` per
+        vector block and pays no per-step interpreter overhead, hence the
         ``SCALAR_STEP_PENALTY`` weighting: only high-degree arcs whose
         early-exit slack is tiny (hub pairs a few matches away from a
         bound) are worth an interpreted early-terminating walk.  Both

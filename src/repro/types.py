@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = [
     "UNKNOWN",
@@ -57,6 +58,15 @@ def sim_name(state: int) -> str:
     return _SIM_NAMES[int(state)]
 
 
+@lru_cache(maxsize=1024)
+def _snap_eps(eps: float) -> Fraction:
+    # Denominator cap 1000 keeps p²·(d+1)² inside int64 for the
+    # vectorized threshold math while representing every practical ε
+    # (0.1 steps, percent values) exactly.  Memoized: the service keys
+    # every warm lookup by this fraction.
+    return Fraction(eps).limit_denominator(1000)
+
+
 @dataclass(frozen=True)
 class ScanParams:
     """SCAN-family parameters: similarity threshold ε and core threshold µ.
@@ -79,10 +89,7 @@ class ScanParams:
 
     @property
     def eps_fraction(self) -> Fraction:
-        # Denominator cap 1000 keeps p²·(d+1)² inside int64 for the
-        # vectorized threshold math while representing every practical ε
-        # (0.1 steps, percent values) exactly.
-        return Fraction(self.eps).limit_denominator(1000)
+        return _snap_eps(self.eps)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"eps={self.eps}, mu={self.mu}"

@@ -22,13 +22,16 @@ from repro.cache import (
     StoreEntry,
     graph_fingerprint,
 )
+from repro.cache.store import THRESHOLD_MEMO
 from repro.core import assert_same_clustering, ppscan
 from repro.core.context import RunContext
 from repro.graph import from_edges
+from repro.graph.csr import reverse_arc_index
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.generators import erdos_renyi
 from repro.intersect import merge_count
 from repro.options import ExecutionOptions
+from repro.similarity.bulk import min_cn_arcs
 from repro.similarity.threshold import min_cn_threshold
 from repro.types import NSIM, SIM, ScanParams
 
@@ -131,6 +134,54 @@ class TestRecordLookup:
         entry.record(np.array([1, 2]), np.array([3, 3]))
         assert entry.covered == 0
         assert not entry.dirty
+
+
+class TestSharedArrays:
+    """Per-graph arrays the entry memoizes for every run sharing it."""
+
+    def test_reverse_index_is_built_once_and_read_only(self):
+        graph = small_graph()
+        entry = StoreEntry(graph, graph_fingerprint(graph))
+        rev = entry.reverse_arcs()
+        assert entry.reverse_arcs() is rev
+        assert rev.tolist() == reverse_arc_index(graph).tolist()
+        with pytest.raises(ValueError):
+            rev[0] = 0
+
+    def test_thresholds_memoized_per_eps_and_exact(self):
+        graph = small_graph()
+        entry = StoreEntry(graph, graph_fingerprint(graph))
+        eps = ScanParams(0.5, 2).eps_fraction
+        mcn = entry.thresholds(eps)
+        assert entry.thresholds(Fraction(1, 2)) is mcn
+        assert mcn.tolist() == min_cn_arcs(graph, eps).tolist()
+        assert entry.thresholds(Fraction(3, 5)) is not mcn
+        with pytest.raises(ValueError):
+            mcn[0] = 0
+
+    def test_threshold_memo_is_bounded(self):
+        graph = small_graph()
+        entry = StoreEntry(graph, graph_fingerprint(graph))
+        first = entry.thresholds(Fraction(1, 100))
+        for k in range(2, THRESHOLD_MEMO + 2):
+            entry.thresholds(Fraction(k, 100))
+        assert len(entry._thresholds) == THRESHOLD_MEMO
+        again = entry.thresholds(Fraction(1, 100))
+        assert again is not first  # the oldest ε was dropped and rebuilt
+        assert again.tolist() == first.tolist()
+
+    def test_runs_sharing_a_store_share_the_arrays(self):
+        graph = small_graph()
+        store = SimilarityStore()
+        contexts = [
+            RunContext(graph, ScanParams(0.5, mu), store=store)
+            for mu in (2, 3)
+        ]
+        assert contexts[0].rev_np is contexts[1].rev_np
+        assert contexts[0].mcn_np is contexts[1].mcn_np
+        plain = RunContext(graph, ScanParams(0.5, 2))
+        assert plain.rev_np.tolist() == contexts[0].rev_np.tolist()
+        assert plain.mcn_np.tolist() == contexts[0].mcn_np.tolist()
 
 
 class TestDiskLayer:
@@ -413,7 +464,7 @@ class TestConcurrentReaders:
 
         assert entry.covered == graph.num_arcs
         assert np.array_equal(entry.overlap, truth)
-        rev = entry._reverse()
+        rev = entry.reverse_arcs()
         assert np.array_equal(entry.coverage, entry.coverage[rev])
         assert np.array_equal(entry.overlap, entry.overlap[rev])
 
@@ -515,7 +566,7 @@ class TestConcurrentReaders:
         covered = np.flatnonzero(reloaded.coverage)
         # Whatever made it to disk is exact and mirror-consistent.
         assert np.array_equal(reloaded.overlap[covered], truth[covered])
-        rev = reloaded._reverse()
+        rev = reloaded.reverse_arcs()
         assert np.array_equal(reloaded.coverage, reloaded.coverage[rev])
         # The final spill happened after the writer finished.
         assert reloaded.covered == graph.num_arcs

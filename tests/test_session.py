@@ -200,6 +200,45 @@ class TestFacadeIsThinWrapper:
         assert len(outcome.points) == 2
 
 
+class TestCounts:
+    """The memoized counts the service's warm path reads."""
+
+    def test_counts_match_the_result(self, handle):
+        result = handle.cluster(PARAMS)
+        expected = (
+            result.num_clusters,
+            result.num_cores,
+            result.num_vertices,
+        )
+        assert handle.counts(result) == expected
+        assert handle.counts(result) == expected  # memo hit
+
+    def test_result_not_served_by_the_handle_is_not_memoized(
+        self, graph, handle
+    ):
+        other = api.cluster(graph, PARAMS)
+        assert handle.counts(other) == (
+            other.num_clusters,
+            other.num_cores,
+            other.num_vertices,
+        )
+        assert not handle._counts
+
+    def test_counts_follow_the_repaired_point(self, graph):
+        handle = api.open(graph)
+        before = handle.cluster(PARAMS)
+        handle.counts(before)
+        # Bridge two planted blocks: the repaired point is a new result.
+        handle.apply_updates([("+", 0, graph.num_vertices - 1)])
+        after = handle.lookup(PARAMS)
+        assert after is not before
+        assert handle.counts(after) == (
+            after.num_clusters,
+            after.num_cores,
+            after.num_vertices,
+        )
+
+
 class TestApplyUpdates:
     """Streaming mutation through the handle: re-stamp + warm serving."""
 
