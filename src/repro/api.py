@@ -264,10 +264,15 @@ class GraphHandle:
         return self._index is not None
 
     def memory_bytes(self) -> int:
-        """Approximate resident footprint (graph + index + memoized
-        results) — the quantity the service's eviction budget meters."""
+        """Approximate resident footprint (graph or streaming engine +
+        index + memoized results) — the quantity the service's eviction
+        budget meters."""
         graph = self.graph
-        total = int(graph.offsets.nbytes + graph.dst.nbytes)
+        if self._stream is not None:
+            # The engine's snapshot is this handle's graph.
+            total = self._stream.memory_bytes()
+        else:
+            total = int(graph.offsets.nbytes + graph.dst.nbytes)
         if self._index is not None:
             total += self._index.memory_bytes()
         for result in self._results.values():

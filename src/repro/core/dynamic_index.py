@@ -7,10 +7,11 @@ vertices (endpoints of effective edits):
 
 * an overlap can change only on an edge incident to ``T``.  The per-edge
   :meth:`~DynamicGSIndex.insert_edge` / :meth:`~DynamicGSIndex.remove_edge`
-  apply O(d(u)+d(v)) membership deltas; :meth:`~DynamicGSIndex.apply_batch`
-  recomputes every such edge once, in one bulk
-  :class:`~repro.intersect.BatchIntersector` pass over the post-batch
-  CSR snapshot;
+  apply O(d(u)+d(v)) membership deltas; :func:`apply_edit_batch`
+  (behind :meth:`~DynamicGSIndex.apply_batch`, and run directly by the
+  array-native streaming engine) recomputes every such edge once, in one
+  bulk :class:`~repro.intersect.BatchIntersector` pass over the
+  post-batch CSR snapshot;
 * a similarity key ``σ(w, t)`` can change only if ``w`` or ``t`` is in
   ``T``, so :meth:`~DynamicGSIndex.refresh` repairs neighbor orders in
   two tiers: each vertex of ``T`` is re-sorted exactly, and every other
@@ -48,7 +49,12 @@ from .gsindex import (
 )
 from .result import ClusteringResult, assemble_clustering
 
-__all__ = ["BatchMaintenance", "DynamicGSIndex", "OrderRepair"]
+__all__ = [
+    "BatchMaintenance",
+    "DynamicGSIndex",
+    "OrderRepair",
+    "apply_edit_batch",
+]
 
 
 def _overlap_closed(adj_u: list[int], adj_v: list[int]) -> int:
@@ -77,7 +83,7 @@ def _contains(sorted_list: list[int], x: int) -> bool:
 
 @dataclass(frozen=True)
 class BatchMaintenance:
-    """What one :meth:`DynamicGSIndex.apply_batch` call actually did.
+    """What one :func:`apply_edit_batch` pass actually did.
 
     ``frontier`` is the affected-arc frontier — every undirected pair
     ``(u, v)`` with ``u < v`` whose closed-neighborhood overlap was
@@ -86,6 +92,7 @@ class BatchMaintenance:
     effective edits); ``dirty`` additionally includes their
     post-batch neighbors (the vertices whose neighbor orders must be
     refreshed, since their similarity keys involve changed degrees).
+    ``removed_edges`` are the pairs an edit removed that stay absent.
 
     ``snapshot`` is the post-batch CSR graph the overlaps were computed
     on (``None`` when no edit took effect).  Row ``i`` of
@@ -100,6 +107,9 @@ class BatchMaintenance:
     touched: tuple[int, ...]
     frontier: tuple[tuple[int, int], ...]
     dirty: tuple[int, ...] = field(default=())
+    removed_edges: tuple[tuple[int, int], ...] = field(
+        default=(), compare=False, repr=False
+    )
     snapshot: CSRGraph | None = field(default=None, compare=False, repr=False)
     frontier_arcs: np.ndarray = field(
         default_factory=lambda: np.empty((0, 2), dtype=np.int64),
@@ -115,6 +125,79 @@ class BatchMaintenance:
     @property
     def effective(self) -> int:
         return self.inserted + self.removed
+
+
+def apply_edit_batch(graph: DynamicGraph, edits) -> BatchMaintenance:
+    """Apply a batch of ``(insert, u, v)`` edits to ``graph`` and
+    recompute every overlap the batch can have changed, in one pass.
+
+    Instead of repairing overlaps after every edit (the per-edge
+    :meth:`DynamicGSIndex.insert_edge` / :meth:`DynamicGSIndex.remove_edge`
+    path), the batch is applied to the graph first and repaired once:
+
+    * an arc's closed-neighborhood overlap can only change if one of
+      its endpoints' adjacency changed, so the affected-arc frontier is
+      exactly the arcs incident to the touched-vertex set ``T``;
+    * every frontier edge's overlap is recomputed once, by one bulk
+      :func:`~repro.core.gsindex.edge_overlaps` pass over the post-batch
+      snapshot, no matter how many edits touched it.
+
+    The whole batch is validated up front, so an invalid edit raises
+    (``IndexError`` / ``ValueError``) before any mutation happens.
+    Duplicate inserts and absent removes are counted as ``skipped``.
+    """
+    ops: list[tuple[bool, int, int]] = []
+    for op in edits:
+        insert, u, v = bool(op[0]), int(op[1]), int(op[2])
+        graph._check(u, v)
+        ops.append((insert, u, v))
+
+    inserted = removed = skipped = 0
+    touched: set[int] = set()
+    removed_pairs: set[tuple[int, int]] = set()
+    for insert, u, v in ops:
+        pair = (u, v) if u < v else (v, u)
+        if insert:
+            if graph.insert_edge(u, v):
+                inserted += 1
+                touched.update(pair)
+                removed_pairs.discard(pair)
+            else:
+                skipped += 1
+        else:
+            if graph.remove_edge(u, v):
+                removed += 1
+                touched.update(pair)
+                removed_pairs.add(pair)
+            else:
+                skipped += 1
+    if not touched:
+        return BatchMaintenance(inserted, removed, skipped, (), ())
+
+    # Every frontier edge once, as its u < v arc of the snapshot.
+    snapshot = graph.snapshot()
+    inter = BatchIntersector(snapshot)
+    src, dst, keys = inter.arc_src, snapshot.dst, inter.arc_keys
+    tv = np.fromiter(sorted(touched), dtype=np.int64, count=len(touched))
+    out = concat_ranges(snapshot.offsets[tv], snapshot.offsets[tv + 1])
+    a, b = src[out], dst[out]
+    back = np.searchsorted(keys, b * np.int64(snapshot.num_vertices) + a)
+    upper = a < b
+    arcs, first = np.unique(np.where(upper, out, back), return_index=True)
+    rev = np.where(upper, back, out)[first]
+    overlaps = edge_overlaps(snapshot, arcs, rev, inter)
+    return BatchMaintenance(
+        inserted=inserted,
+        removed=removed,
+        skipped=skipped,
+        touched=tuple(tv.tolist()),
+        frontier=tuple(zip(src[arcs].tolist(), dst[arcs].tolist())),
+        dirty=tuple(np.union1d(tv, b).tolist()),
+        removed_edges=tuple(sorted(removed_pairs)),
+        snapshot=snapshot,
+        frontier_arcs=np.column_stack((arcs, rev)),
+        frontier_overlaps=overlaps,
+    )
 
 
 class OrderRepair(NamedTuple):
@@ -232,87 +315,24 @@ class DynamicGSIndex:
     def apply_batch(self, edits) -> BatchMaintenance:
         """Apply a batch of ``(insert, u, v)`` edits in one repair pass.
 
-        Instead of repairing overlaps after every edit (the per-edge
-        :meth:`insert_edge` / :meth:`remove_edge` path), the batch is
-        applied to the graph first and the index is repaired once:
-
-        * an arc's closed-neighborhood overlap can only change if one of
-          its endpoints' adjacency changed, so the affected-arc frontier
-          is exactly the arcs incident to the touched-vertex set ``T``;
-        * every frontier edge's overlap is recomputed once, by one bulk
-          :func:`~repro.core.gsindex.edge_overlaps` pass over the
-          post-batch snapshot, no matter how many edits touched it;
-        * neighbor orders need repair only for ``T ∪ N(T)`` (the
-          vertices whose similarity keys involve a changed overlap or
-          degree); :meth:`refresh` does it.
-
-        The whole batch is validated up front, so an invalid edit raises
-        (``IndexError`` / ``ValueError``) before any mutation happens.
-        Duplicate inserts and absent removes are counted as ``skipped``.
+        :func:`apply_edit_batch` applies the edits and recomputes every
+        frontier overlap once; the index then adopts those overlaps,
+        drops the keys of removed edges and queues the order repairs of
+        ``T ∪ N(T)`` (the vertices whose similarity keys involve a
+        changed overlap or degree) for :meth:`refresh`.
         """
-        graph = self.graph
-        ops: list[tuple[bool, int, int]] = []
-        for op in edits:
-            insert, u, v = bool(op[0]), int(op[1]), int(op[2])
-            graph._check(u, v)
-            ops.append((insert, u, v))
-
-        inserted = removed = skipped = 0
-        touched: set[int] = set()
-        removed_pairs: set[tuple[int, int]] = set()
-        for insert, u, v in ops:
-            pair = (u, v) if u < v else (v, u)
-            if insert:
-                if graph.insert_edge(u, v):
-                    inserted += 1
-                    touched.update(pair)
-                    removed_pairs.discard(pair)
-                else:
-                    skipped += 1
-            else:
-                if graph.remove_edge(u, v):
-                    removed += 1
-                    touched.update(pair)
-                    removed_pairs.add(pair)
-                else:
-                    skipped += 1
-        if not touched:
-            return BatchMaintenance(inserted, removed, skipped, (), ())
-
-        # Overlap keys of edges that no longer exist.
-        for pair in removed_pairs:
+        stats = apply_edit_batch(self.graph, edits)
+        if not stats.touched:
+            return stats
+        for pair in stats.removed_edges:
             self._overlap.pop(pair, None)
-
-        # Every frontier edge once, as its u < v arc of the snapshot.
-        snapshot = graph.snapshot()
-        inter = BatchIntersector(snapshot)
-        src, dst, keys = inter.arc_src, snapshot.dst, inter.arc_keys
-        tv = np.fromiter(sorted(touched), dtype=np.int64, count=len(touched))
-        out = concat_ranges(snapshot.offsets[tv], snapshot.offsets[tv + 1])
-        a, b = src[out], dst[out]
-        back = np.searchsorted(keys, b * np.int64(snapshot.num_vertices) + a)
-        upper = a < b
-        arcs, first = np.unique(np.where(upper, out, back), return_index=True)
-        rev = np.where(upper, back, out)[first]
-        overlaps = edge_overlaps(snapshot, arcs, rev, inter)
-        lo, hi = src[arcs], dst[arcs]
-        frontier = tuple(zip(lo.tolist(), hi.tolist()))
-        self._overlap.update(zip(frontier, overlaps.tolist()))
-        deg = snapshot.degrees
-        self.maintenance_ops += int(deg[lo].sum() + deg[hi].sum())
-
-        self._mark(touched)
-        return BatchMaintenance(
-            inserted=inserted,
-            removed=removed,
-            skipped=skipped,
-            touched=tuple(tv.tolist()),
-            frontier=frontier,
-            dirty=tuple(np.union1d(tv, b).tolist()),
-            snapshot=snapshot,
-            frontier_arcs=np.column_stack((arcs, rev)),
-            frontier_overlaps=overlaps,
+        self._overlap.update(zip(stats.frontier, stats.frontier_overlaps.tolist()))
+        snapshot = stats.snapshot
+        self.maintenance_ops += int(
+            snapshot.degrees[snapshot.dst[stats.frontier_arcs]].sum()
         )
+        self._mark(stats.touched)
+        return stats
 
     def overlap(self, u: int, v: int) -> int:
         """Exact closed-neighborhood overlap of the existing edge ``{u, v}``."""
@@ -456,26 +476,21 @@ class DynamicGSIndex:
 
     # -- queries ------------------------------------------------------------
 
-    def cluster_prefixes(
-        self,
-        params: ScanParams,
-        lengths: list[int],
-        t0: float,
-        *,
-        algorithm: str = "DynamicGS*-Index",
-        task: str = "query",
-        stage: str = "index query",
-    ) -> ClusteringResult:
-        """The clustering at ``params`` from every vertex's ε-similar
-        prefix length (``lengths``, taken on refreshed orders).
+    def query(self, params: ScanParams) -> ClusteringResult:
+        """Exact SCAN clustering of the current graph state.
 
-        A vertex is a core iff its prefix reaches µ; the cores' prefixes
-        go to :func:`~repro.core.result.assemble_clustering`.  The record
-        ``"{algorithm} ({task})"`` charges one arc per vertex plus the
-        prefix arcs walked, its wall runs from ``t0``.
+        A vertex is a core iff its ε-similar prefix reaches µ; the
+        cores' prefixes go to
+        :func:`~repro.core.result.assemble_clustering`.  The record
+        charges one arc per vertex plus the prefix arcs walked.
         """
-        n = len(lengths)
-        length = np.asarray(lengths, dtype=np.int64)
+        t0 = time.perf_counter()
+        self.refresh()
+        eps = _eps_squared(params)
+        n = self.graph.num_vertices
+        length = np.fromiter(
+            (self.prefix_length(u, *eps) for u in range(n)), np.int64, n
+        )
         roles = np.where(length >= params.mu, CORE, NONCORE).astype(np.int8)
         cores = np.flatnonzero(roles == CORE)
         counts = length[cores]
@@ -489,24 +504,16 @@ class DynamicGSIndex:
             total,
         )
         result, merges = assemble_clustering(
-            algorithm, params, roles, np.repeat(cores, counts), dst
+            "DynamicGS*-Index", params, roles, np.repeat(cores, counts), dst
         )
         result.record = RunRecord(
-            algorithm=f"{algorithm} ({task})",
+            algorithm="DynamicGS*-Index (query)",
             stages=[
-                StageRecord(stage, [TaskCost(arcs=n + total, atomics=merges)])
+                StageRecord(
+                    "index query", [TaskCost(arcs=n + total, atomics=merges)]
+                )
             ],
             wall_seconds=time.perf_counter() - t0,
         )
         result.record.apportion_wall()
         return result
-
-    def query(self, params: ScanParams) -> ClusteringResult:
-        """Exact SCAN clustering of the current graph state."""
-        t0 = time.perf_counter()
-        self.refresh()
-        eps = _eps_squared(params)
-        lengths = [
-            self.prefix_length(u, *eps) for u in range(self.graph.num_vertices)
-        ]
-        return self.cluster_prefixes(params, lengths, t0)

@@ -110,16 +110,23 @@ def edge_overlaps(
     return out
 
 
+def arc_keys(
+    graph: CSRGraph, overlap: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(src, sim_num, sim_den)``: every arc's source and its exact
+    similarity key, ``overlap²`` over ``(d(u)+1)(d(v)+1)``."""
+    src = graph.arc_source()
+    deg1 = graph.degrees.astype(np.int64) + 1
+    return src, overlap * overlap, deg1[src] * deg1[graph.dst]
+
+
 def arc_order(
     graph: CSRGraph, overlap: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(order, sim_num, sim_den)``: the exact similarity key per arc as
-    ``overlap²`` over ``(d(u)+1)(d(v)+1)``, and every vertex's arcs by
-    that key descending, then arc id, concatenated in vertex order."""
-    src = graph.arc_source()
-    deg1 = graph.degrees.astype(np.int64) + 1
-    sim_num = overlap * overlap
-    sim_den = deg1[src] * deg1[graph.dst]
+    """``(order, sim_num, sim_den)``: the :func:`arc_keys` keys, and
+    every vertex's arcs by that key descending, then arc id,
+    concatenated in vertex order."""
+    src, sim_num, sim_den = arc_keys(graph, overlap)
     return descending_order(sim_num, sim_den, src), sim_num, sim_den
 
 

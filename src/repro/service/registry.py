@@ -7,7 +7,7 @@ in memory.  The registry bounds residency two ways:
 * ``max_graphs`` — a hard count cap;
 * ``memory_budget_bytes`` — a soft byte budget metered by
   :meth:`GraphHandle.memory_bytes` (graph arrays + index structures +
-  memoized query results).
+  streaming engine + memoized query results).
 
 Eviction is least-recently-*used*: every :meth:`get` refreshes recency,
 so the graphs queries keep landing on stay resident and idle ones age

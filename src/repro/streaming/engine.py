@@ -1,35 +1,34 @@
-"""Batched streaming maintenance of the GS*-Index and its query state.
+"""Batched streaming maintenance of exact SCAN clusterings.
 
 The :class:`StreamingEngine` owns one evolving graph and keeps three
 layers consistent across batches of edge edits.  Let ``T`` be the
 touched vertices (endpoints of the batch's effective edits):
 
-1. **Index** — :meth:`~repro.core.dynamic_index.DynamicGSIndex.apply_batch`
-   recomputes the overlaps of the edges incident to ``T`` in one bulk
-   pass over the post-batch snapshot, which the engine adopts as its
-   own; ``refresh`` re-sorts the orders of ``T`` and, for every other
-   neighbor of ``T``, moves only its entries for ``T``.
+1. **Overlaps** — the engine holds one exact closed-neighborhood
+   overlap per arc, aligned with its current CSR snapshot.
+   :func:`~repro.core.dynamic_index.apply_edit_batch` applies the edits
+   and recomputes the overlaps of the edges incident to ``T`` in one
+   bulk pass over the post-batch snapshot; every other arc's overlap is
+   carried by the source's offset shift (:func:`_carried_arcs`).
 2. **SimilarityStore** — every snapshot has its own content fingerprint,
    so a batch *moves* the store entry: overlaps of arcs untouched by the
    batch are migrated to the new fingerprint's entry (their exact values
    cannot have changed), touched arcs are deliberately dropped
    (invalidated), frontier arcs are re-recorded from the batch's bulk
    overlap pass, and the superseded entry is discarded.
-3. **Materialized (ε, µ) points** — for every point a query has
-   materialized, the engine keeps each vertex's ε-similar prefix
-   length.  A batch repairs only the lengths of the repaired orders
-   (bisection for ``T``, the moved entries elsewhere), then rebuilds
-   roles / core labels / non-core pairs from them with the cluster
-   assembly every GS*-Index query shares
-   (:meth:`~repro.core.dynamic_index.DynamicGSIndex.cluster_prefixes`),
+3. **Materialized (ε, µ) points** — a point keeps only its parameters
+   and result.  A batch computes the exact keys ``overlap²`` and
+   ``(d(u)+1)(d(v)+1)`` once, and each point is re-derived by one
+   vectorized pass: the ε-similar arcs (:func:`similar_mask`), the
+   cores by ``np.bincount``, and the cluster assembly every GS*-Index
+   query shares (:func:`~repro.core.result.assemble_clustering`),
    bit-identical to a from-scratch
    :class:`~repro.core.gsindex.GSIndex` query (verified by the
    differential harness in :mod:`repro.streaming.differential`).
 
-The index and prefix repairs scale with the batch's footprint; the
-snapshot, fingerprint and store migration are O(n + m) array passes,
-and the label rebuild is one array connectivity pass over the cores'
-prefixes.
+The overlap pass scales with the batch's footprint; the snapshot,
+fingerprint, overlap carry, store migration and every point's pass
+are O(n + m) array work.
 """
 
 from __future__ import annotations
@@ -40,15 +39,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cache.store import SimilarityStore, StoreEntry, graph_fingerprint
-from ..core.dynamic_index import BatchMaintenance, DynamicGSIndex, OrderRepair
-from ..core.result import ClusteringResult
+from ..core.dynamic_index import BatchMaintenance, apply_edit_batch
+from ..core.gsindex import _eps_squared, arc_keys, bulk_overlaps
+from ..core.result import ClusteringResult, assemble_clustering
 from ..graph.csr import CSRGraph
 from ..graph.dynamic import DynamicGraph
+from ..metrics.records import RunRecord, StageRecord, TaskCost
 from ..obs.tracer import current_tracer
-from ..types import ScanParams
+from ..types import CORE, NONCORE, ScanParams
 from .edits import EditBatch
 
-__all__ = ["BatchReport", "StreamingEngine"]
+__all__ = ["BatchReport", "StreamingEngine", "similar_mask"]
 
 
 @dataclass(frozen=True)
@@ -89,51 +90,50 @@ class BatchReport:
         }
 
 
-class _PointState:
-    """One materialized (ε, µ) point: per-vertex similar prefix lengths
-    plus the result.
+def similar_mask(
+    num: np.ndarray, den: np.ndarray, eps_num: int, eps_den: int
+) -> np.ndarray:
+    """Per arc, is ``num / den >= eps_num / eps_den``, exactly.
 
-    A vertex's ε-similar prefix is the head of its neighbor order, so
-    its length is all a point keeps.  After a batch only the repaired
-    orders' lengths can change (see
-    :meth:`~repro.core.dynamic_index.DynamicGSIndex.repair_prefix_lengths`);
-    everything downstream (roles, labels, pairs) is rebuilt from them.
+    The cross products run in int64 when they cannot overflow and in
+    Python ints otherwise (as :func:`~repro.core.gsindex.descending_order`
+    does).
     """
+    top = max(int(num.max(initial=0)), int(den.max(initial=0)))
+    if top * max(eps_num, eps_den) < 2**63:
+        return num * eps_den >= eps_num * den
+    big = num.astype(object) * eps_den >= eps_num * den.astype(object)
+    return big.astype(bool)
 
-    __slots__ = ("params", "eps_num", "eps_den", "lengths", "result")
 
-    def __init__(self, params: ScanParams, index: DynamicGSIndex) -> None:
+def _carried_arcs(
+    old: CSRGraph, new: CSRGraph, touched
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(arcs in new, same arcs in old, their sources)`` for every arc
+    whose endpoints are both untouched by a batch.
+
+    Such an arc's source list is byte-identical in both snapshots, so
+    its position merely shifts by the source's offset delta, and its
+    overlap (a function of two unchanged closed neighborhoods) carries
+    over verbatim.
+    """
+    untouched = np.ones(new.num_vertices, dtype=bool)
+    untouched[list(touched)] = False
+    src = new.arc_source()
+    arcs_new = np.flatnonzero(untouched[src] & untouched[new.dst])
+    src = src[arcs_new]
+    return arcs_new, arcs_new + (old.offsets[src] - new.offsets[src]), src
+
+
+class _PointState:
+    """One materialized (ε, µ) point: its parameters and current result,
+    recomputed from the engine's per-arc keys after every batch."""
+
+    __slots__ = ("params", "result")
+
+    def __init__(self, params: ScanParams, result: ClusteringResult) -> None:
         self.params = params
-        frac = params.eps_fraction
-        self.eps_num = frac.numerator * frac.numerator
-        self.eps_den = frac.denominator * frac.denominator
-        n = index.graph.num_vertices
-        self.lengths: list[int] = [
-            index.prefix_length(u, self.eps_num, self.eps_den)
-            for u in range(n)
-        ]
-        self.result = self._rebuild(index)
-
-    def repair(self, index: DynamicGSIndex, repair: OrderRepair) -> int:
-        """Repair the changed prefix lengths, rebuild the result."""
-        index.repair_prefix_lengths(
-            self.lengths, repair, self.eps_num, self.eps_den
-        )
-        self.result = self._rebuild(index)
-        return len(repair.resorted) + len(repair.moved)
-
-    def _rebuild(self, index: DynamicGSIndex) -> ClusteringResult:
-        """Roles / labels / pairs from the cached prefix lengths, by the
-        same :meth:`~repro.core.dynamic_index.DynamicGSIndex.cluster_prefixes`
-        assembly a from-scratch query runs."""
-        return index.cluster_prefixes(
-            self.params,
-            self.lengths,
-            time.perf_counter(),
-            algorithm="StreamingEngine",
-            task="recluster",
-            stage="scoped recluster",
-        )
+        self.result = result
 
 
 class StreamingEngine:
@@ -153,13 +153,16 @@ class StreamingEngine:
         else:
             snapshot = graph
             self._dyn = DynamicGraph.from_csr(graph)
-        self._index = DynamicGSIndex(self._dyn)
-        self._index.refresh()
         self.store = store
         self.record_frontier = record_frontier
         self.label = label
         self._snapshot = snapshot
         self._fingerprint = graph_fingerprint(snapshot)
+        # One exact overlap per arc of the snapshot.  With a store this
+        # reads the entry an earlier index build filled and records any
+        # misses, so the store covers the start state.
+        self._overlap, _ = bulk_overlaps(snapshot, store)
+        self._keys: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._points: dict[tuple, _PointState] = {}
         self.batches_applied = 0
         self.edits_applied = 0
@@ -167,8 +170,6 @@ class StreamingEngine:
         self.arcs_repaired = 0
         self.vertices_reclustered = 0
         self.overlaps_carried = 0
-        if self.store is not None:
-            self._seed_store()
 
     # -- identity --------------------------------------------------------
 
@@ -200,13 +201,57 @@ class StreamingEngine:
         key = self._point_key(params)
         state = self._points.get(key)
         if state is None:
-            state = _PointState(params, self._index)
+            state = _PointState(params, self._recluster(params))
             self._points[key] = state
         return state.result
 
     def materialized(self) -> dict[tuple, ClusteringResult]:
         """Current results for every materialized point (post-repair)."""
         return {key: st.result for key, st in self._points.items()}
+
+    def _arc_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`~repro.core.gsindex.arc_keys` of the snapshot, computed
+        once per batch and shared by every point."""
+        if self._keys is None:
+            self._keys = arc_keys(self._snapshot, self._overlap)
+        return self._keys
+
+    def _recluster(self, params: ScanParams) -> ClusteringResult:
+        """The exact clustering at ``params`` in one pass over the arcs.
+
+        An arc is ε-similar iff its key reaches ``ε²``; a vertex is a
+        core iff at least µ of its arcs are; the similar arcs leaving
+        cores go to the shared
+        :func:`~repro.core.result.assemble_clustering`.  The record
+        charges one arc per vertex plus those arcs, as an index query
+        charges its cores' similar prefixes.
+        """
+        t0 = time.perf_counter()
+        src, num, den = self._arc_keys()
+        n = self._snapshot.num_vertices
+        similar = similar_mask(num, den, *_eps_squared(params))
+        counts = np.bincount(src[similar], minlength=n)
+        roles = np.where(counts >= params.mu, CORE, NONCORE).astype(np.int8)
+        leaving = np.flatnonzero(similar & (roles[src] == CORE))
+        result, merges = assemble_clustering(
+            "StreamingEngine",
+            params,
+            roles,
+            src[leaving],
+            self._snapshot.dst[leaving],
+        )
+        result.record = RunRecord(
+            algorithm="StreamingEngine (recluster)",
+            stages=[
+                StageRecord(
+                    "scoped recluster",
+                    [TaskCost(arcs=n + leaving.size, atomics=merges)],
+                )
+            ],
+            wall_seconds=time.perf_counter() - t0,
+        )
+        result.record.apportion_wall()
+        return result
 
     # -- batches ---------------------------------------------------------
 
@@ -221,29 +266,37 @@ class StreamingEngine:
             ops=len(batch),
             fingerprint=self._fingerprint[:12],
         ):
-            stats = self._index.apply_batch(batch)
-            repair = self._index.refresh()
+            stats = apply_edit_batch(self._dyn, batch)
 
             carried = 0
             if stats.effective:
                 old_snapshot = self._snapshot
                 old_fingerprint = self._fingerprint
-                self._snapshot = stats.snapshot
+                self._snapshot = new_snapshot = stats.snapshot
+                kept = _carried_arcs(old_snapshot, new_snapshot, stats.touched)
+                overlap = np.empty(new_snapshot.num_arcs, dtype=np.int64)
+                overlap[kept[0]] = self._overlap[kept[1]]
+                overlap[stats.frontier_arcs.ravel()] = (
+                    stats.frontier_overlaps.repeat(2)
+                )
+                self._overlap = overlap
+                self._keys = None
                 if self.store is None:
-                    self._fingerprint = graph_fingerprint(self._snapshot)
+                    self._fingerprint = graph_fingerprint(new_snapshot)
                 else:
                     # entry_for hashes the snapshot; reuse its fingerprint.
-                    new_entry = self.store.entry_for(self._snapshot)
+                    new_entry = self.store.entry_for(new_snapshot)
                     self._fingerprint = new_entry.fingerprint
                     carried = self._migrate_store(
-                        old_snapshot, old_fingerprint, new_entry, stats
+                        old_fingerprint, new_entry, stats, kept
                     )
 
             points_repaired = 0
             reclustered = 0
             if stats.dirty:
                 for state in self._points.values():
-                    reclustered += state.repair(self._index, repair)
+                    state.result = self._recluster(state.params)
+                    reclustered += len(stats.dirty)
                     points_repaired += 1
 
         wall = time.perf_counter() - t0
@@ -277,62 +330,35 @@ class StreamingEngine:
 
     # -- store maintenance ----------------------------------------------
 
-    def _seed_store(self) -> None:
-        """Commit the freshly built index's overlaps for the start state."""
-        graph = self._snapshot
-        entry = self.store.entry_for(graph)
-        items = list(self._index.overlaps())
-        if items:
-            # Arc ids in one vectorized binary search over the sorted
-            # ``src * n + dst`` keys of the CSR arcs.
-            edges = np.array([edge for edge, _ in items], dtype=np.int64)
-            n = np.int64(graph.num_vertices)
-            keys = graph.arc_source() * n + graph.dst
-            entry.record(
-                np.searchsorted(keys, edges[:, 0] * n + edges[:, 1]),
-                np.array([overlap for _, overlap in items], dtype=np.int64),
-            )
-
     def _migrate_store(
         self,
-        old_snapshot: CSRGraph,
         old_fingerprint: str,
         new_entry: StoreEntry,
         stats: BatchMaintenance,
+        kept: tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> int:
         """Move the store entry across one batch's fingerprint change.
 
-        Exactness argument: a batch only mutates the adjacency of its
-        touched vertices, so for every arc whose endpoints are both
-        untouched the source vertex's neighbor list is byte-identical in
-        both snapshots — the arc's position merely shifts by the source's
-        offset delta, and its overlap (a function of the two unchanged
-        closed neighborhoods) carries over verbatim.  Arcs incident to a
-        touched vertex are *not* migrated: their old values may be stale,
-        so they miss until recomputed (``record_frontier`` re-records
-        them immediately from the batch's bulk overlap pass).  Both arcs
-        of every edge are written directly, so no reverse-arc index is
+        The covered arcs of ``kept`` (from :func:`_carried_arcs`: both
+        endpoints untouched, so their overlaps cannot have changed) are
+        copied to the new entry.  Arcs incident to a touched vertex are
+        *not* migrated: their old values may be stale, so they miss
+        until recomputed (``record_frontier`` re-records them
+        immediately from the batch's bulk overlap pass).  Both arcs of
+        every edge are written directly, so no reverse-arc index is
         built.  Returns the number of edges carried.
         """
         store = self.store
-        new_snapshot = self._snapshot
         old_entry = store.peek(old_fingerprint)
         carried = 0
         if old_entry is not None and old_entry.covered:
-            untouched = np.ones(new_snapshot.num_vertices, dtype=bool)
-            untouched[list(stats.touched)] = False
-            src = new_snapshot.arc_source()
-            dst = new_snapshot.dst
-            arcs_new = np.flatnonzero(untouched[src] & untouched[dst])
-            src = src[arcs_new]
-            arcs_old = arcs_new + (
-                old_snapshot.offsets[src] - new_snapshot.offsets[src]
-            )
+            arcs_new, arcs_old, src = kept
             covered = old_entry.coverage[arcs_old]
             new_entry.record_arcs(
                 arcs_new[covered], old_entry.overlap[arcs_old[covered]]
             )
-            carried = int(np.count_nonzero(covered & (src < dst[arcs_new])))
+            upper = src < self._snapshot.dst[arcs_new]
+            carried = int(np.count_nonzero(covered & upper))
         if self.record_frontier and stats.frontier:
             new_entry.record_arcs(
                 stats.frontier_arcs.ravel(),
@@ -342,6 +368,14 @@ class StreamingEngine:
         return carried
 
     # -- reporting -------------------------------------------------------
+
+    def memory_bytes(self) -> int:
+        """Rough resident footprint: the snapshot and per-arc arrays, plus
+        the :class:`DynamicGraph` adjacency at the 28 bytes per list
+        element of :meth:`~repro.core.gsindex.GSIndex.memory_bytes`."""
+        graph = self._snapshot
+        arrays = (graph.offsets, graph.dst, self._overlap, *(self._keys or ()))
+        return sum(int(a.nbytes) for a in arrays) + 28 * 2 * self._dyn.num_edges
 
     def stats(self) -> dict:
         """JSON-able counters over the engine's lifetime."""

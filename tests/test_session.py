@@ -127,6 +127,21 @@ class TestGraphHandle:
         handle.ensure_index()
         assert handle.memory_bytes() > cold
 
+    def test_memory_counts_the_streaming_engine(self, graph):
+        handle = api.open(graph)
+        handle.cluster(PARAMS)
+        handle.apply_updates([("+", 0, graph.num_vertices - 1)])
+        engine = handle._stream.memory_bytes()
+        # The engine holds the adjacency lists and an overlap per arc on
+        # top of the snapshot arrays the handle's graph alone would count.
+        snapshot = handle.graph
+        assert engine > snapshot.offsets.nbytes + snapshot.dst.nbytes
+        results = sum(
+            r.roles.nbytes + r.core_labels.nbytes + 16 * len(r.noncore_pairs)
+            for r in handle._results.values()
+        )
+        assert handle.memory_bytes() == engine + results
+
     def test_close_releases_memos(self, handle):
         handle.cluster(PARAMS)
         handle.close()

@@ -1,5 +1,7 @@
 """Streaming batched maintenance: edit scripts, engine, differential."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,10 +9,18 @@ from hypothesis import strategies as st
 
 from repro.cache import SimilarityStore
 from repro.cache.store import graph_fingerprint
-from repro.core import DynamicGSIndex, GSIndex
+from repro.core import (
+    DynamicGSIndex,
+    GSIndex,
+    brute_force_scan,
+    verify_clustering,
+)
+from repro.core.dynamic_index import apply_edit_batch
+from repro.core.gsindex import bulk_overlaps
 from repro.core.result import assemble_clustering
 from repro.graph import DynamicGraph, from_edges
-from repro.graph.generators import erdos_renyi
+from repro.graph.generators import chung_lu, erdos_renyi, powerlaw_weights
+from repro.similarity.bulk import min_cn_arcs
 from repro.streaming import (
     DifferentialMismatch,
     EditBatch,
@@ -21,6 +31,7 @@ from repro.streaming import (
     random_edit_script,
     replay_differential,
 )
+from repro.streaming.engine import similar_mask
 from repro.types import CORE, NONCORE, ScanParams
 
 
@@ -281,6 +292,7 @@ class TestDifferential:
         # agrees with itself; the verify_clustering oracle must catch it.
         import repro.core.dynamic_index as dynamic_index
         import repro.core.gsindex as gsindex
+        import repro.streaming.engine as engine
 
         def broken(algorithm, params, roles, src, dst):
             result, merges = assemble_clustering(algorithm, params, roles, src, dst)
@@ -289,6 +301,7 @@ class TestDifferential:
 
         monkeypatch.setattr(gsindex, "assemble_clustering", broken)
         monkeypatch.setattr(dynamic_index, "assemble_clustering", broken)
+        monkeypatch.setattr(engine, "assemble_clustering", broken)
         graph = erdos_renyi(30, 90, seed=16)
         script = random_edit_script(graph, seed=17, batches=2, batch_size=6)
         with pytest.raises(DifferentialMismatch, match="verify_clustering"):
@@ -513,3 +526,88 @@ class TestEngineBehavior:
         assert engine.query(params).same_clustering(
             GSIndex(engine.snapshot).query(params)
         )
+
+
+# ---------------------------------------------------------------------------
+# Engine: the per-point mask pass
+# ---------------------------------------------------------------------------
+
+
+class TestPointPass:
+    def test_exact_tie_at_eps_boundary(self):
+        # σ(0, 1)² = 4/9; inserting {3, 6} makes σ(0, 3)² = 4/9 too, and
+        # ε = 2/3 puts ε² on that value: both arcs are similar.
+        graph = from_edges([(0, 1), (0, 3), (1, 5)], num_vertices=7)
+        engine = StreamingEngine(graph)
+        points = [ScanParams(2 / 3, mu) for mu in (1, 2, 3)]
+        assert all(p.eps_fraction ** 2 == Fraction(4, 9) for p in points)
+        for params in points:
+            assert engine.query(params).same_clustering(
+                brute_force_scan(graph, params)
+            )
+        engine.apply([("+", 3, 6)])
+        after = engine.snapshot
+        for params in points:
+            got = engine.query(params)
+            assert got.same_clustering(brute_force_scan(after, params))
+            verify_clustering(after, got)
+        assert engine.query(points[1]).roles[0] == CORE
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mask_matches_min_cn_thresholds_at_boundary_eps(self, seed):
+        if seed % 2:
+            graph = erdos_renyi(60, 240, seed=seed)
+        else:
+            graph = chung_lu(powerlaw_weights(80, 2.2, 2.0), 240, seed=seed)
+        overlap, _ = bulk_overlaps(graph)
+        src, deg1 = graph.arc_source(), graph.degrees.astype(np.int64) + 1
+        num, den = overlap * overlap, deg1[src] * deg1[graph.dst]
+        # Arcs between equal degrees have a rational σ = overlap / (d + 1):
+        # ε on it sits exactly on the boundary.
+        equal = np.flatnonzero(deg1[src] == deg1[graph.dst])
+        boundary = {Fraction(int(overlap[a]), int(deg1[src[a]])) for a in equal}
+        boundary = sorted(e for e in boundary if 0 < e <= 1)
+        assert boundary
+        for eps in [*boundary[:8], Fraction(1, 2), Fraction(1)]:
+            p, q = eps.numerator, eps.denominator
+            want = overlap >= min_cn_arcs(graph, eps)
+            assert np.array_equal(similar_mask(num, den, p * p, q * q), want)
+
+    def test_overflow_fallback_is_exact(self):
+        rng = np.random.default_rng(5)
+        p, q = 999_983, 1_000_003
+        eps_num, eps_den = p * p, q * q  # each near 2**40
+        scale = rng.integers(1, 4, size=200)
+        num = eps_num * scale + rng.integers(-1, 2, size=200)
+        den = eps_den * scale
+        noise = rng.integers(2**40 - 2**20, 2**40 + 2**20, size=(2, 200))
+        num, den = np.concatenate((num, noise[0])), np.concatenate((den, noise[1]))
+        assert int(num.max()) * eps_den >= 2**63  # the int64 path would wrap
+        got = similar_mask(num, den, eps_num, eps_den)
+        want = [
+            Fraction(int(a), int(b)) >= Fraction(eps_num, eps_den)
+            for a, b in zip(num, den)
+        ]
+        assert got.dtype == bool and got.tolist() == want
+        assert 0 < got.sum() < got.size
+
+    def test_vertices_reclustered_counts_dirty_per_point(self):
+        graph = erdos_renyi(30, 80, seed=29)
+        engine = StreamingEngine(graph)
+        engine.query(ScanParams(0.5, 2))
+        engine.query(ScanParams(0.7, 3))
+        u, v = map(int, graph.edge_list()[0])
+        batch = EditBatch.coerce([("+", 0, 29), ("-", u, v), ("+", 5, 17)])
+        stats = apply_edit_batch(DynamicGraph.from_csr(graph), batch)
+        report = engine.apply(batch)
+        assert report.effective == stats.effective == 3
+        assert report.points_repaired == 2
+        assert report.vertices_reclustered == (
+            report.points_repaired * len(stats.dirty)
+        )
+        # |T ∪ N(T)| is what the order repair touches: T re-sorted, the
+        # rest of N(T) moved.
+        index = DynamicGSIndex(DynamicGraph.from_csr(graph))
+        index.apply_batch(batch)
+        repair = index.refresh()
+        assert len(repair.resorted) + len(repair.moved) == len(stats.dirty)
