@@ -1,36 +1,36 @@
-"""Incrementally-maintained GS*-Index over a dynamic graph.
+"""Exact SCAN index over a dynamic graph: one overlap per arc.
 
-The GS*-Index paper supports edge updates with local index maintenance;
-this module reproduces that capability on top of
-:class:`~repro.graph.dynamic.DynamicGraph`.  Let ``T`` be the touched
-vertices (endpoints of effective edits):
+:class:`DynamicGSIndex` keeps, over a
+:class:`~repro.graph.dynamic.DynamicGraph`, its current CSR snapshot and
+the exact closed-neighborhood overlap of every arc of it — the flat
+per-edge layout of Tseng, Dhulipala & Shun's parallel index-based SCAN.
+Let ``T`` be the touched vertices (endpoints of a batch's effective
+edits):
 
-* an overlap can change only on an edge incident to ``T``.  The per-edge
-  :meth:`~DynamicGSIndex.insert_edge` / :meth:`~DynamicGSIndex.remove_edge`
-  apply O(d(u)+d(v)) membership deltas; :func:`apply_edit_batch`
-  (behind :meth:`~DynamicGSIndex.apply_batch`, and run directly by the
-  array-native streaming engine) recomputes every such edge once, in one
-  bulk :class:`~repro.intersect.BatchIntersector` pass over the
-  post-batch CSR snapshot;
-* a similarity key ``σ(w, t)`` can change only if ``w`` or ``t`` is in
-  ``T``, so :meth:`~DynamicGSIndex.refresh` repairs neighbor orders in
-  two tiers: each vertex of ``T`` is re-sorted exactly, and every other
-  vertex ``w`` keeps its order and only moves its entries for
-  ``T ∩ N(w)``, each by bisection;
-* queries are exact for any (ε, µ), verified against rebuilding a static
-  :class:`~repro.core.gsindex.GSIndex` from a snapshot.
+* an overlap can change only on an edge incident to ``T``.
+  :func:`apply_edit_batch` applies the edits and recomputes every such
+  edge once, in one bulk :class:`~repro.intersect.BatchIntersector` pass
+  over the post-batch snapshot;
+* every other arc keeps its overlap and, in the new snapshot, shifts by
+  its source's offset delta (:func:`carried_arcs`), so
+  :meth:`~DynamicGSIndex.apply_batch` carries it over verbatim;
+* a query for any (ε, µ) is one exact pass over the arcs: the ε-similar
+  arcs (:func:`similar_mask`), the cores by ``np.bincount``, and the
+  cluster assembly every GS*-Index query shares.  Results are
+  bit-identical to a static :class:`~repro.core.gsindex.GSIndex` built
+  from the snapshot.
 
 Similarity keys stay exact rationals (``overlap² / ((d(u)+1)(d(v)+1))``)
-so boundary queries agree with every other implementation.  Orders run
-by σ descending, then neighbor id ascending.
+so boundary queries agree with every other implementation.  The
+GS*-Index neighbor and core orders live in the static index only, where
+a query reads them without maintaining them.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from itertools import chain
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -40,45 +40,19 @@ from ..intersect import BatchIntersector
 from ..intersect.batch import concat_ranges
 from ..metrics.records import RunRecord, StageRecord, TaskCost
 from ..types import CORE, NONCORE, ScanParams
-from .gsindex import (
-    _eps_squared,
-    arc_order,
-    bulk_overlaps,
-    descending_order,
-    edge_overlaps,
-)
+from .gsindex import _eps_squared, arc_keys, bulk_overlaps, edge_overlaps
 from .result import ClusteringResult, assemble_clustering
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..cache import SimilarityStore
 
 __all__ = [
     "BatchMaintenance",
     "DynamicGSIndex",
-    "OrderRepair",
     "apply_edit_batch",
+    "carried_arcs",
+    "similar_mask",
 ]
-
-
-def _overlap_closed(adj_u: list[int], adj_v: list[int]) -> int:
-    """Closed-neighborhood overlap of an *adjacent* pair: |N∩N| + 2."""
-    i = j = common = 0
-    na, nb = len(adj_u), len(adj_v)
-    while i < na and j < nb:
-        x, y = adj_u[i], adj_v[j]
-        if x < y:
-            i += 1
-        elif x > y:
-            j += 1
-        else:
-            common += 1
-            i += 1
-            j += 1
-    return common + 2
-
-
-def _contains(sorted_list: list[int], x: int) -> bool:
-    from bisect import bisect_left
-
-    i = bisect_left(sorted_list, x)
-    return i < len(sorted_list) and sorted_list[i] == x
 
 
 @dataclass(frozen=True)
@@ -90,15 +64,16 @@ class BatchMaintenance:
     recomputed because an endpoint's adjacency changed; ``touched`` is
     the set of vertices whose adjacency itself changed (endpoints of
     effective edits); ``dirty`` additionally includes their
-    post-batch neighbors (the vertices whose neighbor orders must be
-    refreshed, since their similarity keys involve changed degrees).
-    ``removed_edges`` are the pairs an edit removed that stay absent.
+    post-batch neighbors (the vertices whose similar-neighbor count the
+    batch can change, since their similarity keys involve a changed
+    overlap or degree).
 
     ``snapshot`` is the post-batch CSR graph the overlaps were computed
     on (``None`` when no edit took effect).  Row ``i`` of
     ``frontier_arcs`` holds the arc ids of ``u → v`` and ``v → u`` in it
     for ``frontier[i] == (u, v)``, whose overlap is
-    ``frontier_overlaps[i]``.
+    ``frontier_overlaps[i]``.  ``carried`` is the :func:`carried_arcs`
+    of the batch, filled in by :meth:`DynamicGSIndex.apply_batch`.
     """
 
     inserted: int
@@ -107,9 +82,6 @@ class BatchMaintenance:
     touched: tuple[int, ...]
     frontier: tuple[tuple[int, int], ...]
     dirty: tuple[int, ...] = field(default=())
-    removed_edges: tuple[tuple[int, int], ...] = field(
-        default=(), compare=False, repr=False
-    )
     snapshot: CSRGraph | None = field(default=None, compare=False, repr=False)
     frontier_arcs: np.ndarray = field(
         default_factory=lambda: np.empty((0, 2), dtype=np.int64),
@@ -121,6 +93,9 @@ class BatchMaintenance:
         compare=False,
         repr=False,
     )
+    carried: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def effective(self) -> int:
@@ -128,12 +103,14 @@ class BatchMaintenance:
 
 
 def apply_edit_batch(graph: DynamicGraph, edits) -> BatchMaintenance:
-    """Apply a batch of ``(insert, u, v)`` edits to ``graph`` and
-    recompute every overlap the batch can have changed, in one pass.
+    """Apply a batch of edits to ``graph`` and recompute every overlap
+    the batch can have changed, in one pass.
 
-    Instead of repairing overlaps after every edit (the per-edge
-    :meth:`DynamicGSIndex.insert_edge` / :meth:`DynamicGSIndex.remove_edge`
-    path), the batch is applied to the graph first and repaired once:
+    ``edits`` is anything :meth:`~repro.streaming.edits.EditBatch.coerce`
+    accepts: ``(kind, u, v)`` triples with kind ``"+"``/``"-"`` (or
+    ``insert``/``remove``/``delete``, or a bool), or an
+    :class:`~repro.streaming.edits.EditBatch`.  The batch is applied to
+    the graph first and repaired once:
 
     * an arc's closed-neighborhood overlap can only change if one of
       its endpoints' adjacency changed, so the affected-arc frontier is
@@ -146,31 +123,27 @@ def apply_edit_batch(graph: DynamicGraph, edits) -> BatchMaintenance:
     (``IndexError`` / ``ValueError``) before any mutation happens.
     Duplicate inserts and absent removes are counted as ``skipped``.
     """
-    ops: list[tuple[bool, int, int]] = []
-    for op in edits:
-        insert, u, v = bool(op[0]), int(op[1]), int(op[2])
-        graph._check(u, v)
-        ops.append((insert, u, v))
+    # Imported here: repro.streaming imports its engine, which imports
+    # this module.
+    from ..streaming.edits import EditBatch
+
+    ops = EditBatch.coerce(edits).ops
+    for op in ops:
+        graph._check(op.u, op.v)
 
     inserted = removed = skipped = 0
     touched: set[int] = set()
-    removed_pairs: set[tuple[int, int]] = set()
     for insert, u, v in ops:
-        pair = (u, v) if u < v else (v, u)
         if insert:
-            if graph.insert_edge(u, v):
-                inserted += 1
-                touched.update(pair)
-                removed_pairs.discard(pair)
-            else:
-                skipped += 1
+            changed = graph.insert_edge(u, v)
+            inserted += changed
         else:
-            if graph.remove_edge(u, v):
-                removed += 1
-                touched.update(pair)
-                removed_pairs.add(pair)
-            else:
-                skipped += 1
+            changed = graph.remove_edge(u, v)
+            removed += changed
+        if changed:
+            touched.update((u, v))
+        else:
+            skipped += 1
     if not touched:
         return BatchMaintenance(inserted, removed, skipped, (), ())
 
@@ -193,324 +166,160 @@ def apply_edit_batch(graph: DynamicGraph, edits) -> BatchMaintenance:
         touched=tuple(tv.tolist()),
         frontier=tuple(zip(src[arcs].tolist(), dst[arcs].tolist())),
         dirty=tuple(np.union1d(tv, b).tolist()),
-        removed_edges=tuple(sorted(removed_pairs)),
         snapshot=snapshot,
         frontier_arcs=np.column_stack((arcs, rev)),
         frontier_overlaps=overlaps,
     )
 
 
-class OrderRepair(NamedTuple):
-    """What one :meth:`DynamicGSIndex.refresh` changed.
+def carried_arcs(
+    old: CSRGraph, new: CSRGraph, touched
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(arcs in new, same arcs in old, their sources)`` for every arc
+    whose endpoints are both untouched by a batch.
 
-    ``resorted`` vertices got a whole new order; every vertex ``w`` in
-    ``moved`` kept its order except for the listed entries, given as
-    ``(rank before the move, σ² numerator, σ² denominator)``.
+    Such an arc's source list is byte-identical in both snapshots, so
+    its position merely shifts by the source's offset delta, and its
+    overlap (a function of two unchanged closed neighborhoods) carries
+    over verbatim.
     """
+    untouched = np.ones(new.num_vertices, dtype=bool)
+    untouched[list(touched)] = False
+    src = new.arc_source()
+    arcs_new = np.flatnonzero(untouched[src] & untouched[new.dst])
+    src = src[arcs_new]
+    return arcs_new, arcs_new + (old.offsets[src] - new.offsets[src]), src
 
-    resorted: list[int]
-    moved: dict[int, list[tuple[int, int, int]]]
+
+def similar_mask(
+    num: np.ndarray, den: np.ndarray, eps_num: int, eps_den: int
+) -> np.ndarray:
+    """Per arc, is ``num / den >= eps_num / eps_den``, exactly.
+
+    The cross products run in int64 when they cannot overflow and in
+    Python ints otherwise (as :func:`~repro.core.gsindex.descending_order`
+    does).
+    """
+    top = max(int(num.max(initial=0)), int(den.max(initial=0)))
+    if top * max(eps_num, eps_den) < 2**63:
+        return num * eps_den >= eps_num * den
+    big = num.astype(object) * eps_den >= eps_num * den.astype(object)
+    return big.astype(bool)
 
 
 class DynamicGSIndex:
-    """GS*-Index with incremental edge maintenance."""
+    """Exact per-arc overlaps of a :class:`DynamicGraph`, maintained by
+    edit batches and queried for any (ε, µ).
 
-    def __init__(self, graph: DynamicGraph) -> None:
+    With a ``store`` the seeding overlap pass reads the entry an earlier
+    index build filled and records its misses, as
+    :class:`~repro.core.gsindex.GSIndex` does.
+    """
+
+    def __init__(
+        self, graph: DynamicGraph, store: SimilarityStore | None = None
+    ) -> None:
         self.graph = graph
-        # Pending order repairs: touched vertices to re-sort whole, and
-        # for every other vertex the touched neighbors whose entries move.
-        self._dirty: set[int] = set()
-        self._moved: dict[int, set[int]] = {}
+        self.snapshot = graph.snapshot()
+        self._overlap, _ = bulk_overlaps(self.snapshot, store)
+        self._keys: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.maintenance_ops = 0
-        # Seed overlaps and neighbor orders from the static index's bulk
-        # pass over the start state: arcs of u ascend with v, so the
-        # sorted arc order's targets are the (exact descending, v
-        # ascending) vertex order that refresh maintains.  Keys
-        # and orders share one int object per vertex id, which keeps the
-        # index as small as the per-edge construction left it.
-        snapshot = graph.snapshot()
-        overlap, _ = bulk_overlaps(snapshot)
-        src, dst = snapshot.arc_source(), snapshot.dst
-        upper = src < dst
-        vertex = list(range(graph.num_vertices)).__getitem__
-        self._overlap: dict[tuple[int, int], int] = dict(
-            zip(
-                zip(
-                    map(vertex, src[upper].tolist()),
-                    map(vertex, dst[upper].tolist()),
-                ),
-                overlap[upper].tolist(),
-            )
-        )
-        flat = list(map(vertex, dst[arc_order(snapshot, overlap)[0]].tolist()))
-        off = snapshot.offsets.tolist()
-        self._order: list[list[int]] = [
-            flat[off[u] : off[u + 1]] for u in range(graph.num_vertices)
-        ]
-
-    # -- similarity keys -------------------------------------------------
-
-    def _key(self, u: int, v: int) -> tuple[int, int]:
-        """Exact similarity² of edge (u, v) as (numerator, denominator)."""
-        edge = (u, v) if u < v else (v, u)
-        overlap = self._overlap[edge]
-        return (
-            overlap * overlap,
-            (self.graph.degree(u) + 1) * (self.graph.degree(v) + 1),
-        )
-
-    def _similar(self, u: int, v: int, eps_num: int, eps_den: int) -> bool:
-        num, den = self._key(u, v)
-        return num * eps_den >= eps_num * den
 
     # -- maintenance ------------------------------------------------------
 
-    def insert_edge(self, u: int, v: int) -> bool:
-        """Insert ``{u, v}`` and repair the index locally."""
-        if not self.graph.insert_edge(u, v):
-            return False
-        adj_u, adj_v = self.graph.neighbors(u), self.graph.neighbors(v)
-        # The new edge's own overlap.
-        self._overlap[(min(u, v), max(u, v))] = _overlap_closed(adj_u, adj_v)
-        self.maintenance_ops += len(adj_u) + len(adj_v)
-        # N(u) gained v: every edge (u, w) with v in N(w) gains a common
-        # neighbor; symmetrically for v.
-        for a, b in ((u, v), (v, u)):
-            adj_a = self.graph.neighbors(a)
-            for w in adj_a:
-                if w == b:
-                    continue
-                self.maintenance_ops += 1
-                if _contains(self.graph.neighbors(w), b):
-                    edge = (a, w) if a < w else (w, a)
-                    self._overlap[edge] += 1
-        self._mark((u, v))
-        return True
-
-    def remove_edge(self, u: int, v: int) -> bool:
-        """Remove ``{u, v}`` and repair the index locally.
-
-        Validates ``(u, v)`` first so invalid endpoints raise exactly as
-        :meth:`insert_edge` does (``IndexError`` out of range,
-        ``ValueError`` on a self loop) instead of reporting the edge as
-        merely absent.
-        """
-        self.graph._check(u, v)
-        if not self.graph.has_edge(u, v):
-            return False
-        # Decrement overlaps before the removal mutates the lists.
-        for a, b in ((u, v), (v, u)):
-            for w in self.graph.neighbors(a):
-                if w == b:
-                    continue
-                self.maintenance_ops += 1
-                if _contains(self.graph.neighbors(w), b):
-                    edge = (a, w) if a < w else (w, a)
-                    self._overlap[edge] -= 1
-        self.graph.remove_edge(u, v)
-        del self._overlap[(min(u, v), max(u, v))]
-        self._mark((u, v))
-        return True
-
     def apply_batch(self, edits) -> BatchMaintenance:
-        """Apply a batch of ``(insert, u, v)`` edits in one repair pass.
+        """Apply a batch of edits in one repair pass.
 
         :func:`apply_edit_batch` applies the edits and recomputes every
-        frontier overlap once; the index then adopts those overlaps,
-        drops the keys of removed edges and queues the order repairs of
-        ``T ∪ N(T)`` (the vertices whose similarity keys involve a
-        changed overlap or degree) for :meth:`refresh`.
+        frontier overlap once; every other overlap is carried to its arc
+        of the new snapshot.  The returned stats carry that
+        :func:`carried_arcs` triple for callers that move their own
+        per-arc state the same way.
         """
         stats = apply_edit_batch(self.graph, edits)
         if not stats.touched:
             return stats
-        for pair in stats.removed_edges:
-            self._overlap.pop(pair, None)
-        self._overlap.update(zip(stats.frontier, stats.frontier_overlaps.tolist()))
-        snapshot = stats.snapshot
-        self.maintenance_ops += int(
-            snapshot.degrees[snapshot.dst[stats.frontier_arcs]].sum()
-        )
-        self._mark(stats.touched)
-        return stats
+        new = stats.snapshot
+        kept = carried_arcs(self.snapshot, new, stats.touched)
+        overlap = np.empty(new.num_arcs, dtype=np.int64)
+        overlap[kept[0]] = self._overlap[kept[1]]
+        frontier = stats.frontier_arcs
+        overlap[frontier.ravel()] = stats.frontier_overlaps.repeat(2)
+        self.snapshot, self._overlap, self._keys = new, overlap, None
+        self.maintenance_ops += int(new.degrees[new.dst[frontier]].sum())
+        return replace(stats, carried=kept)
+
+    def insert_edge(self, u: int, v: int) -> bool:
+        """Insert ``{u, v}``; ``False`` if it was already present."""
+        return self.apply_batch([(True, u, v)]).effective == 1
+
+    def remove_edge(self, u: int, v: int) -> bool:
+        """Remove ``{u, v}``; ``False`` if it was absent.  Invalid
+        endpoints raise exactly as for :meth:`insert_edge`."""
+        return self.apply_batch([(False, u, v)]).effective == 1
+
+    def refresh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`~repro.core.gsindex.arc_keys` of the current snapshot,
+        computed once per batch and shared by every query."""
+        if self._keys is None:
+            self._keys = arc_keys(self.snapshot, self._overlap)
+        return self._keys
 
     def overlap(self, u: int, v: int) -> int:
         """Exact closed-neighborhood overlap of the existing edge ``{u, v}``."""
-        return self._overlap[(u, v) if u < v else (v, u)]
+        return int(self._overlap[self.snapshot.edge_offset(u, v)])
 
     def overlaps(self):
         """Iterate ``((u, v), overlap)`` over every edge (``u < v``)."""
-        return iter(self._overlap.items())
-
-    def _mark(self, touched) -> None:
-        """Queue the order repairs an adjacency change at ``touched``
-        needs: σ moved only on arcs incident to a touched vertex."""
-        self._dirty.update(touched)
-        for t in touched:
-            for w in self.graph.neighbors(t):
-                self._moved.setdefault(w, set()).add(t)
-
-    def refresh(self) -> OrderRepair:
-        """Repair every pending neighbor order (idempotent).
-
-        Each pending touched vertex is re-sorted exactly.  Every other
-        vertex keeps its order: the entries whose σ did not change are
-        still sorted, so only the moved entries leave and are re-inserted
-        by bisection.
-        """
-        resorted = sorted(self._dirty)
-        pending = [
-            (w, ts) for w, ts in self._moved.items() if w not in self._dirty
-        ]
-        self._dirty.clear()
-        self._moved.clear()
-        if resorted:
-            self._resort(resorted)
-        return OrderRepair(
-            resorted, {w: self._move(w, ts) for w, ts in pending}
+        src, dst = self.snapshot.arc_source(), self.snapshot.dst
+        upper = src < dst
+        return zip(
+            zip(src[upper].tolist(), dst[upper].tolist()),
+            self._overlap[upper].tolist(),
         )
 
-    def _resort(self, vertices: list[int]) -> None:
-        """Exact re-sort of ``vertices``' orders in one descending_order."""
-        adj, overlap = self.graph.adjacency, self._overlap
-        lists = [adj[u] for u in vertices]
-        sizes = np.fromiter(map(len, lists), dtype=np.int64, count=len(lists))
-        flat = list(chain.from_iterable(lists))
-        src = np.repeat(np.asarray(vertices, dtype=np.int64), sizes)
-        dst = np.asarray(flat, dtype=np.int64)
-        pairs = zip(np.minimum(src, dst).tolist(), np.maximum(src, dst).tolist())
-        ov = np.fromiter(
-            map(overlap.__getitem__, pairs), dtype=np.int64, count=len(flat)
-        )
-        deg = np.fromiter(
-            map(len, map(adj.__getitem__, flat)), dtype=np.int64, count=len(flat)
-        )
-        order = descending_order(
-            ov * ov,
-            (sizes + 1).repeat(sizes) * (deg + 1),
-            np.arange(len(vertices)).repeat(sizes),
-        )
-        # The adjacency's own int objects, in sorted order.
-        ranked = list(map(flat.__getitem__, order.tolist()))
-        end = 0
-        for u, size in zip(vertices, sizes.tolist()):
-            self._order[u] = ranked[end : end + size]
-            end += size
-
-    def _move(self, w: int, moved: set[int]) -> list[tuple[int, int, int]]:
-        """Re-insert ``w``'s entries for ``moved`` at their new keys, each
-        by bisection; returns ``(rank before the move, σ² numerator,
-        σ² denominator)`` per moved entry."""
-        order = self._order[w]
-        ranked = sorted([(order.index(t), t) for t in moved])
-        for rank, _ in reversed(ranked):
-            del order[rank]
-        overlap, adj = self._overlap, self.graph.adjacency
-        dw1 = len(adj[w]) + 1
-        out = []
-        for rank, t in ranked:
-            o = overlap[(w, t) if w < t else (t, w)]
-            num, dt1 = o * o, len(adj[t]) + 1
-            lo, hi = 0, len(order)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                x = order[mid]
-                ox = overlap[(w, x) if w < x else (x, w)]
-                # x goes after t iff σ(w, x) < σ(w, t), or they tie and
-                # x > t; the common factor d(w) + 1 cancels.
-                lhs, rhs = ox * ox * dt1, num * (len(adj[x]) + 1)
-                if lhs < rhs or (lhs == rhs and x > t):
-                    hi = mid
-                else:
-                    lo = mid + 1
-            order.insert(lo, t)
-            out.append((rank, num, dw1 * dt1))
-        return out
-
-    @property
-    def orders(self) -> list[list[int]]:
-        """Every vertex's neighbor order (refreshed; do not mutate)."""
-        return self._order
-
-    def prefix_length(self, u: int, eps_num: int, eps_den: int) -> int:
-        """Length of ``u``'s ε-similar prefix, by bisection on its order.
-
-        Callers must :meth:`refresh` first; ``eps_num`` / ``eps_den``
-        are the squared ε fraction's numerator and denominator (the same
-        integers :meth:`query` compares against).
-        """
-        order = self._order[u]
-        lo, hi = 0, len(order)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._similar(u, order[mid], eps_num, eps_den):
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def similar_prefix(
-        self, u: int, eps_num: int, eps_den: int
-    ) -> list[int]:
-        """The ε-similar prefix of ``u``'s neighbor order (descending σ);
-        arguments as for :meth:`prefix_length`."""
-        return self._order[u][: self.prefix_length(u, eps_num, eps_den)]
-
-    def repair_prefix_lengths(
-        self, lengths: list[int], repair: OrderRepair, eps_num: int, eps_den: int
-    ) -> None:
-        """Bring ``lengths`` (each vertex's ε-similar prefix length before
-        ``repair``) up to date in place.
-
-        A re-sorted vertex bisects its new order.  A vertex with moved
-        entries changed only in them: it loses those that ranked inside
-        its old prefix and gains those that are similar now.
-        """
-        for u in repair.resorted:
-            lengths[u] = self.prefix_length(u, eps_num, eps_den)
-        for w, moves in repair.moved.items():
-            old = k = lengths[w]
-            for rank, num, den in moves:
-                k += (num * eps_den >= eps_num * den) - (rank < old)
-            lengths[w] = k
+    def memory_bytes(self) -> int:
+        """Rough resident footprint: the snapshot and per-arc arrays, plus
+        the :class:`DynamicGraph` adjacency at the 28 bytes per list
+        element of :meth:`~repro.core.gsindex.GSIndex.memory_bytes`."""
+        graph = self.snapshot
+        arrays = (graph.offsets, graph.dst, self._overlap, *(self._keys or ()))
+        return sum(int(a.nbytes) for a in arrays) + 28 * 2 * self.graph.num_edges
 
     # -- queries ------------------------------------------------------------
 
     def query(self, params: ScanParams) -> ClusteringResult:
-        """Exact SCAN clustering of the current graph state.
+        """Exact SCAN clustering of the current graph state."""
+        return self._cluster(params, "DynamicGS*-Index", "query", "index query")
 
-        A vertex is a core iff its ε-similar prefix reaches µ; the
-        cores' prefixes go to
-        :func:`~repro.core.result.assemble_clustering`.  The record
-        charges one arc per vertex plus the prefix arcs walked.
+    def _cluster(
+        self, params: ScanParams, algorithm: str, kind: str, stage: str
+    ) -> ClusteringResult:
+        """The exact clustering at ``params`` in one pass over the arcs.
+
+        An arc is ε-similar iff its key reaches ``ε²``; a vertex is a
+        core iff at least µ of its arcs are; the similar arcs leaving
+        cores go to the shared
+        :func:`~repro.core.result.assemble_clustering`.  The record,
+        ``"{algorithm} ({kind})"`` with one ``stage``, charges one arc per
+        vertex plus those arcs, as a static index query charges its
+        cores' similar prefixes.
         """
         t0 = time.perf_counter()
-        self.refresh()
-        eps = _eps_squared(params)
-        n = self.graph.num_vertices
-        length = np.fromiter(
-            (self.prefix_length(u, *eps) for u in range(n)), np.int64, n
-        )
-        roles = np.where(length >= params.mu, CORE, NONCORE).astype(np.int8)
-        cores = np.flatnonzero(roles == CORE)
-        counts = length[cores]
-        total = int(counts.sum())
-        orders = self._order
-        dst = np.fromiter(
-            chain.from_iterable(
-                orders[u][:k] for u, k in zip(cores.tolist(), counts.tolist())
-            ),
-            np.int64,
-            total,
-        )
+        src, num, den = self.refresh()
+        n = self.snapshot.num_vertices
+        similar = similar_mask(num, den, *_eps_squared(params))
+        counts = np.bincount(src[similar], minlength=n)
+        roles = np.where(counts >= params.mu, CORE, NONCORE).astype(np.int8)
+        leaving = np.flatnonzero(similar & (roles[src] == CORE))
         result, merges = assemble_clustering(
-            "DynamicGS*-Index", params, roles, np.repeat(cores, counts), dst
+            algorithm, params, roles, src[leaving], self.snapshot.dst[leaving]
         )
         result.record = RunRecord(
-            algorithm="DynamicGS*-Index (query)",
+            algorithm=f"{algorithm} ({kind})",
             stages=[
                 StageRecord(
-                    "index query", [TaskCost(arcs=n + total, atomics=merges)]
+                    stage, [TaskCost(arcs=n + leaving.size, atomics=merges)]
                 )
             ],
             wall_seconds=time.perf_counter() - t0,

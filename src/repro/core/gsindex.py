@@ -420,7 +420,7 @@ class GSIndex:
 
     # -- query ------------------------------------------------------------
 
-    def _prefix_length(self, u: int, eps_num: int, eps_den: int) -> int:
+    def _similar_count(self, u: int, eps_num: int, eps_den: int) -> int:
         """Length of ``u``'s ε-similar prefix, by bisection on its
         descending neighbor order."""
         order = self._neighbor_order[u]
@@ -442,7 +442,7 @@ class GSIndex:
         cores = self.cores(params)
         roles = np.full(n, NONCORE, dtype=np.int8)
         roles[cores] = CORE
-        lengths = [self._prefix_length(u, eps_num, eps_den) for u in cores]
+        lengths = [self._similar_count(u, eps_num, eps_den) for u in cores]
         orders = self._neighbor_order
         total = sum(lengths)
         arcs = np.fromiter(

@@ -2,9 +2,10 @@
 
 The static :class:`~repro.graph.csr.CSRGraph` is what every clustering
 algorithm consumes; ``DynamicGraph`` supports edge insertions/removals
-(the workload of the incremental GS*-Index in
-:mod:`repro.core.dynamic_index`) and snapshots to CSR for batch
-re-clustering and cross-validation.
+(the workload of the per-arc dynamic index in
+:mod:`repro.core.dynamic_index` and the streaming engine built on it)
+and snapshots to CSR, which that index queries and the differential
+checks re-cluster from scratch.
 """
 
 from __future__ import annotations

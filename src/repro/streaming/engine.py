@@ -4,12 +4,13 @@ The :class:`StreamingEngine` owns one evolving graph and keeps three
 layers consistent across batches of edge edits.  Let ``T`` be the
 touched vertices (endpoints of the batch's effective edits):
 
-1. **Overlaps** — the engine holds one exact closed-neighborhood
-   overlap per arc, aligned with its current CSR snapshot.
-   :func:`~repro.core.dynamic_index.apply_edit_batch` applies the edits
-   and recomputes the overlaps of the edges incident to ``T`` in one
-   bulk pass over the post-batch snapshot; every other arc's overlap is
-   carried by the source's offset shift (:func:`_carried_arcs`).
+1. **Overlaps** — the engine runs on one
+   :class:`~repro.core.dynamic_index.DynamicGSIndex`: one exact
+   closed-neighborhood overlap per arc of the current CSR snapshot.
+   :meth:`~repro.core.dynamic_index.DynamicGSIndex.apply_batch` applies
+   the edits, recomputes the overlaps of the edges incident to ``T`` in
+   one bulk pass over the post-batch snapshot, and carries every other
+   arc's overlap by the source's offset shift.
 2. **SimilarityStore** — every snapshot has its own content fingerprint,
    so a batch *moves* the store entry: overlaps of arcs untouched by the
    batch are migrated to the new fingerprint's entry (their exact values
@@ -17,14 +18,12 @@ touched vertices (endpoints of the batch's effective edits):
    (invalidated), frontier arcs are re-recorded from the batch's bulk
    overlap pass, and the superseded entry is discarded.
 3. **Materialized (ε, µ) points** — a point keeps only its parameters
-   and result.  A batch computes the exact keys ``overlap²`` and
-   ``(d(u)+1)(d(v)+1)`` once, and each point is re-derived by one
-   vectorized pass: the ε-similar arcs (:func:`similar_mask`), the
-   cores by ``np.bincount``, and the cluster assembly every GS*-Index
-   query shares (:func:`~repro.core.result.assemble_clustering`),
-   bit-identical to a from-scratch
-   :class:`~repro.core.gsindex.GSIndex` query (verified by the
-   differential harness in :mod:`repro.streaming.differential`).
+   and result, and each batch re-derives it by the index's exact point
+   pass: the ε-similar arcs, the cores by ``np.bincount``, and the
+   cluster assembly every GS*-Index query shares
+   (:func:`~repro.core.result.assemble_clustering`), bit-identical to a
+   from-scratch :class:`~repro.core.gsindex.GSIndex` query (verified by
+   the differential harness in :mod:`repro.streaming.differential`).
 
 The overlap pass scales with the batch's footprint; the snapshot,
 fingerprint, overlap carry, store migration and every point's pass
@@ -34,22 +33,20 @@ are O(n + m) array work.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..cache.store import SimilarityStore, StoreEntry, graph_fingerprint
-from ..core.dynamic_index import BatchMaintenance, apply_edit_batch
-from ..core.gsindex import _eps_squared, arc_keys, bulk_overlaps
-from ..core.result import ClusteringResult, assemble_clustering
+from ..core.dynamic_index import BatchMaintenance, DynamicGSIndex
+from ..core.result import ClusteringResult
 from ..graph.csr import CSRGraph
 from ..graph.dynamic import DynamicGraph
-from ..metrics.records import RunRecord, StageRecord, TaskCost
 from ..obs.tracer import current_tracer
-from ..types import CORE, NONCORE, ScanParams
+from ..types import ScanParams
 from .edits import EditBatch
 
-__all__ = ["BatchReport", "StreamingEngine", "similar_mask"]
+__all__ = ["BatchReport", "StreamingEngine"]
 
 
 @dataclass(frozen=True)
@@ -90,44 +87,9 @@ class BatchReport:
         }
 
 
-def similar_mask(
-    num: np.ndarray, den: np.ndarray, eps_num: int, eps_den: int
-) -> np.ndarray:
-    """Per arc, is ``num / den >= eps_num / eps_den``, exactly.
-
-    The cross products run in int64 when they cannot overflow and in
-    Python ints otherwise (as :func:`~repro.core.gsindex.descending_order`
-    does).
-    """
-    top = max(int(num.max(initial=0)), int(den.max(initial=0)))
-    if top * max(eps_num, eps_den) < 2**63:
-        return num * eps_den >= eps_num * den
-    big = num.astype(object) * eps_den >= eps_num * den.astype(object)
-    return big.astype(bool)
-
-
-def _carried_arcs(
-    old: CSRGraph, new: CSRGraph, touched
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(arcs in new, same arcs in old, their sources)`` for every arc
-    whose endpoints are both untouched by a batch.
-
-    Such an arc's source list is byte-identical in both snapshots, so
-    its position merely shifts by the source's offset delta, and its
-    overlap (a function of two unchanged closed neighborhoods) carries
-    over verbatim.
-    """
-    untouched = np.ones(new.num_vertices, dtype=bool)
-    untouched[list(touched)] = False
-    src = new.arc_source()
-    arcs_new = np.flatnonzero(untouched[src] & untouched[new.dst])
-    src = src[arcs_new]
-    return arcs_new, arcs_new + (old.offsets[src] - new.offsets[src]), src
-
-
 class _PointState:
     """One materialized (ε, µ) point: its parameters and current result,
-    recomputed from the engine's per-arc keys after every batch."""
+    recomputed from the index's per-arc keys after every batch."""
 
     __slots__ = ("params", "result")
 
@@ -147,22 +109,16 @@ class StreamingEngine:
         record_frontier: bool = True,
         label: str | None = None,
     ) -> None:
-        if isinstance(graph, DynamicGraph):
-            self._dyn = graph
-            snapshot = graph.snapshot()
-        else:
-            snapshot = graph
-            self._dyn = DynamicGraph.from_csr(graph)
+        if not isinstance(graph, DynamicGraph):
+            graph = DynamicGraph.from_csr(graph)
         self.store = store
         self.record_frontier = record_frontier
         self.label = label
-        self._snapshot = snapshot
-        self._fingerprint = graph_fingerprint(snapshot)
-        # One exact overlap per arc of the snapshot.  With a store this
-        # reads the entry an earlier index build filled and records any
-        # misses, so the store covers the start state.
-        self._overlap, _ = bulk_overlaps(snapshot, store)
-        self._keys: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # With a store the index's seeding pass reads the entry an
+        # earlier index build filled and records any misses, so the
+        # store covers the start state.
+        self._index = DynamicGSIndex(graph, store)
+        self._fingerprint = graph_fingerprint(self._index.snapshot)
         self._points: dict[tuple, _PointState] = {}
         self.batches_applied = 0
         self.edits_applied = 0
@@ -175,12 +131,12 @@ class StreamingEngine:
 
     @property
     def graph(self) -> DynamicGraph:
-        return self._dyn
+        return self._index.graph
 
     @property
     def snapshot(self) -> CSRGraph:
         """CSR snapshot of the current state (refreshed per batch)."""
-        return self._snapshot
+        return self._index.snapshot
 
     @property
     def fingerprint(self) -> str:
@@ -209,49 +165,11 @@ class StreamingEngine:
         """Current results for every materialized point (post-repair)."""
         return {key: st.result for key, st in self._points.items()}
 
-    def _arc_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`~repro.core.gsindex.arc_keys` of the snapshot, computed
-        once per batch and shared by every point."""
-        if self._keys is None:
-            self._keys = arc_keys(self._snapshot, self._overlap)
-        return self._keys
-
     def _recluster(self, params: ScanParams) -> ClusteringResult:
-        """The exact clustering at ``params`` in one pass over the arcs.
-
-        An arc is ε-similar iff its key reaches ``ε²``; a vertex is a
-        core iff at least µ of its arcs are; the similar arcs leaving
-        cores go to the shared
-        :func:`~repro.core.result.assemble_clustering`.  The record
-        charges one arc per vertex plus those arcs, as an index query
-        charges its cores' similar prefixes.
-        """
-        t0 = time.perf_counter()
-        src, num, den = self._arc_keys()
-        n = self._snapshot.num_vertices
-        similar = similar_mask(num, den, *_eps_squared(params))
-        counts = np.bincount(src[similar], minlength=n)
-        roles = np.where(counts >= params.mu, CORE, NONCORE).astype(np.int8)
-        leaving = np.flatnonzero(similar & (roles[src] == CORE))
-        result, merges = assemble_clustering(
-            "StreamingEngine",
-            params,
-            roles,
-            src[leaving],
-            self._snapshot.dst[leaving],
+        """The index's exact point pass, recorded as the engine's."""
+        return self._index._cluster(
+            params, "StreamingEngine", "recluster", "scoped recluster"
         )
-        result.record = RunRecord(
-            algorithm="StreamingEngine (recluster)",
-            stages=[
-                StageRecord(
-                    "scoped recluster",
-                    [TaskCost(arcs=n + leaving.size, atomics=merges)],
-                )
-            ],
-            wall_seconds=time.perf_counter() - t0,
-        )
-        result.record.apportion_wall()
-        return result
 
     # -- batches ---------------------------------------------------------
 
@@ -266,29 +184,19 @@ class StreamingEngine:
             ops=len(batch),
             fingerprint=self._fingerprint[:12],
         ):
-            stats = apply_edit_batch(self._dyn, batch)
+            stats = self._index.apply_batch(batch)
 
             carried = 0
             if stats.effective:
-                old_snapshot = self._snapshot
                 old_fingerprint = self._fingerprint
-                self._snapshot = new_snapshot = stats.snapshot
-                kept = _carried_arcs(old_snapshot, new_snapshot, stats.touched)
-                overlap = np.empty(new_snapshot.num_arcs, dtype=np.int64)
-                overlap[kept[0]] = self._overlap[kept[1]]
-                overlap[stats.frontier_arcs.ravel()] = (
-                    stats.frontier_overlaps.repeat(2)
-                )
-                self._overlap = overlap
-                self._keys = None
                 if self.store is None:
-                    self._fingerprint = graph_fingerprint(new_snapshot)
+                    self._fingerprint = graph_fingerprint(stats.snapshot)
                 else:
                     # entry_for hashes the snapshot; reuse its fingerprint.
-                    new_entry = self.store.entry_for(new_snapshot)
+                    new_entry = self.store.entry_for(stats.snapshot)
                     self._fingerprint = new_entry.fingerprint
                     carried = self._migrate_store(
-                        old_fingerprint, new_entry, stats, kept
+                        old_fingerprint, new_entry, stats
                     )
 
             points_repaired = 0
@@ -313,6 +221,7 @@ class StreamingEngine:
             tracer.count("stream.arcs_repaired", len(stats.frontier))
             tracer.count("stream.reclustered", reclustered)
             tracer.count("stream.overlaps_carried", carried)
+        snapshot = self.snapshot
         return BatchReport(
             batch=self.batches_applied - 1,
             inserted=stats.inserted,
@@ -323,8 +232,8 @@ class StreamingEngine:
             points_repaired=points_repaired,
             overlaps_carried=carried,
             fingerprint=self._fingerprint,
-            num_vertices=self._snapshot.num_vertices,
-            num_edges=self._snapshot.num_edges,
+            num_vertices=snapshot.num_vertices,
+            num_edges=snapshot.num_edges,
             wall_seconds=wall,
         )
 
@@ -335,29 +244,29 @@ class StreamingEngine:
         old_fingerprint: str,
         new_entry: StoreEntry,
         stats: BatchMaintenance,
-        kept: tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> int:
         """Move the store entry across one batch's fingerprint change.
 
-        The covered arcs of ``kept`` (from :func:`_carried_arcs`: both
-        endpoints untouched, so their overlaps cannot have changed) are
-        copied to the new entry.  Arcs incident to a touched vertex are
-        *not* migrated: their old values may be stale, so they miss
-        until recomputed (``record_frontier`` re-records them
-        immediately from the batch's bulk overlap pass).  Both arcs of
-        every edge are written directly, so no reverse-arc index is
-        built.  Returns the number of edges carried.
+        The covered arcs of ``stats.carried`` (the index's
+        :func:`~repro.core.dynamic_index.carried_arcs`: both endpoints
+        untouched, so their overlaps cannot have changed) are copied to
+        the new entry.  Arcs incident to a touched vertex are *not*
+        migrated: their old values may be stale, so they miss until
+        recomputed (``record_frontier`` re-records them immediately from
+        the batch's bulk overlap pass).  Both arcs of every edge are
+        written directly, so no reverse-arc index is built.  Returns the
+        number of edges carried.
         """
         store = self.store
         old_entry = store.peek(old_fingerprint)
         carried = 0
         if old_entry is not None and old_entry.covered:
-            arcs_new, arcs_old, src = kept
+            arcs_new, arcs_old, src = stats.carried
             covered = old_entry.coverage[arcs_old]
             new_entry.record_arcs(
                 arcs_new[covered], old_entry.overlap[arcs_old[covered]]
             )
-            upper = src < self._snapshot.dst[arcs_new]
+            upper = src < stats.snapshot.dst[arcs_new]
             carried = int(np.count_nonzero(covered & upper))
         if self.record_frontier and stats.frontier:
             new_entry.record_arcs(
@@ -370,20 +279,18 @@ class StreamingEngine:
     # -- reporting -------------------------------------------------------
 
     def memory_bytes(self) -> int:
-        """Rough resident footprint: the snapshot and per-arc arrays, plus
-        the :class:`DynamicGraph` adjacency at the 28 bytes per list
-        element of :meth:`~repro.core.gsindex.GSIndex.memory_bytes`."""
-        graph = self._snapshot
-        arrays = (graph.offsets, graph.dst, self._overlap, *(self._keys or ()))
-        return sum(int(a.nbytes) for a in arrays) + 28 * 2 * self._dyn.num_edges
+        """Rough resident footprint of the engine's index
+        (:meth:`~repro.core.dynamic_index.DynamicGSIndex.memory_bytes`)."""
+        return self._index.memory_bytes()
 
     def stats(self) -> dict:
         """JSON-able counters over the engine's lifetime."""
+        snapshot = self.snapshot
         return {
             "fingerprint": self._fingerprint,
             "label": self.label,
-            "num_vertices": self._snapshot.num_vertices,
-            "num_edges": self._snapshot.num_edges,
+            "num_vertices": snapshot.num_vertices,
+            "num_edges": snapshot.num_edges,
             "batches_applied": self.batches_applied,
             "edits_applied": self.edits_applied,
             "edits_skipped": self.edits_skipped,

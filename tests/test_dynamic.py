@@ -1,12 +1,13 @@
 """Dynamic graph and incrementally-maintained GS*-Index."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import DynamicGSIndex, GSIndex, ppscan
-from repro.core.dynamic_index import _overlap_closed
+from repro.core import DynamicGSIndex, GSIndex, brute_force_scan, ppscan
 from repro.graph import (
     DynamicGraph,
     complete_graph,
@@ -15,7 +16,7 @@ from repro.graph import (
     star_graph,
 )
 from repro.graph.generators import chung_lu, erdos_renyi, powerlaw_weights
-from repro.types import ScanParams
+from repro.types import CORE, ScanParams
 
 
 class TestDynamicGraph:
@@ -190,6 +191,23 @@ class TestDynamicGraph:
             assert np.array_equal(snap.dst, want.dst)
 
 
+def _overlap_closed(adj_u: list[int], adj_v: list[int]) -> int:
+    """Closed-neighborhood overlap of an *adjacent* pair: |N∩N| + 2."""
+    i = j = common = 0
+    na, nb = len(adj_u), len(adj_v)
+    while i < na and j < nb:
+        x, y = adj_u[i], adj_v[j]
+        if x < y:
+            i += 1
+        elif x > y:
+            j += 1
+        else:
+            common += 1
+            i += 1
+            j += 1
+    return common + 2
+
+
 def per_edge_seed(graph):
     """The per-edge overlap pass the bulk seeding replaced."""
     overlap = {}
@@ -216,15 +234,10 @@ class TestDynamicIndex:
         ids=["empty", "isolated", "star", "complete", "er", "chung_lu_hubs"],
     )
     def test_bulk_seed_matches_per_edge_construction(self, csr):
-        """Initial overlaps equal the per-edge pass, and initial orders
-        equal what a full refresh of every vertex derives from them."""
+        """Initial overlaps equal the per-edge pass."""
         dyn = DynamicGraph.from_csr(csr)
         idx = DynamicGSIndex(dyn)
-        assert list(idx._overlap.items()) == list(per_edge_seed(dyn).items())
-        seeded = [list(order) for order in idx._order]
-        idx._dirty.update(range(dyn.num_vertices))
-        idx.refresh()
-        assert idx._order == seeded
+        assert list(idx.overlaps()) == list(per_edge_seed(dyn).items())
 
     def test_fresh_index_matches_static(self):
         csr = erdos_renyi(40, 150, seed=5)
@@ -305,18 +318,30 @@ class TestDynamicIndex:
         assert idx.query(params).same_clustering(before)
 
     def test_maintenance_is_local(self):
-        """Updating one edge costs O(d(u) + d(v)), not O(m)."""
+        """One edit recomputes exactly the d(u) + d(v) - 1 edges at u or
+        v and carries every other overlap."""
         csr = erdos_renyi(400, 1600, seed=9)
         dyn = DynamicGraph.from_csr(csr)
         idx = DynamicGSIndex(dyn)
-        idx.maintenance_ops = 0
         u, v = 0, 399
         if dyn.has_edge(u, v):
             idx.remove_edge(u, v)
-            idx.maintenance_ops = 0
-        idx.insert_edge(u, v)
-        local = dyn.degree(u) + dyn.degree(v)
-        assert idx.maintenance_ops <= 4 * local + 8
+        before = dict(idx.overlaps())
+        idx.maintenance_ops = 0
+        stats = idx.apply_batch([("+", u, v)])
+        frontier = set(stats.frontier)
+        assert len(frontier) == dyn.degree(u) + dyn.degree(v) - 1
+        assert all(u in edge or v in edge for edge in frontier)
+        assert idx.maintenance_ops == sum(
+            dyn.degree(a) + dyn.degree(b) for a, b in frontier
+        )
+        arcs_new, _, _ = stats.carried
+        assert arcs_new.size == dyn.snapshot().num_arcs - 2 * len(frontier)
+        after = dict(idx.overlaps())
+        assert {e: o for e, o in after.items() if e not in frontier} == {
+            e: o for e, o in before.items() if e not in frontier
+        }
+        assert after == dict(per_edge_seed(dyn))
 
     @settings(
         max_examples=10,
@@ -352,7 +377,7 @@ class TestDynamicIndex:
 
 
 # ---------------------------------------------------------------------------
-# Two-tier order repair: touched vertices re-sorted, other entries moved
+# Interleaved per-edge and batched maintenance against fresh state
 # ---------------------------------------------------------------------------
 
 #: ε² as exact (numerator, denominator) pairs, for ε = 1/3, 1/2, 2/3, 3/4.
@@ -368,20 +393,18 @@ def star_joined_to_clique():
     return from_edges(edges, num_vertices=19)
 
 
-def linear_prefix(idx, u, eps_num, eps_den):
-    """Reference ε-similar prefix: walk ``u``'s order until the first
-    neighbor below ε, with each key recomputed from scratch."""
-    degree = idx.graph.degree
-    prefix = []
-    for v in idx.orders[u]:
-        o = idx.overlap(u, v)
-        if o * o * eps_den < eps_num * (degree(u) + 1) * (degree(v) + 1):
-            break
-        prefix.append(v)
-    return prefix
+def boundary_points(mus=(1, 2, 3)):
+    """ScanParams with ε² exactly at each of :data:`EPS_SQUARED`."""
+    points = [
+        ScanParams(eps, mu) for eps in (1 / 3, 1 / 2, 2 / 3, 3 / 4) for mu in mus
+    ]
+    assert {p.eps_fraction**2 for p in points} == {
+        Fraction(*eps) for eps in EPS_SQUARED
+    }
+    return points
 
 
-class TestTwoTierRepair:
+class TestInterleavedMaintenance:
     @settings(
         max_examples=40,
         deadline=None,
@@ -393,7 +416,7 @@ class TestTwoTierRepair:
         st.lists(
             st.tuples(
                 st.booleans(),  # per-edge calls instead of one batch
-                st.booleans(),  # refresh after this step
+                st.booleans(),  # refresh the keys after this step
                 st.lists(
                     st.tuples(
                         st.booleans(),
@@ -406,24 +429,13 @@ class TestTwoTierRepair:
             max_size=6,
         ),
     )
-    def test_interleaved_repairs_match_fresh_index(self, kind, seed, steps):
+    def test_interleaved_updates_match_fresh_index(self, kind, seed, steps):
         if kind == "star_clique":
             csr = star_joined_to_clique()
         else:
             csr = chung_lu(powerlaw_weights(19, 2.05), 60, seed=seed)
-        n = csr.num_vertices
         dyn = DynamicGraph.from_csr(csr)
         idx = DynamicGSIndex(dyn)
-        lengths = {
-            eps: [idx.prefix_length(u, *eps) for u in range(n)]
-            for eps in EPS_SQUARED
-        }
-
-        def refresh():
-            repair = idx.refresh()
-            for eps in EPS_SQUARED:
-                idx.repair_prefix_lengths(lengths[eps], repair, *eps)
-
         for per_edge, then_refresh, edits in steps:
             edits = [(ins, u, v) for ins, u, v in edits if u != v]
             if per_edge:
@@ -432,42 +444,39 @@ class TestTwoTierRepair:
             else:
                 idx.apply_batch(edits)
             if then_refresh:
-                refresh()
-        refresh()
+                idx.refresh()
 
-        fresh = DynamicGSIndex(DynamicGraph.from_csr(dyn.snapshot()))
+        snapshot = dyn.snapshot()
+        fresh = DynamicGSIndex(DynamicGraph.from_csr(snapshot))
         assert dict(idx.overlaps()) == dict(fresh.overlaps())
-        assert idx.orders == fresh.orders
-        for eps in EPS_SQUARED:
-            for u in range(n):
-                prefix = linear_prefix(idx, u, *eps)
-                assert idx.similar_prefix(u, *eps) == prefix
-                assert lengths[eps][u] == len(prefix)
+        for params in boundary_points():
+            assert idx.query(params).same_clustering(
+                brute_force_scan(snapshot, params)
+            )
 
     @pytest.mark.parametrize("per_edge", [False, True], ids=["batch", "edge"])
-    def test_exact_tie_at_eps_boundary_orders_by_vertex_id(self, per_edge):
-        # Before: σ(0, 3)² = 4/6 > σ(0, 1)² = 4/9, so 0's order is [3, 1].
-        # Inserting {3, 6} raises d(3) to 2: σ(0, 3)² = 4/9 exactly ties
-        # σ(0, 1)², and ε = 2/3 puts ε² on that value.  Vertex 0 is not
-        # touched, so it moves its entry for 3, which must land after 1.
+    def test_exact_tie_at_eps_boundary_is_similar(self, per_edge):
+        # Before: σ(0, 3)² = 4/6 > σ(0, 1)² = 4/9.  Inserting {3, 6}
+        # raises d(3) to 2: σ(0, 3)² = 4/9 exactly ties σ(0, 1)², and
+        # ε = 2/3 puts ε² on that value, so both arcs of 0 stay similar.
         dyn = DynamicGraph.from_csr(
             from_edges([(0, 1), (0, 3), (1, 5)], num_vertices=7)
         )
         idx = DynamicGSIndex(dyn)
-        assert idx.orders[0] == [3, 1]
-        eps = (4, 9)
-        lengths = [idx.prefix_length(u, *eps) for u in range(7)]
+        points = [ScanParams(2 / 3, mu) for mu in (1, 2, 3)]
+        for params in points:
+            assert idx.query(params).same_clustering(
+                brute_force_scan(dyn.snapshot(), params)
+            )
         if per_edge:
             idx.insert_edge(3, 6)
         else:
             idx.apply_batch([(True, 3, 6)])
-        repair = idx.refresh()
-        assert 0 not in repair.resorted and 0 in repair.moved
-        assert idx.orders[0] == [1, 3]
-        idx.repair_prefix_lengths(lengths, repair, *eps)
-        assert idx.similar_prefix(0, *eps) == [1, 3] and lengths[0] == 2
-        fresh = DynamicGSIndex(DynamicGraph.from_csr(dyn.snapshot()))
-        assert idx.orders == fresh.orders
+        for params in points:
+            assert idx.query(params).same_clustering(
+                brute_force_scan(dyn.snapshot(), params)
+            )
+        assert idx.query(points[1]).roles[0] == CORE
 
     def test_removing_an_isolated_edge_takes_a_snapshot(self):
         dyn = DynamicGraph.from_csr(
@@ -479,6 +488,7 @@ class TestTwoTierRepair:
         assert stats.touched == (3, 4) and stats.dirty == (3, 4)
         assert stats.snapshot is not None
         assert stats.snapshot.num_edges == 3
-        repair = idx.refresh()
-        assert repair.resorted == [3, 4] and repair.moved == {}
-        assert idx.orders[3] == [] and idx.orders[4] == []
+        assert dict(idx.overlaps()) == {(0, 1): 3, (0, 2): 3, (1, 2): 3}
+        assert idx.overlap(2, 1) == 3
+        with pytest.raises(KeyError):
+            idx.overlap(3, 4)

@@ -15,7 +15,7 @@ from repro.core import (
     brute_force_scan,
     verify_clustering,
 )
-from repro.core.dynamic_index import apply_edit_batch
+from repro.core.dynamic_index import apply_edit_batch, similar_mask
 from repro.core.gsindex import bulk_overlaps
 from repro.core.result import assemble_clustering
 from repro.graph import DynamicGraph, from_edges
@@ -31,7 +31,6 @@ from repro.streaming import (
     random_edit_script,
     replay_differential,
 )
-from repro.streaming.engine import similar_mask
 from repro.types import CORE, NONCORE, ScanParams
 
 
@@ -198,6 +197,25 @@ class TestApplyBatch:
             idx.apply_batch([("+", 0, 19), ("+", 3, 3)])
         assert graph_fingerprint(idx.graph.snapshot()) == fp_before
 
+    def test_minus_kind_removes(self):
+        idx = DynamicGSIndex(
+            DynamicGraph.from_csr(from_edges([(0, 1), (1, 2)], num_vertices=4))
+        )
+        stats = idx.apply_batch([("-", 0, 1)])
+        assert stats.removed == 1 and stats.inserted == stats.skipped == 0
+        assert not idx.graph.has_edge(0, 1)
+        stats = idx.apply_batch([("-", 2, 3)])
+        assert stats.skipped == 1 and stats.effective == 0
+        assert not idx.graph.has_edge(2, 3)
+
+    def test_unknown_kind_raises_before_mutating(self):
+        csr = erdos_renyi(20, 50, seed=7)
+        idx = DynamicGSIndex(DynamicGraph.from_csr(csr))
+        fp_before = graph_fingerprint(idx.snapshot)
+        with pytest.raises(ValueError, match="unknown edit kind"):
+            idx.apply_batch([("+", 0, 19), ("x", 0, 1)])
+        assert graph_fingerprint(idx.graph.snapshot()) == fp_before
+
     def test_reports_touched_frontier_and_dirty(self):
         idx = DynamicGSIndex(DynamicGraph(6))
         idx.apply_batch([("+", 0, 1), ("+", 1, 2)])
@@ -292,7 +310,6 @@ class TestDifferential:
         # agrees with itself; the verify_clustering oracle must catch it.
         import repro.core.dynamic_index as dynamic_index
         import repro.core.gsindex as gsindex
-        import repro.streaming.engine as engine
 
         def broken(algorithm, params, roles, src, dst):
             result, merges = assemble_clustering(algorithm, params, roles, src, dst)
@@ -301,7 +318,6 @@ class TestDifferential:
 
         monkeypatch.setattr(gsindex, "assemble_clustering", broken)
         monkeypatch.setattr(dynamic_index, "assemble_clustering", broken)
-        monkeypatch.setattr(engine, "assemble_clustering", broken)
         graph = erdos_renyi(30, 90, seed=16)
         script = random_edit_script(graph, seed=17, batches=2, batch_size=6)
         with pytest.raises(DifferentialMismatch, match="verify_clustering"):
@@ -605,9 +621,3 @@ class TestPointPass:
         assert report.vertices_reclustered == (
             report.points_repaired * len(stats.dirty)
         )
-        # |T ∪ N(T)| is what the order repair touches: T re-sorted, the
-        # rest of N(T) moved.
-        index = DynamicGSIndex(DynamicGraph.from_csr(graph))
-        index.apply_batch(batch)
-        repair = index.refresh()
-        assert len(repair.resorted) + len(repair.moved) == len(stats.dirty)
