@@ -40,7 +40,7 @@ from ..intersect import BatchIntersector
 from ..intersect.batch import concat_ranges
 from ..metrics.records import RunRecord, StageRecord, TaskCost
 from ..types import CORE, NONCORE, ScanParams
-from .gsindex import _eps_squared, arc_keys, bulk_overlaps, edge_overlaps
+from .gsindex import _eps_squared, arc_keys, bulk_overlaps, edge_overlaps, similar_mask
 from .result import ClusteringResult, assemble_clustering
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -191,22 +191,6 @@ def carried_arcs(
     return arcs_new, arcs_new + (old.offsets[src] - new.offsets[src]), src
 
 
-def similar_mask(
-    num: np.ndarray, den: np.ndarray, eps_num: int, eps_den: int
-) -> np.ndarray:
-    """Per arc, is ``num / den >= eps_num / eps_den``, exactly.
-
-    The cross products run in int64 when they cannot overflow and in
-    Python ints otherwise (as :func:`~repro.core.gsindex.descending_order`
-    does).
-    """
-    top = max(int(num.max(initial=0)), int(den.max(initial=0)))
-    if top * max(eps_num, eps_den) < 2**63:
-        return num * eps_den >= eps_num * den
-    big = num.astype(object) * eps_den >= eps_num * den.astype(object)
-    return big.astype(bool)
-
-
 class DynamicGSIndex:
     """Exact per-arc overlaps of a :class:`DynamicGraph`, maintained by
     edit batches and queried for any (ε, µ).
@@ -249,15 +233,6 @@ class DynamicGSIndex:
         self.maintenance_ops += int(new.degrees[new.dst[frontier]].sum())
         return replace(stats, carried=kept)
 
-    def insert_edge(self, u: int, v: int) -> bool:
-        """Insert ``{u, v}``; ``False`` if it was already present."""
-        return self.apply_batch([(True, u, v)]).effective == 1
-
-    def remove_edge(self, u: int, v: int) -> bool:
-        """Remove ``{u, v}``; ``False`` if it was absent.  Invalid
-        endpoints raise exactly as for :meth:`insert_edge`."""
-        return self.apply_batch([(False, u, v)]).effective == 1
-
     def refresh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:func:`~repro.core.gsindex.arc_keys` of the current snapshot,
         computed once per batch and shared by every query."""
@@ -279,9 +254,9 @@ class DynamicGSIndex:
         )
 
     def memory_bytes(self) -> int:
-        """Rough resident footprint: the snapshot and per-arc arrays, plus
-        the :class:`DynamicGraph` adjacency at the 28 bytes per list
-        element of :meth:`~repro.core.gsindex.GSIndex.memory_bytes`."""
+        """Rough resident footprint: the snapshot and per-arc arrays'
+        ``nbytes``, plus the :class:`DynamicGraph` adjacency lists at an
+        estimated 28 bytes per stored neighbor."""
         graph = self.snapshot
         arrays = (graph.offsets, graph.dst, self._overlap, *(self._keys or ()))
         return sum(int(a.nbytes) for a in arrays) + 28 * 2 * self.graph.num_edges

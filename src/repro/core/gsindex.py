@@ -12,11 +12,12 @@ measurable:
   one bulk array pass) and stores, per vertex, its arcs sorted by
   descending similarity — the neighbor-order structure — plus the
   per-``k`` core thresholds — the core-order structure.
-* **Query(ε, µ)** resolves every core in O(1) per vertex (is the µ-th
-  best neighbor similarity ≥ ε?), bisects each core's neighbor order
-  for its similar prefix, and hands those arcs to the shared cluster
-  assembly (:func:`~repro.core.result.assemble_clustering`).  Results
-  are bit-identical to ppSCAN for every (ε, µ).
+* **Query(ε, µ)** finds the cores by one exact bisection of the core
+  order for µ (is the µ-th best neighbor similarity ≥ ε?), every core's
+  similar prefix by one segmented search of the neighbor orders, and
+  hands those arcs to the shared cluster assembly
+  (:func:`~repro.core.result.assemble_clustering`).  Results are
+  bit-identical to ppSCAN for every (ε, µ).
 
 Similarity values are kept exact: an edge's similarity is the rational
 ``overlap² / ((d(u)+1)(d(v)+1))``, compared to ``ε²`` in integer
@@ -27,13 +28,15 @@ threshold boundaries.
 from __future__ import annotations
 
 import time
-from itertools import chain
+import zlib
+from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..graph.csr import CSRGraph, reverse_arc_index
 from ..intersect import BatchIntersector
+from ..intersect.batch import concat_ranges
 from ..metrics.records import RunRecord, StageRecord, TaskCost
 from ..types import CORE, NONCORE, ScanParams
 from .result import ClusteringResult, assemble_clustering
@@ -44,8 +47,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["GSIndex"]
 
-#: Core orders are materialized for µ up to this bound (beyond it the
-#: per-vertex neighbor-order check answers in O(µ) anyway).
+#: Core orders are materialized for µ up to this bound (beyond it one
+#: exact check of every vertex's µ-th best arc answers instead).
 _CORE_ORDER_MAX_K = 64
 
 #: Candidate-neighborhood elements one bulk overlap chunk may gather,
@@ -120,16 +123,6 @@ def arc_keys(
     return src, overlap * overlap, deg1[src] * deg1[graph.dst]
 
 
-def arc_order(
-    graph: CSRGraph, overlap: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(order, sim_num, sim_den)``: the :func:`arc_keys` keys, and
-    every vertex's arcs by that key descending, then arc id,
-    concatenated in vertex order."""
-    src, sim_num, sim_den = arc_keys(graph, overlap)
-    return descending_order(sim_num, sim_den, src), sim_num, sim_den
-
-
 def descending_order(
     num: np.ndarray, den: np.ndarray, groups: np.ndarray | None = None
 ) -> np.ndarray:
@@ -137,9 +130,9 @@ def descending_order(
     ``num / den`` descending, then index ascending.
 
     A correctly rounded quotient is monotone in the exact rational, so
-    after one stable ``np.lexsort`` on float quotients only float-equal
-    neighbours need an exact check; a group with an unequal one is
-    re-sorted by :meth:`GSIndex._fix_float_sort`.  Integers reaching
+    after stable sorts on the float quotients, then the groups, only
+    float-equal neighbours need an exact check; a group with an unequal
+    one is re-sorted by :func:`_fix_float_sort`.  Integers reaching
     ``2**53`` (quotients) or cross products past int64 use Python ints.
     """
     if groups is None:
@@ -149,7 +142,8 @@ def descending_order(
         keys = num / den
     else:
         keys = (num.astype(object) / den.astype(object)).astype(np.float64)
-    order = np.lexsort((-keys, groups))
+    order = np.argsort(-keys, kind="stable")
+    order = order[np.argsort(groups[order], kind="stable")]
     a, b = order[:-1], order[1:]
     tie = (keys[a] == keys[b]) & (groups[a] == groups[b])
     a, b = a[tie], b[tie]
@@ -162,10 +156,24 @@ def descending_order(
         ranked = groups[order]
         for g in np.unique(groups[a[unequal]]).tolist():
             lo, hi = np.searchsorted(ranked, [g, g + 1]).tolist()
-            order[lo:hi] = GSIndex._fix_float_sort(
-                order[lo:hi].tolist(), num_l, den_l
-            )
+            order[lo:hi] = _fix_float_sort(order[lo:hi].tolist(), num_l, den_l)
     return order
+
+
+def _fix_float_sort(arcs: list[int], num: list[int], den: list[int]) -> list[int]:
+    """Repair a float-key sort by exact insertion sort (stable, so exact
+    ties keep their input order)."""
+    for i in range(1, len(arcs)):
+        j = i
+        while j > 0:
+            a, b = arcs[j - 1], arcs[j]
+            # descending: swap if sim(a) < sim(b)
+            if num[a] * den[b] < num[b] * den[a]:
+                arcs[j - 1], arcs[j] = b, a
+                j -= 1
+            else:
+                break
+    return arcs
 
 
 def _eps_squared(params: ScanParams) -> tuple[int, int]:
@@ -174,22 +182,63 @@ def _eps_squared(params: ScanParams) -> tuple[int, int]:
     return frac.numerator**2, frac.denominator**2
 
 
-def _flatten(lists: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """``(flat, offsets)`` arrays holding ``lists`` back to back."""
-    offsets = np.zeros(len(lists) + 1, dtype=np.int64)
-    np.cumsum([len(part) for part in lists], out=offsets[1:])
-    flat = np.fromiter(chain.from_iterable(lists), np.int64, int(offsets[-1]))
-    return flat, offsets
+def similar_mask(
+    num: np.ndarray, den: np.ndarray, eps_num: int, eps_den: int
+) -> np.ndarray:
+    """Per arc, is ``num / den >= eps_num / eps_den``, exactly.
+
+    The cross products run in int64 when they cannot overflow and in
+    Python ints otherwise (as :func:`descending_order` does).
+    """
+    top = max(int(num.max(initial=0)), int(den.max(initial=0)))
+    if top * max(eps_num, eps_den) < 2**63:
+        return num * eps_den >= eps_num * den
+    big = num.astype(object) * eps_den >= eps_num * den.astype(object)
+    return big.astype(bool)
 
 
-def _unflatten(flat: np.ndarray, offsets: np.ndarray) -> list[list[int]]:
-    """Inverse of :func:`_flatten`: one Python list per segment."""
-    flat, off = flat.tolist(), offsets.tolist()
-    return [flat[off[i] : off[i + 1]] for i in range(len(off) - 1)]
+def similar_prefix_lengths(
+    lo: np.ndarray, hi: np.ndarray, similar
+) -> np.ndarray:
+    """Per segment ``[lo[i], hi[i])`` of positions whose similarity
+    descends, the length of its similar prefix.
+
+    An exponential search, vectorized over every segment in two passes
+    of ``similar(positions)``, an exact boolean mask.  The first pass
+    probes offsets 0, 1, 3, 7, … (``2**j - 1``) of each segment; the
+    last similar probe and the first dissimilar one bracket the prefix
+    end in a range no longer than the prefix, which the second pass
+    checks position by position.
+    """
+    width = hi - lo
+    if not width.any():
+        return width
+    count = np.frexp(width)[1]  # bit length: the offsets 2**j - 1 < width
+    seg = np.repeat(np.arange(width.size), count)
+    rank = np.arange(seg.size) - np.repeat(np.cumsum(count) - count, count)
+    ok = similar(lo[seg] + (1 << rank) - 1)
+    passed = np.bincount(seg[ok], minlength=width.size)
+    known = (1 << passed) >> 1
+    stop = np.where(passed < count, (1 << passed) - 1, width)
+    seg = np.repeat(np.arange(width.size), stop - known)
+    ok = similar(concat_ranges(lo + known, lo + stop))
+    return known + np.bincount(seg[ok], minlength=width.size)
 
 
 class GSIndex:
     """Similarity index supporting exact SCAN queries at any (ε, µ).
+
+    Every structure is an int64 array:
+
+    * ``overlap``, ``sim_num``, ``sim_den`` — per arc, its exact
+      closed-neighborhood overlap and its similarity key
+      (:func:`arc_keys`);
+    * ``neighbor_order`` — every vertex's arcs by similarity descending,
+      lined up with ``graph.offsets``;
+    * ``core_flat`` / ``core_offsets`` — the core orders in CSR form:
+      ``core_flat[core_offsets[k]:core_offsets[k + 1]]`` holds the
+      vertices with at least ``k`` neighbors by their k-th best
+      similarity descending, for ``k <= 64`` (``k = 0`` is empty).
 
     With ``sketch=SketchParams(error>0)`` the construction stores sketch
     *estimates* instead of exhaustive exact overlaps (see
@@ -241,30 +290,7 @@ class GSIndex:
             compsims = int(computed.size)
         arcs = graph.num_edges + graph.num_arcs
         cost = TaskCost(scalar_cmp=scalar_cmp, compsims=compsims, arcs=arcs)
-
-        # Neighbor order: arcs of u by descending exact similarity, kept
-        # as the integer pair overlap^2 / ((d(u)+1)(d(v)+1)).
-        order, sim_num, sim_den = arc_order(graph, overlap)
-
-        # Core orders (the index's second structure): for each k, the
-        # vertices with >= k neighbors sorted by their k-th best
-        # similarity, descending.  A (eps, mu) core query is then a
-        # prefix of core_order[mu] instead of an O(n) scan.
-        max_core_k = min(int(deg.max(initial=0)), _CORE_ORDER_MAX_K)
-        self._core_orders: list[list[int]] = [[]]
-        for k in range(1, max_core_k + 1):
-            candidates = np.flatnonzero(deg >= k)
-            kth = order[graph.offsets[candidates] + (k - 1)]
-            ranked = descending_order(sim_num[kth], sim_den[kth])
-            self._core_orders.append(candidates[ranked].tolist())
-
-        # Python lists for the query loops; arrays are dropped once listed.
-        self._overlap = overlap.tolist()
-        self._sim_num = sim_num.tolist()
-        self._sim_den = sim_den.tolist()
-        del overlap, sim_num, sim_den
-        self._neighbor_order = _unflatten(order, graph.offsets)
-        del order
+        self._build(overlap)
 
         self.construction_record = RunRecord(
             algorithm="GS*-Index (construction)",
@@ -273,114 +299,121 @@ class GSIndex:
         )
         self.construction_record.apportion_wall()
 
+    def _build(self, overlap: np.ndarray) -> None:
+        """Every query structure from the per-arc ``overlap``; the
+        constructor and :meth:`load` share it."""
+        graph = self.graph
+        off, deg = graph.offsets[:-1], graph.degrees
+        src, self.sim_num, self.sim_den = arc_keys(graph, overlap)
+        self.overlap = overlap
+        self.neighbor_order = descending_order(self.sim_num, self.sim_den, src)
+        # Core orders: every vertex's k-th best arc for k <= 64, ranked
+        # within each k.  Laid out vertex-major, so equal similarities
+        # keep vertex id order.
+        cap = np.minimum(deg, _CORE_ORDER_MAX_K)
+        pos = concat_ranges(off, off + cap)
+        rank = pos - np.repeat(off, cap)
+        kth = self.neighbor_order[pos]
+        ranked = descending_order(self.sim_num[kth], self.sim_den[kth], rank)
+        self.core_flat = np.repeat(np.arange(deg.size), cap)[ranked]
+        counts = np.bincount(rank, minlength=int(cap.max(initial=0)))
+        self.core_offsets = np.concatenate(([0, 0], np.cumsum(counts)))
+
     def memory_bytes(self) -> int:
-        """Rough resident footprint of the index structures.
-
-        Python-list ints cost far more than 8 bytes each; 28 bytes per
-        element approximates the list-slot pointer plus a small-int
-        object amortized over interning.  This is a budgeting estimate
-        (for the service's LRU eviction), not an exact measurement.
-        """
-        per_element = 28
-        count = len(self._overlap) + len(self._sim_num) + len(self._sim_den)
-        count += sum(len(order) for order in self._neighbor_order)
-        count += sum(len(order) for order in self._core_orders)
-        return per_element * count
-
-    @staticmethod
-    def _fix_float_sort(
-        arcs: list[int], num: list[int], den: list[int]
-    ) -> list[int]:
-        """Repair a float-key sort by exact insertion sort (stable, so
-        exact ties keep their input order)."""
-        for i in range(1, len(arcs)):
-            j = i
-            while j > 0:
-                a, b = arcs[j - 1], arcs[j]
-                # descending: swap if sim(a) < sim(b)
-                if num[a] * den[b] < num[b] * den[a]:
-                    arcs[j - 1], arcs[j] = b, a
-                    j -= 1
-                else:
-                    break
-        return arcs
+        """Resident footprint of the index: its arrays' ``nbytes``."""
+        arrays = (
+            self.overlap,
+            self.sim_num,
+            self.sim_den,
+            self.neighbor_order,
+            self.core_flat,
+            self.core_offsets,
+        )
+        return sum(int(a.nbytes) for a in arrays)
 
     # -- predicates -------------------------------------------------------
 
-    def _arc_similar(self, arc: int, eps_num: int, eps_den: int) -> bool:
-        """Exact ``σ(arc) >= ε`` via cross multiplication of squares."""
-        return (
-            self._sim_num[arc] * eps_den >= eps_num * self._sim_den[arc]
-        )
+    def _similar(self, arcs: np.ndarray, eps: tuple[int, int]) -> np.ndarray:
+        """Exact ``σ(arc) >= ε`` per arc."""
+        return similar_mask(self.sim_num[arcs], self.sim_den[arcs], *eps)
+
+    def _kth_similar(self, u: int, k: int, eps: tuple[int, int]) -> bool:
+        """Exact ``σ >= ε`` for ``u``'s k-th most similar arc (d(u) >= k)."""
+        arc = self.neighbor_order[self.graph.offsets[u] + (k - 1)]
+        return int(self.sim_num[arc]) * eps[1] >= eps[0] * int(self.sim_den[arc])
 
     def edge_similarity(self, u: int, v: int) -> float:
         """The raw σ(u, v) stored in the index (float view)."""
         arc = self.graph.edge_offset(u, v)
-        return (self._sim_num[arc] / self._sim_den[arc]) ** 0.5
+        return (int(self.sim_num[arc]) / int(self.sim_den[arc])) ** 0.5
 
     def is_core(self, u: int, params: ScanParams) -> bool:
-        """Core predicate in O(µ) from the neighbor order."""
-        order = self._neighbor_order[u]
-        if len(order) < params.mu:
-            return False
-        # The µ-th most similar neighbor decides.
-        return self._arc_similar(order[params.mu - 1], *_eps_squared(params))
+        """Core predicate in O(1): the µ-th most similar neighbor decides."""
+        mu = params.mu
+        return bool(
+            self.graph.degrees[u] >= mu
+            and self._kth_similar(u, mu, _eps_squared(params))
+        )
 
     # -- persistence ----------------------------------------------------
 
     def save(self, path) -> None:
-        """Persist the index (overlaps, orders) to an ``.npz`` file.
-
-        The file embeds a fingerprint of the graph (vertex count, arc
-        count, adjacency checksum); :meth:`load` refuses a mismatched
-        graph rather than answering queries about the wrong topology.
+        """Persist the index to an ``.npz`` file: a fingerprint of the
+        graph (vertex count, arc count, adjacency checksum), the
+        ``approximate`` flag and the per-arc overlaps.  :meth:`load`
+        rebuilds the orders from the overlaps.
         """
-        order_flat, order_offsets = _flatten(self._neighbor_order)
-        core_flat, core_offsets = _flatten(self._core_orders)
         np.savez_compressed(
             path,
             approximate=np.array([int(self.approximate)], dtype=np.int64),
             fingerprint=self._fingerprint(self.graph),
-            overlap=np.array(self._overlap, dtype=np.int64),
-            sim_num=np.array(self._sim_num, dtype=np.int64),
-            sim_den=np.array(self._sim_den, dtype=np.int64),
-            order_flat=order_flat,
-            order_offsets=order_offsets,
-            core_flat=core_flat,
-            core_offsets=core_offsets,
+            overlap=self.overlap,
         )
 
     @classmethod
     def load(cls, path, graph: CSRGraph) -> "GSIndex":
-        """Load an index saved by :meth:`save` for the *same* graph."""
-        with np.load(path) as data:
-            if not np.array_equal(data["fingerprint"], cls._fingerprint(graph)):
-                raise ValueError(
-                    "index fingerprint does not match the supplied graph"
-                )
-            index = cls.__new__(cls)
-            index.graph = graph
-            index.approximate = bool(
-                "approximate" in data.files and int(data["approximate"][0])
+        """Load an index saved by :meth:`save` for the *same* graph.
+
+        Raises ``ValueError`` for a file of another graph and for one
+        whose overlaps no index of this graph can hold: not int64 of one
+        value per arc, different on the two arcs of an edge, or outside
+        ``[2, min(d(u), d(v)) + 1]`` (one more for a sketch estimate).
+        """
+        try:
+            with np.load(path) as data:
+                fingerprint, overlap = data["fingerprint"], data["overlap"]
+                flag = data["approximate"] if "approximate" in data.files else [0]
+        except (FileNotFoundError, IsADirectoryError, PermissionError):
+            raise
+        except Exception as exc:  # any failure to parse the untrusted bytes
+            raise ValueError(f"not a GS*-Index file: {exc!r}") from exc
+        if not np.array_equal(fingerprint, cls._fingerprint(graph)):
+            raise ValueError("index fingerprint does not match the supplied graph")
+        if np.shape(flag) != (1,) or flag[0] not in (0, 1):
+            raise ValueError("index approximate flag must be 0 or 1")
+        approximate = bool(flag[0])
+        if overlap.dtype != np.int64 or overlap.shape != (graph.num_arcs,):
+            raise ValueError(
+                f"index overlap must be int64 of shape ({graph.num_arcs},), "
+                f"got {overlap.dtype} of shape {overlap.shape}"
             )
-            index._overlap = data["overlap"].tolist()
-            index._sim_num = data["sim_num"].tolist()
-            index._sim_den = data["sim_den"].tolist()
-            index._neighbor_order = _unflatten(
-                data["order_flat"], data["order_offsets"]
-            )
-            index._core_orders = _unflatten(
-                data["core_flat"], data["core_offsets"]
-            )
-            index.construction_record = RunRecord(
-                algorithm="GS*-Index (loaded)", stages=[]
-            )
-            return index
+        if not np.array_equal(overlap, overlap[reverse_arc_index(graph)]):
+            raise ValueError("index overlap differs between an edge's two arcs")
+        deg = graph.degrees
+        ceiling = np.minimum(deg[graph.arc_source()], deg[graph.dst]) + 1
+        if np.any(overlap < 2) or np.any(overlap > ceiling + approximate):
+            raise ValueError("index overlap outside [2, min(d(u), d(v)) + 1]")
+        index = cls.__new__(cls)
+        index.graph = graph
+        index.approximate = approximate
+        index._build(overlap)
+        index.construction_record = RunRecord(
+            algorithm="GS*-Index (loaded)", stages=[]
+        )
+        return index
 
     @staticmethod
     def _fingerprint(graph: CSRGraph) -> np.ndarray:
-        import zlib
-
         return np.array(
             [
                 graph.num_vertices,
@@ -390,76 +423,55 @@ class GSIndex:
             dtype=np.int64,
         )
 
-    def cores(self, params: ScanParams) -> list[int]:
-        """All core vertices for (ε, µ) via the core order.
-
-        Walks the descending µ-th-best-similarity prefix of
-        ``core_order[µ]``; cost is proportional to the number of cores
-        (plus the exact boundary checks), not to |V|.
-        """
-        eps_num, eps_den = _eps_squared(params)
-        mu = params.mu
-        if mu < len(self._core_orders):
-            out: list[int] = []
-            for u in self._core_orders[mu]:
-                arc = self._neighbor_order[u][mu - 1]
-                if not self._arc_similar(arc, eps_num, eps_den):
-                    break  # descending prefix ends here
-                out.append(u)
-            out.sort()
-            return out
-        # Degenerate µ beyond the materialized orders: per-vertex check.
-        return [
-            u
-            for u in range(self.graph.num_vertices)
-            if len(self._neighbor_order[u]) >= mu
-            and self._arc_similar(
-                self._neighbor_order[u][mu - 1], eps_num, eps_den
-            )
-        ]
-
     # -- query ------------------------------------------------------------
 
-    def _similar_count(self, u: int, eps_num: int, eps_den: int) -> int:
-        """Length of ``u``'s ε-similar prefix, by bisection on its
-        descending neighbor order."""
-        order = self._neighbor_order[u]
-        lo, hi = 0, len(order)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._arc_similar(order[mid], eps_num, eps_den):
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+    def cores(self, params: ScanParams) -> list[int]:
+        """All core vertices for (ε, µ), ascending."""
+        return self._core_ids(params).tolist()
+
+    def _core_ids(self, params: ScanParams) -> np.ndarray:
+        """The cores as a sorted array: the similar prefix of
+        ``core_order[µ]`` (the µ-th best similarities, descending) by one
+        exact bisection, or for µ past the materialized orders one exact
+        check of every vertex's µ-th best arc."""
+        mu, eps = params.mu, _eps_squared(params)
+        if mu + 1 < self.core_offsets.size:
+            lo, hi = self.core_offsets[mu : mu + 2]
+            ranked = self.core_flat[lo:hi]
+            count = bisect_left(
+                range(ranked.size),
+                True,
+                key=lambda i: not self._kth_similar(ranked[i], mu, eps),
+            )
+            return np.sort(ranked[:count])
+        candidates = np.flatnonzero(self.graph.degrees >= mu)
+        kth = self.neighbor_order[self.graph.offsets[candidates] + (mu - 1)]
+        return candidates[self._similar(kth, eps)]
 
     def query(self, params: ScanParams) -> ClusteringResult:
-        """Exact SCAN clustering for (ε, µ) from the index: the cores'
-        similar prefixes, assembled by :func:`assemble_clustering`."""
+        """Exact SCAN clustering for (ε, µ) from the index: every core's
+        similar prefix of its neighbor order, found by one segmented
+        search and assembled by :func:`assemble_clustering`."""
         t0 = time.perf_counter()
         n = self.graph.num_vertices
-        eps_num, eps_den = _eps_squared(params)
-        cores = self.cores(params)
+        eps = _eps_squared(params)
+        cores = self._core_ids(params)
         roles = np.full(n, NONCORE, dtype=np.int8)
         roles[cores] = CORE
-        lengths = [self._similar_count(u, eps_num, eps_den) for u in cores]
-        orders = self._neighbor_order
-        total = sum(lengths)
-        arcs = np.fromiter(
-            chain.from_iterable(
-                orders[u][:k] for u, k in zip(cores, lengths)
-            ),
-            np.int64,
-            total,
+        lo, hi = self.graph.offsets[cores], self.graph.offsets[cores + 1]
+        order = self.neighbor_order
+        lengths = similar_prefix_lengths(
+            lo, hi, lambda pos: self._similar(order[pos], eps)
         )
+        arcs = order[concat_ranges(lo, lo + lengths)]
         result, merges = assemble_clustering(
             "GS*-Index",
             params,
             roles,
-            np.repeat(np.asarray(cores, dtype=np.int64), lengths),
+            np.repeat(cores, lengths),
             self.graph.dst[arcs],
         )
-        cost = TaskCost(arcs=n + total, atomics=merges)
+        cost = TaskCost(arcs=n + int(arcs.size), atomics=merges)
         result.record = RunRecord(
             algorithm="GS*-Index (query)",
             stages=[StageRecord("index query", [cost])],

@@ -256,7 +256,7 @@ class TestDynamicIndex:
         inserted = 0
         for u in range(0, 30, 3):
             v = (u + 7) % 30
-            if u != v and idx.insert_edge(u, v):
+            if u != v and idx.apply_batch([(True, u, v)]).effective:
                 inserted += 1
         assert inserted > 0
         params = ScanParams(0.4, 2)
@@ -270,7 +270,7 @@ class TestDynamicIndex:
         idx = DynamicGSIndex(dyn)
         removed = 0
         for u, v in csr.edge_list()[::4]:
-            if idx.remove_edge(int(u), int(v)):
+            if idx.apply_batch([(False, int(u), int(v))]).effective:
                 removed += 1
         assert removed > 0
         params = ScanParams(0.4, 2)
@@ -284,29 +284,29 @@ class TestDynamicIndex:
         idx = DynamicGSIndex(dyn)
         params = ScanParams(0.5, 2)
         before = idx.query(params)
-        assert idx.insert_edge(0, 24) or True
-        idx.remove_edge(0, 24)
+        assert idx.apply_batch([(True, 0, 24)]).effective in (0, 1)
+        idx.apply_batch([(False, 0, 24)])
         assert idx.query(params).same_clustering(before)
 
     def test_remove_absent_edge_in_range_returns_false(self):
         idx = DynamicGSIndex(DynamicGraph(4))
-        assert idx.insert_edge(0, 1)
-        assert not idx.remove_edge(2, 3)
-        assert not idx.insert_edge(0, 1)
+        assert idx.apply_batch([(True, 0, 1)]).effective
+        assert not idx.apply_batch([(False, 2, 3)]).effective
+        assert not idx.apply_batch([(True, 0, 1)]).effective
 
     def test_insert_and_remove_validate_identically(self):
-        # remove_edge must reject bad endpoints exactly like
-        # insert_edge, not silently report the edge as absent.
+        # A removal must reject bad endpoints exactly like an
+        # insertion, not silently report the edge as absent.
         idx = DynamicGSIndex(DynamicGraph(3))
         for bad in ((0, 7), (-1, 2), (5, 9)):
             with pytest.raises(IndexError):
-                idx.insert_edge(*bad)
+                idx.apply_batch([(True, *bad)])
             with pytest.raises(IndexError):
-                idx.remove_edge(*bad)
+                idx.apply_batch([(False, *bad)])
         with pytest.raises(ValueError):
-            idx.insert_edge(1, 1)
+            idx.apply_batch([(True, 1, 1)])
         with pytest.raises(ValueError):
-            idx.remove_edge(1, 1)
+            idx.apply_batch([(False, 1, 1)])
 
     def test_rejected_remove_leaves_index_intact(self):
         csr = erdos_renyi(20, 50, seed=10)
@@ -314,7 +314,7 @@ class TestDynamicIndex:
         params = ScanParams(0.5, 2)
         before = idx.query(params)
         with pytest.raises(IndexError):
-            idx.remove_edge(0, 99)
+            idx.apply_batch([(False, 0, 99)])
         assert idx.query(params).same_clustering(before)
 
     def test_maintenance_is_local(self):
@@ -325,7 +325,7 @@ class TestDynamicIndex:
         idx = DynamicGSIndex(dyn)
         u, v = 0, 399
         if dyn.has_edge(u, v):
-            idx.remove_edge(u, v)
+            idx.apply_batch([(False, u, v)])
         before = dict(idx.overlaps())
         idx.maintenance_ops = 0
         stats = idx.apply_batch([("+", u, v)])
@@ -366,10 +366,7 @@ class TestDynamicIndex:
         for insert, u, v in updates:
             if u == v:
                 continue
-            if insert:
-                idx.insert_edge(u, v)
-            else:
-                idx.remove_edge(u, v)
+            idx.apply_batch([(insert, u, v)])
         params = ScanParams(0.5, 2)
         assert idx.query(params).same_clustering(
             ppscan(dyn.snapshot(), params)
@@ -439,8 +436,8 @@ class TestInterleavedMaintenance:
         for per_edge, then_refresh, edits in steps:
             edits = [(ins, u, v) for ins, u, v in edits if u != v]
             if per_edge:
-                for ins, u, v in edits:
-                    (idx.insert_edge if ins else idx.remove_edge)(u, v)
+                for edit in edits:
+                    idx.apply_batch([edit])
             else:
                 idx.apply_batch(edits)
             if then_refresh:
@@ -469,7 +466,7 @@ class TestInterleavedMaintenance:
                 brute_force_scan(dyn.snapshot(), params)
             )
         if per_edge:
-            idx.insert_edge(3, 6)
+            assert idx.apply_batch([(True, 3, 6)]).effective == 1
         else:
             idx.apply_batch([(True, 3, 6)])
         for params in points:

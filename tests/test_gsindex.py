@@ -1,6 +1,9 @@
 """GS*-Index: construction, exact queries, similarity ordering."""
 
+import gc
+import tracemalloc
 from fractions import Fraction
+from itertools import accumulate, chain
 
 import numpy as np
 import pytest
@@ -8,12 +11,20 @@ import pytest
 from repro.cache import SimilarityStore
 from repro.core import GSIndex, brute_force_scan, ppscan
 from repro.core.context import reverse_arc_index
+from repro.core.fastscan import fast_structural_clustering
 from repro.core.gsindex import descending_order
+from repro.core.verify import verify_clustering
 from repro.intersect import OpCounter, merge_count
 from repro.types import CORE as CORE_ROLE
 from repro.graph import complete_graph, empty_graph, from_edges, star_graph
-from repro.graph.generators import chung_lu, erdos_renyi, powerlaw_weights
+from repro.graph.generators import (
+    chung_lu,
+    erdos_renyi,
+    powerlaw_weights,
+    real_world_standin,
+)
 from repro.types import ScanParams
+from tests.test_dynamic import EPS_SQUARED
 
 
 @pytest.fixture(scope="module")
@@ -38,11 +49,11 @@ class TestConstruction:
         assert record.wall_seconds > 0
 
     def test_neighbor_order_descending(self, graph, index):
+        off = graph.offsets
         for u in range(graph.num_vertices):
-            order = index._neighbor_order[u]
-            sims = [
-                index._sim_num[a] / index._sim_den[a] for a in order
-            ]
+            order = index.neighbor_order[off[u] : off[u + 1]]
+            assert sorted(order.tolist()) == list(range(off[u], off[u + 1]))
+            sims = (index.sim_num[order] / index.sim_den[order]).tolist()
             assert sims == sorted(sims, reverse=True)
 
     def test_edge_similarity_value(self):
@@ -114,8 +125,9 @@ class TestPersistence:
         path = tmp_path / "index.npz"
         index.save(path)
         loaded = GSIndex.load(path, graph)
-        assert loaded._neighbor_order == index._neighbor_order
-        assert loaded._core_orders == index._core_orders
+        for name in ("overlap", "sim_num", "sim_den", "neighbor_order",
+                     "core_flat", "core_offsets"):
+            assert np.array_equal(getattr(loaded, name), getattr(index, name))
         for eps in (0.3, 0.7):
             params = ScanParams(eps, 2)
             assert loaded.query(params).same_clustering(index.query(params))
@@ -137,6 +149,136 @@ class TestPersistence:
         assert loaded.construction_record.stages == []
 
 
+def _write_index_file(path, graph, drop=(), **arrays):
+    """An index file for ``graph`` with a matching fingerprint, the exact
+    overlaps and the given arrays replaced, added or (``drop``) left out."""
+    data = {
+        "approximate": np.array([0], dtype=np.int64),
+        "fingerprint": GSIndex._fingerprint(graph),
+        "overlap": GSIndex(graph).overlap,
+    }
+    data.update(arrays)
+    np.savez(path, **{k: v for k, v in data.items() if k not in drop})
+    return path
+
+
+def _edge_arcs(graph, u, v):
+    return [graph.edge_offset(u, v), graph.edge_offset(v, u)]
+
+
+class TestLoadRejectsMalformed:
+    """A file whose fingerprint matches but whose contents no index of
+    the graph can hold raises ``ValueError`` on load."""
+
+    def test_float_overlap(self, graph, index, tmp_path):
+        path = _write_index_file(
+            tmp_path / "i.npz", graph, overlap=index.overlap.astype(np.float64)
+        )
+        with pytest.raises(ValueError, match="int64"):
+            GSIndex.load(path, graph)
+
+    def test_truncated_overlap(self, graph, index, tmp_path):
+        path = _write_index_file(
+            tmp_path / "i.npz", graph, overlap=index.overlap[:-1]
+        )
+        with pytest.raises(ValueError, match="shape"):
+            GSIndex.load(path, graph)
+
+    def test_arcs_of_one_edge_disagree(self, graph, index, tmp_path):
+        overlap = index.overlap.copy()
+        arc = int(np.flatnonzero(overlap > 2)[0])
+        overlap[arc] -= 1  # still inside the bounds
+        path = _write_index_file(tmp_path / "i.npz", graph, overlap=overlap)
+        with pytest.raises(ValueError, match="two arcs"):
+            GSIndex.load(path, graph)
+
+    def test_overlap_below_two(self, graph, index, tmp_path):
+        overlap = index.overlap.copy()
+        overlap[_edge_arcs(graph, *map(int, graph.edge_list()[0]))] = 1
+        path = _write_index_file(tmp_path / "i.npz", graph, overlap=overlap)
+        with pytest.raises(ValueError, match="outside"):
+            GSIndex.load(path, graph)
+
+    def test_overlap_above_smaller_degree_plus_one(self, graph, index, tmp_path):
+        u, v = map(int, graph.edge_list()[0])
+        overlap = index.overlap.copy()
+        overlap[_edge_arcs(graph, u, v)] = min(graph.degree(u), graph.degree(v)) + 2
+        path = _write_index_file(tmp_path / "i.npz", graph, overlap=overlap)
+        with pytest.raises(ValueError, match="outside"):
+            GSIndex.load(path, graph)
+        # A sketch estimate may exceed the exact bound by one, no more.
+        flag = np.array([1], dtype=np.int64)
+        path = _write_index_file(
+            tmp_path / "a.npz", graph, overlap=overlap, approximate=flag
+        )
+        assert GSIndex.load(path, graph).approximate
+        overlap[_edge_arcs(graph, u, v)] += 1
+        path = _write_index_file(
+            tmp_path / "b.npz", graph, overlap=overlap, approximate=flag
+        )
+        with pytest.raises(ValueError, match="outside"):
+            GSIndex.load(path, graph)
+
+    def test_bad_approximate_flag(self, graph, tmp_path):
+        path = _write_index_file(
+            tmp_path / "i.npz", graph, approximate=np.array([2])
+        )
+        with pytest.raises(ValueError, match="approximate"):
+            GSIndex.load(path, graph)
+
+    def test_missing_overlap(self, graph, tmp_path):
+        path = _write_index_file(tmp_path / "i.npz", graph, drop=("overlap",))
+        with pytest.raises(ValueError, match="overlap"):
+            GSIndex.load(path, graph)
+
+    def test_not_an_npz_file(self, graph, tmp_path):
+        path = tmp_path / "i.npz"
+        path.write_bytes(b"not an index")
+        with pytest.raises(ValueError):
+            GSIndex.load(path, graph)
+
+    def test_stale_order_arrays_are_ignored(self, graph, index, tmp_path):
+        """Files in the earlier format also held the orders and keys.
+        Load rebuilds them from the overlaps, so an out-of-range order
+        entry, a truncated key array or a negative core id in such a
+        file changes no answer."""
+        path = _write_index_file(
+            tmp_path / "i.npz",
+            graph,
+            order_flat=np.full(graph.num_arcs, graph.num_arcs + 5),
+            order_offsets=graph.offsets,
+            sim_num=index.sim_num[:-3],
+            sim_den=index.sim_den,
+            core_flat=np.full(4, -1),
+            core_offsets=np.array([0, 0, 4]),
+        )
+        loaded = GSIndex.load(path, graph)
+        assert np.array_equal(loaded.neighbor_order, index.neighbor_order)
+        assert np.array_equal(loaded.core_flat, index.core_flat)
+        for params in (ScanParams(0.3, 2), ScanParams(0.6, 1)):
+            assert loaded.query(params).same_clustering(index.query(params))
+
+
+class TestArrayState:
+    def test_no_python_list_state(self, index):
+        assert not any(isinstance(v, list) for v in vars(index).values())
+
+    def test_memory_bytes_is_exact(self):
+        graph = real_world_standin("twitter", scale=0.25)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            index = GSIndex(graph)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        arrays = [v for v in vars(index).values() if isinstance(v, np.ndarray)]
+        assert index.memory_bytes() == sum(a.nbytes for a in arrays)
+        assert abs(index.memory_bytes() - kept) <= 0.15 * kept
+
+
 class TestCoreOrders:
     @pytest.mark.parametrize("eps", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("mu", [1, 2, 4])
@@ -156,13 +298,15 @@ class TestCoreOrders:
         )
         assert index.cores(params) == expected
 
-    def test_core_orders_descending(self, index):
-        for k in range(1, len(index._core_orders)):
-            order = index._core_orders[k]
-            keys = []
-            for u in order:
-                arc = index._neighbor_order[u][k - 1]
-                keys.append(index._sim_num[arc] / index._sim_den[arc])
+    def test_core_orders_descending(self, graph, index):
+        off = index.core_offsets
+        for k in range(1, off.size - 1):
+            order = index.core_flat[off[k] : off[k + 1]]
+            assert sorted(order.tolist()) == np.flatnonzero(
+                graph.degrees >= k
+            ).tolist()
+            arcs = index.neighbor_order[graph.offsets[order] + k - 1]
+            keys = (index.sim_num[arcs] / index.sim_den[arcs]).tolist()
             assert keys == sorted(keys, reverse=True)
 
 
@@ -281,11 +425,17 @@ class TestBulkConstructionBitIdentity:
         bulk_store = _store(graph, store_kind)
         expected = per_edge_build(graph, oracle_store)
         index = GSIndex(graph, store=bulk_store)
-        assert index._overlap == expected["overlap"]
-        assert index._sim_num == expected["sim_num"]
-        assert index._sim_den == expected["sim_den"]
-        assert index._neighbor_order == expected["neighbor_order"]
-        assert index._core_orders == expected["core_orders"]
+        assert index.overlap.tolist() == expected["overlap"]
+        assert index.sim_num.tolist() == expected["sim_num"]
+        assert index.sim_den.tolist() == expected["sim_den"]
+        assert index.neighbor_order.tolist() == list(
+            chain.from_iterable(expected["neighbor_order"])
+        )
+        assert index.core_flat.tolist() == list(
+            chain.from_iterable(expected["core_orders"])
+        )
+        sizes = [len(order) for order in expected["core_orders"]]
+        assert index.core_offsets.tolist() == [0, *accumulate(sizes)]
         cost = index.construction_record.stages[0].tasks[0]
         assert (cost.compsims, cost.scalar_cmp, cost.arcs) == expected["counts"]
         if store_kind != "none":
@@ -379,3 +529,62 @@ class TestDescendingOrder:
     def test_empty(self):
         empty = np.zeros(0, dtype=np.int64)
         assert descending_order(empty, empty).size == 0
+
+
+# ---------------------------------------------------------------------------
+# Heavy-hub differential: the twitter stand-in's hubs against the fast path
+# ---------------------------------------------------------------------------
+
+#: Plain thresholds, then ε = 1/3, 2/3, 3/4 (with 0.5 above, the four
+#: exact ε² boundaries of ``EPS_SQUARED``).
+HEAVY_HUB_EPS = (0.1, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5, 1 / 3, 2 / 3, 3 / 4)
+#: Crosses the 64 materialized core orders.
+HEAVY_HUB_MUS = (1, 2, 3, 5, 11, 64, 65, 100)
+
+
+def test_heavy_hub_eps_cover_rational_boundaries():
+    squares = {ScanParams(eps, 1).eps_fraction ** 2 for eps in HEAVY_HUB_EPS}
+    assert {Fraction(*eps) for eps in EPS_SQUARED} <= squares
+
+
+@pytest.fixture(scope="module")
+def hub_graph():
+    return real_world_standin("twitter", scale=0.1)
+
+
+@pytest.fixture(scope="module")
+def hub_index(hub_graph):
+    return GSIndex(hub_graph)
+
+
+@pytest.fixture(scope="module")
+def hub_overlaps(hub_graph):
+    """Every arc's closed overlap from Python sets, not the bulk kernel."""
+    g = hub_graph
+    sets = [set(g.neighbors(u).tolist()) for u in range(g.num_vertices)]
+    pairs = zip(g.arc_source().tolist(), g.dst.tolist())
+    return np.array([len(sets[u] & sets[v]) + 2 for u, v in pairs], dtype=object)
+
+
+@pytest.mark.parametrize("eps", HEAVY_HUB_EPS)
+def test_heavy_hub_queries_match_fast_path(hub_graph, hub_index, hub_overlaps, eps):
+    g = hub_graph
+    src = g.arc_source()
+    deg1 = (g.degrees + 1).astype(object)
+    for mu in HEAVY_HUB_MUS:
+        params = ScanParams(eps, mu)
+        got = hub_index.query(params)
+        want = fast_structural_clustering(g, params)
+        for field in ("roles", "core_labels", "noncore_pairs"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+        verify_clustering(g, got)
+        frac = params.eps_fraction
+        similar = (
+            hub_overlaps**2 * frac.denominator**2
+            >= frac.numerator**2 * deg1[src] * deg1[g.dst]
+        ).astype(bool)
+        leaving = np.count_nonzero(similar & (want.roles[src] == CORE_ROLE))
+        cores = want.core_labels[want.roles == CORE_ROLE]
+        total = got.record.total()
+        assert total.arcs == g.num_vertices + leaving
+        assert total.atomics == cores.size - np.unique(cores).size
