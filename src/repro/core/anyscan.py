@@ -180,15 +180,6 @@ def anyscan(
             for beg, end in degree_based_tasks(block_deg, None, threshold)
         ]
 
-    for block_beg in range(0, n, alpha):
-        block_end = min(block_beg + alpha, n)
-        runner.run(
-            "summarization",
-            block_task,
-            commit_block,
-            tasks=lambda b=block_beg, e=block_end: block_tasks(b, e),
-        )
-
     # -- Merging: union cores over known similar edges ---------------------
 
     def merge_task(beg: int, end: int):
@@ -212,10 +203,18 @@ def anyscan(
         return unions, TaskCost(arcs=arcs, atomics=atomics, allocs=allocs)
 
     def commit_merge(unions) -> None:
-        for u, v in unions:
-            uf.union(u, v)
+        uf.union_all(unions)
 
-    runner.run("merging", merge_task, commit_merge, needs_role=CORE)
+    with runner.pool((block_task, commit_block), (merge_task, commit_merge)):
+        for block_beg in range(0, n, alpha):
+            block_end = min(block_beg + alpha, n)
+            runner.run(
+                "summarization",
+                block_task,
+                commit_block,
+                tasks=lambda b=block_beg, e=block_end: block_tasks(b, e),
+            )
+        runner.run("merging", merge_task, commit_merge, needs_role=CORE)
 
     # -- Final: cluster ids + non-core memberships ------------------------
 

@@ -254,12 +254,12 @@ class DynamicGSIndex:
         )
 
     def memory_bytes(self) -> int:
-        """Rough resident footprint: the snapshot and per-arc arrays'
-        ``nbytes``, plus the :class:`DynamicGraph` adjacency lists at an
-        estimated 28 bytes per stored neighbor."""
+        """Resident footprint: the snapshot and per-arc arrays' ``nbytes``
+        plus what the :class:`DynamicGraph` adjacency lists hold
+        (:meth:`DynamicGraph.memory_bytes`)."""
         graph = self.snapshot
         arrays = (graph.offsets, graph.dst, self._overlap, *(self._keys or ()))
-        return sum(int(a.nbytes) for a in arrays) + 28 * 2 * self.graph.num_edges
+        return sum(int(a.nbytes) for a in arrays) + self.graph.memory_bytes()
 
     # -- queries ------------------------------------------------------------
 

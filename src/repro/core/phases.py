@@ -6,6 +6,13 @@ site cuts degree-bundled tasks (Algorithm 5), executes them through an
 :class:`~repro.metrics.records.StageRecord`; an inline site is one
 data-parallel computation that records its stage directly.
 
+An algorithm runs its scheduled sites inside one :meth:`PhaseRunner.pool`
+block that names every site's ``(run_task, commit)`` up front, so a
+process backend forks its workers once per run.  Once the first scheduled
+site has run, run state changes only through ``commit`` (inline sites
+before it are free to write): that is what lets the backend keep its
+workers in step by replaying the commits.
+
 With a :class:`~repro.checkpoint.CheckpointManager` attached the runner
 snapshots the resumable state — ``sim``, ``roles``, the union-find
 parents, store coverage, the op counter and the stage records — at every
@@ -24,7 +31,7 @@ final snapshot and re-raises as
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Callable, MutableSequence
+from typing import TYPE_CHECKING, Any, Callable, ContextManager, MutableSequence
 
 import numpy as np
 
@@ -221,6 +228,12 @@ class PhaseRunner:
             ]
 
     # -- sites ----------------------------------------------------------
+
+    def pool(self, *bodies: tuple[Callable, Callable]) -> ContextManager[None]:
+        """Hand the backend every scheduled site's ``(run_task, commit)``
+        before the first one runs; the block is the lifetime of the run's
+        worker pool (a no-op on the serial backend)."""
+        return self.backend.pool(bodies)
 
     def claim(self) -> bool:
         """Take the next site; ``False`` when the snapshot already covers

@@ -50,7 +50,7 @@ of both.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -73,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "ppscan",
-    "cluster_cores",
+    "core_clustering_body",
     "auto_task_threshold",
     "auto_batch_task_threshold",
     "PPSCAN_STAGES",
@@ -118,13 +118,13 @@ def auto_batch_task_threshold(num_arcs: int) -> int:
     return max(auto_task_threshold(num_arcs), min(32768, num_arcs // 16))
 
 
-def cluster_cores(
+def core_clustering_body(
     runner: PhaseRunner,
     ctx: RunContext,
-    name: str,
     states: tuple[int, ...],
-) -> None:
-    """Run one core-clustering site (Algorithm 4 lines 9-16).
+) -> tuple[Callable, Callable]:
+    """The ``(run_task, commit)`` of one core-clustering site
+    (Algorithm 4 lines 9-16).
 
     Each task unions the core pairs ``u < v`` of its range whose
     similarity state is one of ``states``: known-SIM pairs directly,
@@ -181,10 +181,9 @@ def cluster_cores(
     def commit(writes) -> None:
         unions, arcs, states = writes
         commit_arc_states(sim, rev, arcs, states)
-        for u, v in unions:
-            uf.union(u, v)
+        uf.union_all(unions)
 
-    runner.run(name, run_task, commit, needs_role=CORE)
+    return run_task, commit
 
 
 def ppscan(
@@ -370,33 +369,19 @@ def ppscan(
         commit_arc_states(sim, rev, arcs, states)
         roles[decided] = np.where(core, CORE, NONCORE)
 
-    runner.run(
-        "core checking",
-        make_role_task(False),
-        commit_role,
-        needs_role=ROLE_UNKNOWN,
-    )
-    runner.run(
-        "core consolidating",
-        make_role_task(True),
-        commit_role,
-        needs_role=ROLE_UNKNOWN,
-    )
+    checking = (make_role_task(False), commit_role)
+    consolidating = (make_role_task(True), commit_role)
 
     # ==== Step 2: core and non-core clustering (Algorithm 4) ============
 
-    if two_phase_clustering:
-        cluster_cores(runner, ctx, "core clustering (no compsim)", (SIM,))
-        cluster_cores(runner, ctx, "core clustering (compsim)", (UNKNOWN,))
-    else:
-        # Single-phase ablation: the compsim pass also takes the known-SIM
-        # pairs, and the placeholder record still occupies a site so the
-        # resume cursor arithmetic stays uniform.
-        if runner.claim():
-            runner.finish(
-                "core clustering (no compsim)", [], time.perf_counter()
-            )
-        cluster_cores(runner, ctx, "core clustering (compsim)", (UNKNOWN, SIM))
+    # The single-phase ablation's compsim pass also takes the known-SIM
+    # pairs.
+    clustering = [
+        core_clustering_body(runner, ctx, states)
+        for states in (
+            ((SIM,), (UNKNOWN,)) if two_phase_clustering else ((UNKNOWN, SIM),)
+        )
+    ]
 
     # -- Phase 6: cluster id initialization (CAS-min per root) ------------
 
@@ -419,13 +404,6 @@ def ppscan(
             cur = cluster_id.get(root)
             if cur is None or vid < cur:
                 cluster_id[root] = vid
-
-    runner.run(
-        "cluster id init",
-        init_cluster_id_task,
-        commit_cluster_id,
-        needs_role=CORE,
-    )
 
     # -- Phase 7: non-core clustering --------------------------------------
 
@@ -460,9 +438,32 @@ def ppscan(
         commit_arc_states(sim, rev, arcs, states)
         pairs.extend(local_pairs)
 
-    runner.run(
-        "non-core clustering", noncore_task, commit_noncore, needs_role=CORE
-    )
+    # -- The scheduled sites, on one worker pool --------------------------
+
+    cluster_ids = (init_cluster_id_task, commit_cluster_id)
+    noncore = (noncore_task, commit_noncore)
+    with runner.pool(
+        checking, consolidating, *clustering, cluster_ids, noncore
+    ):
+        runner.run("core checking", *checking, needs_role=ROLE_UNKNOWN)
+        runner.run(
+            "core consolidating", *consolidating, needs_role=ROLE_UNKNOWN
+        )
+        if two_phase_clustering:
+            runner.run(
+                "core clustering (no compsim)", *clustering[0], needs_role=CORE
+            )
+        elif runner.claim():
+            # The ablation's placeholder record still occupies a site, so
+            # the resume cursor arithmetic stays uniform.
+            runner.finish(
+                "core clustering (no compsim)", [], time.perf_counter()
+            )
+        runner.run(
+            "core clustering (compsim)", *clustering[-1], needs_role=CORE
+        )
+        runner.run("cluster id init", *cluster_ids, needs_role=CORE)
+        runner.run("non-core clustering", *noncore, needs_role=CORE)
 
     # ==== Result assembly ================================================
 

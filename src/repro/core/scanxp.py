@@ -26,7 +26,6 @@ from ..graph.csr import CSRGraph
 from ..metrics.records import RunRecord, TaskCost
 from ..obs.tracer import current_tracer
 from ..parallel.backend import ExecutionBackend
-from ..parallel.scheduler import degree_based_tasks
 from ..types import CORE, NONCORE, SIM, UNKNOWN, ScanParams
 from ..unionfind import AtomicUnionFind
 from .context import RunContext
@@ -34,7 +33,7 @@ from .phases import PhaseRunner
 from .ppscan import (
     auto_batch_task_threshold,
     auto_task_threshold,
-    cluster_cores,
+    core_clustering_body,
 )
 from .result import ClusteringResult
 
@@ -142,23 +141,29 @@ def scanxp(
         arcs, states = writes
         sim[arcs] = states
 
-    runner.run("similarity computation", similarity_task, commit_similarity)
-
     # -- Phase 2: roles from exact similar-degree counts -------------------
 
-    if runner.claim():
-        t_stage = time.perf_counter()
-        sd = np.bincount(src[sim == SIM], minlength=n)
-        roles[:] = np.where(sd >= mu, CORE, NONCORE)
-        role_tasks = [
-            TaskCost(arcs=int(off[end] - off[beg]))
-            for beg, end in degree_based_tasks(deg, None, threshold)
-        ]
-        runner.finish("role computation", role_tasks, t_stage)
+    def role_task(beg: int, end: int):
+        a0, a1 = int(off[beg]), int(off[end])
+        sd = np.bincount(
+            src[a0:a1][sim[a0:a1] == SIM] - beg, minlength=end - beg
+        )
+        core = np.where(sd >= mu, CORE, NONCORE).astype(np.int8)
+        return (beg, core), TaskCost(arcs=a1 - a0)
+
+    def commit_roles(writes) -> None:
+        beg, values = writes
+        roles[beg : beg + len(values)] = values
 
     # -- Phase 3: core clustering over known similar edges ----------------
 
-    cluster_cores(runner, ctx, "core clustering", (SIM,))
+    similarity = (similarity_task, commit_similarity)
+    role_computation = (role_task, commit_roles)
+    clustering = core_clustering_body(runner, ctx, (SIM,))
+    with runner.pool(similarity, role_computation, clustering):
+        runner.run("similarity computation", *similarity)
+        runner.run("role computation", *role_computation)
+        runner.run("core clustering", *clustering, needs_role=CORE)
 
     # -- Phase 4: cluster ids + non-core memberships ----------------------
 

@@ -169,11 +169,15 @@ class CSRGraph:
 def reverse_arc_index(graph: CSRGraph) -> np.ndarray:
     """``rev[i]`` = arc index of the reverse of arc ``i``.
 
-    Arcs in natural order are sorted by ``(src, dst)``, so the combined
-    key ``src * n + dst`` is a sorted array and the position of arc
-    ``(dst, src)`` — which always exists in an undirected graph — is one
-    vectorized binary search.
+    Arcs in natural order are sorted by ``(src, dst)``.  A stable sort by
+    ``dst`` lists them by ``(dst, src)``, and since the arc set is
+    symmetric its ``k``-th entry is the reverse ``(v, u)`` of the ``k``-th
+    natural arc ``(u, v)``.  So the stable ``argsort`` of ``dst`` *is*
+    ``rev`` (an involution, hence its own inverse permutation): one sort
+    instead of one binary search per arc.  Vertex ids that fit 16 bits
+    take NumPy's stable radix sort, which is linear in the arc count.
     """
-    src, dst = graph.arc_source(), graph.dst
-    n = np.int64(graph.num_vertices)
-    return np.searchsorted(src * n + dst, dst * n + src).astype(np.int64)
+    dst = graph.dst
+    if graph.num_vertices <= 1 << 16:
+        dst = dst.astype(np.uint16)
+    return np.argsort(dst, kind="stable").astype(np.int64, copy=False)

@@ -10,6 +10,8 @@ checks re-cluster from scratch.
 
 from __future__ import annotations
 
+import struct
+import sys
 from bisect import bisect_left, insort
 from itertools import chain
 
@@ -18,6 +20,15 @@ import numpy as np
 from .csr import CSRGraph, VERTEX_DTYPE
 
 __all__ = ["DynamicGraph"]
+
+#: CPython object sizes as allocated: a list object (with its GC
+#: header), an item pointer, and an int above the cache of shared small
+#: ints (every id up to ``_SMALL_INT_MAX`` is one singleton), whose
+#: allocation is its size rounded up to the pointer alignment.
+_LIST_BYTES = sys.getsizeof([])
+_PTR_BYTES = struct.calcsize("P")
+_INT_BYTES = -(-sys.getsizeof(1 << 16) // _PTR_BYTES) * _PTR_BYTES
+_SMALL_INT_MAX = 256
 
 
 class DynamicGraph:
@@ -69,6 +80,20 @@ class DynamicGraph:
         """Every vertex's sorted neighbor list (direct references; do not
         mutate)."""
         return self._adj
+
+    def memory_bytes(self) -> int:
+        """What the adjacency lists hold: the outer list, one list object
+        per vertex, one item pointer per stored neighbor and one int
+        object per stored neighbor id above the small-int cache (each
+        ``tolist``/edit creates its own)."""
+        snap = self.snapshot()
+        n = len(self._adj)
+        ints = int(np.count_nonzero(snap.dst > _SMALL_INT_MAX))
+        return (
+            _LIST_BYTES * (n + 1)
+            + _PTR_BYTES * (n + snap.num_arcs)
+            + _INT_BYTES * ints
+        )
 
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self._adj[u]

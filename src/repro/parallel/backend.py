@@ -6,6 +6,10 @@ ppSCAN's phases are executed through a small protocol:
   computations of one task.  Reads shared state freely; buffers its writes.
 * ``commit(writes)`` — applies a task's buffered writes to shared state.
 
+A run hands the backend every phase body it will execute up front —
+``with backend.pool(bodies):`` — and then calls ``run_phase`` once per
+phase; a ``run_phase`` outside a pool opens a one-phase pool for itself.
+
 ``SerialBackend`` commits after every task, which is one legal
 interleaving of the paper's lock-free execution (later tasks observe
 earlier tasks' similarity values, maximizing reuse — this is the canonical
@@ -16,20 +20,38 @@ commits all writes at the phase barrier (bulk-synchronous).  That is the
 *weakest* write visibility the paper's correctness proofs admit (Theorems
 4.1–4.5 hold under any interleaving, including "none within a phase" and
 re-executing a task), so results are identical; only the amount of
-intra-phase similarity reuse can differ.  Fork-based workers inherit the
-shared CSR arrays copy-on-write, so no graph data is pickled.
+intra-phase similarity reuse can differ.
+
+The worker pool lives for one ``pool`` block, not one phase.  Workers fork
+at the block's first non-empty phase, so they inherit the bodies, the CSR
+arrays and the run state as it stands then, copy-on-write; no graph data
+is pickled.  From then on the parent changes run state only through
+``commit``: at each barrier it sends the phase's task payloads, in task
+order, to every live worker, which applies them with the same ``commit``
+before it runs anything of the next phase.  Every worker therefore starts
+each phase with exactly the parent's state.  (Caches a worker fills for
+itself, such as a similarity-store entry, hold exact values: they change
+a task's cost, never its result.)  A worker forked later (a
+respawn, or a lane topped up at a phase start) copies the parent's
+current state and needs no replay.  The block's exit kills the workers,
+on success or on any fault: they hold nothing that needs a clean exit.
 
 Every process phase runs under one supervised event loop:
 
-* workers pull ``(task, attempt)`` pairs from a shared queue and report
-  synchronous ``start``/``done``/``err`` messages plus heartbeats over a
-  per-worker pipe, so a crash is attributed to the attempt it interrupted;
+* the parent pushes tasks to each worker's command pipe in cost-balanced
+  batches (guided self-scheduling: half an even share of the remaining
+  modelled cost at a time); the worker reports synchronous
+  ``start``/``done``/``err`` messages per task, plus heartbeats, over its
+  own result pipe, so a crash is attributed to the attempt it
+  interrupted.  Every message carries the phase number, so a late
+  completion from an earlier phase (a speculative loser) is dropped;
 * a per-task deadline — ``policy.task_timeout`` scaled by the task's
   modelled cost share — catches hung tasks whose heartbeats still beat,
   and a heartbeat gap catches frozen processes;
 * dead or hung workers are killed and respawned (bounded by
-  ``policy.max_respawns``) and their in-flight task is re-queued with
-  exponential backoff under a bounded retry budget;
+  ``policy.max_respawns`` per phase); the attempt they were running is
+  retried with exponential backoff under a bounded retry budget, and the
+  tasks they had been sent but not started go back to the queue;
 * a task whose attempts kill ``policy.poison_threshold`` workers in a
   row is *quarantined*: the phase aborts with a structured
   :class:`~repro.parallel.supervisor.QuarantineReport`;
@@ -43,21 +65,32 @@ The parent commits once per task at the barrier, in task order, and
 drops duplicate completions, so none of this can change the clustering.
 Every recovery action is appended to ``ProcessBackend.recovery_events``
 and, when a tracer is ambient, mirrored as ``supervisor.*`` counters and
-``recovery:*`` spans.
+``recovery:*`` spans; every fork counts ``backend.process.spawns``.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
+import pickle
+import select
+import struct
 import threading
 import time
 import traceback
+from collections import deque
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 from multiprocessing import connection
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, ContextManager, Iterator, Protocol, Sequence
 
 import numpy as np
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX hosts
+    fcntl = None
 
 from ..metrics.records import TaskCost
 from ..obs.progress import current_progress
@@ -103,10 +136,16 @@ def commit_arc_states(
 
 TaskFn = Callable[[int, int], tuple[Any, TaskCost]]
 CommitFn = Callable[[Any], None]
+Body = tuple[TaskFn, CommitFn]
 
 
 class ExecutionBackend(Protocol):
-    """Anything that can execute one phase's task list."""
+    """Anything that can execute a run's phases."""
+
+    def pool(self, bodies: Sequence[Body]) -> ContextManager[None]:
+        """Scope one run: every ``(run_task, commit)`` pair the block's
+        ``run_phase`` calls will use."""
+        ...
 
     def run_phase(
         self,
@@ -120,6 +159,10 @@ class SerialBackend:
     """Execute tasks in submission order, committing after each task."""
 
     name = "serial"
+
+    def pool(self, bodies: Sequence[Body]) -> ContextManager[None]:
+        """Nothing to keep warm: every phase runs in this process."""
+        return nullcontext()
 
     def run_phase(
         self,
@@ -173,23 +216,33 @@ def _worker_peak_rss_kb() -> int:
 
 def _worker_main(
     worker_id: int,
-    task_q,
+    inbox_fd: int,
     conn,
     hb_interval: float,
-    fn: TaskFn,
+    bodies: Sequence[Body],
     plan: FaultPlan | None,
-    phase: int,
 ) -> None:
-    """Worker loop: pull tasks from the shared queue, report on ``conn``.
+    """Worker loop: read commands from the inbox, report on ``conn``.
 
-    The worker is forked, so ``fn`` and ``plan`` arrive through the
-    inherited address space; only small tuples travel through the queue.
-    Messages go through a per-worker pipe with *synchronous* sends
-    (``Connection.send`` writes before returning, unlike ``mp.Queue``'s
-    feeder thread), so a worker that dies immediately after reporting
-    ``start`` cannot lose the message — crash attribution stays exact.
-    A lock serializes the heartbeat thread and the task loop on the pipe.
+    The worker is forked, so ``bodies`` and ``plan`` arrive through the
+    inherited address space; only task ranges and payloads travel through
+    the pipes.  A command is ``("run", phase, body, [(task, attempt, beg,
+    end), ...])`` or ``("commit", phase, body, [payload, ...])``, where
+    each payload is a task's pickled ``(writes, cost)``, replayed through
+    ``bodies[body]``'s commit; the parent ends a worker by killing it.
+    Messages go
+    through a per-worker pipe with *synchronous* sends (``Connection.send``
+    writes before returning), so a worker that dies immediately after
+    reporting ``start`` cannot lose the message — crash attribution stays
+    exact.  A lock serializes the heartbeat thread and the task loop on
+    the pipe; the heartbeat thread also ends a worker whose parent died.
     """
+    # Everything inherited stays out of this process's collections: a
+    # full collection would write to every inherited object's header and
+    # so copy the parent's whole heap page by page.
+    gc.freeze()
+    inbox = connection.Connection(inbox_fd, writable=False)
+    parent = os.getppid()
     stop = threading.Event()
     send_lock = threading.Lock()
 
@@ -203,49 +256,55 @@ def _worker_main(
 
     def beat() -> None:
         while not stop.wait(hb_interval):
-            if not send(("hb", worker_id, time.perf_counter())):
+            if os.getppid() != parent:
+                os._exit(0)  # orphaned: nobody will read our results
+            if not send(("hb",)):
                 return
 
     beater = threading.Thread(target=beat, daemon=True)
     beater.start()
     try:
         while True:
-            item = task_q.get()
-            if item is None:
-                send(("bye", worker_id))
-                return
-            task_idx, attempt, beg, end = item
-            if not send(
-                ("start", worker_id, task_idx, attempt, time.perf_counter())
-            ):
-                return
             try:
-                if plan is not None:
-                    plan.apply(phase, task_idx, attempt, worker_id)
-                t0 = time.perf_counter()
-                payload = fn(beg, end)
-                t1 = time.perf_counter()
-                send(
-                    (
-                        "done",
-                        worker_id,
-                        task_idx,
-                        attempt,
-                        payload,
-                        (t0, t1, _worker_peak_rss_kb()),
+                command = inbox.recv()
+            except EOFError:
+                return
+            kind, phase, body, items = command
+            run_task, commit = bodies[body]
+            if kind == "commit":
+                for blob in items:
+                    commit(pickle.loads(blob)[0])
+                continue
+            for task_idx, attempt, beg, end in items:
+                if not send(("start", phase, task_idx, attempt)):
+                    return
+                try:
+                    if plan is not None:
+                        plan.apply(phase, task_idx, attempt, worker_id)
+                    t0 = time.perf_counter()
+                    blob = _dumps(run_task(beg, end))
+                    t1 = time.perf_counter()
+                    send(
+                        (
+                            "done",
+                            phase,
+                            task_idx,
+                            attempt,
+                            blob,
+                            (t0, t1, _worker_peak_rss_kb()),
+                        )
                     )
-                )
-            except BaseException as exc:  # noqa: BLE001 - shipped to parent
-                send(
-                    (
-                        "err",
-                        worker_id,
-                        task_idx,
-                        attempt,
-                        f"{type(exc).__name__}: {exc}",
-                        traceback.format_exc(limit=8),
+                except BaseException as exc:  # noqa: BLE001 - shipped to parent
+                    send(
+                        (
+                            "err",
+                            phase,
+                            task_idx,
+                            attempt,
+                            f"{type(exc).__name__}: {exc}",
+                            traceback.format_exc(limit=8),
+                        )
                     )
-                )
     finally:
         stop.set()
 
@@ -253,6 +312,24 @@ def _worker_main(
 # ---------------------------------------------------------------------------
 # Parent side
 # ---------------------------------------------------------------------------
+
+
+#: Command-pipe capacity asked for: Linux's default ceiling for an
+#: unprivileged process (``/proc/sys/fs/pipe-max-size``).
+_COMMAND_PIPE_BYTES = 1 << 20
+
+
+def _dumps(obj) -> bytes:
+    return pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+
+
+def _frame(msg) -> tuple[bytes, memoryview]:
+    """``msg`` pickled and length-prefixed the way ``Connection.recv``
+    reads it, as (header, body) so a large body is never copied."""
+    blob = _dumps(msg)
+    n = len(blob)
+    header = struct.pack("!i", n) if n <= 0x7FFFFFFF else struct.pack("!iQ", -1, n)
+    return header, memoryview(blob)
 
 
 @dataclass
@@ -271,12 +348,104 @@ class _TaskState:
 
 @dataclass
 class _Flight:
+    """One dispatched attempt of one task of one phase."""
+
+    phase: int
     task: int
     attempt: int
-    worker: int | None = None  # None until the 'start' message arrives
-    started: float | None = None
-    deadline: float | None = None
-    enqueued_at: float = 0.0
+    timeout: float | None  # the task's cost-scaled deadline budget
+    started: float | None = None  # set when the 'start' message arrives
+
+    @property
+    def key(self) -> tuple[int, int, int]:
+        return self.phase, self.task, self.attempt
+
+
+@dataclass
+class _Lane:
+    """One live worker process and the parent's ends of its two pipes.
+
+    The command pipe is written non-blocking through ``out``, so a
+    stalled worker can never block the supervisor.
+    """
+
+    id: int
+    proc: Any
+    conn: Any  # worker -> parent messages
+    inbox: int  # parent -> worker commands (raw fd, non-blocking)
+    last_seen: float
+    out: deque = field(default_factory=deque)  # chunks not yet written
+    #: Attempts sent and not finished, by key, in dispatch order — the
+    #: order the worker runs them in.
+    flights: dict[tuple[int, int, int], _Flight] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self._poll = select.poll()
+        self._poll.register(self.conn.fileno(), select.POLLIN)
+
+    def readable(self) -> bool:
+        """A message (or EOF) is waiting on the result pipe."""
+        return bool(self._poll.poll(0))
+
+    def post(self, chunks) -> None:
+        self.out.extend(chunks)
+        self.flush()
+
+    def flush(self) -> None:
+        while self.out:
+            head = self.out[0]
+            try:
+                n = os.write(self.inbox, head)
+            except BlockingIOError:
+                return
+            except OSError:  # the worker is gone; the liveness check reaps it
+                self.out.clear()
+                return
+            if n < len(head):
+                self.out[0] = memoryview(head)[n:]
+                return
+            self.out.popleft()
+
+    def oldest(self) -> _Flight | None:
+        """The attempt running now, or the next one to run."""
+        return next(iter(self.flights.values()), None)
+
+    def ready(self, phase: int) -> bool:
+        """Ready for more of ``phase``: it runs nothing late from an
+        earlier phase and has started every attempt it was sent (the
+        newest one, as it runs them in order)."""
+        if not self.flights:
+            return True
+        newest = next(reversed(self.flights.values()))
+        return self.oldest().phase == phase and newest.started is not None
+
+    def kill(self) -> None:
+        if self.proc.is_alive():
+            self.proc.kill()
+
+    def close(self) -> None:
+        self.kill()
+        self.proc.join(timeout=2.0)
+        os.close(self.inbox)
+        self.conn.close()
+
+
+@dataclass
+class _Pool:
+    """The run's phase bodies and its live workers, keyed by worker id."""
+
+    ctx: Any  # the fork context, or None where fork is unavailable
+    bodies: list[Body]
+    lanes: dict[int, _Lane] = field(default_factory=dict)
+    next_id: int = 0
+
+    def body(self, run_task: TaskFn, commit: CommitFn) -> int:
+        for i, (r, c) in enumerate(self.bodies):
+            if r is run_task and c is commit:
+                return i
+        raise ValueError(
+            "run_phase got a (run_task, commit) pair its pool was not given"
+        )
 
 
 class ProcessBackend:
@@ -286,13 +455,15 @@ class ProcessBackend:
     :class:`~repro.parallel.supervisor.FaultTolerancePolicy` defaults
     when ``None``); ``chaos`` installs a deterministic
     :class:`~repro.parallel.chaos.FaultPlan`.  ``cost_model(beg, end)``
-    models a task's cost (e.g. its arc count): it weights progress and
-    scales per-task deadlines, defaulting to the vertex-range width.
+    models a task's cost (e.g. its arc count): it balances dispatch
+    batches, weights progress and scales per-task deadlines, defaulting
+    to the vertex-range width.
 
     Phases are numbered from 0 in call order (fault plans match on the
-    number).  ``recovery_events`` accumulates every recovery action of
-    every phase; ``degraded`` turns true once a phase has fallen back to
-    serial execution in the parent.  Falls back to serial execution when
+    number); a pool numbers its workers from 0 in fork order and never
+    reuses a number.  ``recovery_events`` accumulates every recovery
+    action of every phase; ``degraded`` turns true once a phase has
+    fallen back to serial execution in the parent.  Falls back to serial execution when
     ``fork`` is unavailable (non-POSIX).
     """
 
@@ -319,6 +490,7 @@ class ProcessBackend:
         self.recovery_events: list[RecoveryEvent] = []
         self.degraded = False
         self._phase = -1  # index of the phase running (or last run)
+        self._pool: _Pool | None = None
 
     def _event(
         self,
@@ -356,18 +528,93 @@ class ProcessBackend:
                 detail=detail,
             )
 
+    # -- the pool -----------------------------------------------------------
+
+    @contextmanager
+    def pool(self, bodies: Sequence[Body]) -> Iterator[None]:
+        """Keep one worker pool for the phases run inside the block.
+
+        ``bodies`` are every ``(run_task, commit)`` pair those phases
+        use; workers fork at the first non-empty phase and are killed
+        when the block exits, however it exits.
+        """
+        if self._pool is not None:
+            raise RuntimeError("this backend already has an open pool")
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX hosts
+            ctx = None
+        self._pool = _Pool(ctx, list(bodies))
+        try:
+            yield
+        finally:
+            pool, self._pool = self._pool, None
+            for lane in pool.lanes.values():
+                lane.kill()  # all at once: their exits overlap
+            for lane in pool.lanes.values():
+                lane.close()
+
+    def _spawn(self) -> _Lane:
+        """Fork one worker from the parent's current state."""
+        pool = self._pool
+        worker_id = pool.next_id
+        pool.next_id += 1
+        recv_end, send_end = pool.ctx.Pipe(duplex=False)
+        inbox_r, inbox_w = os.pipe()
+        proc = pool.ctx.Process(
+            target=_worker_main,
+            args=(
+                worker_id,
+                inbox_r,
+                send_end,
+                self.policy.heartbeat_interval,
+                pool.bodies,
+                self.chaos,
+            ),
+            daemon=True,
+        )
+        proc.start()
+        send_end.close()  # the worker holds the only write end now
+        os.close(inbox_r)
+        os.set_blocking(inbox_w, False)
+        # Room for a phase's replay, so an idle worker reads it while the
+        # parent commits instead of at the next phase's first dispatch
+        # (Linux only; elsewhere the pipe keeps its default capacity).
+        with suppress(AttributeError, OSError):
+            fcntl.fcntl(inbox_w, fcntl.F_SETPIPE_SZ, _COMMAND_PIPE_BYTES)
+        lane = _Lane(worker_id, proc, recv_end, inbox_w, time.perf_counter())
+        pool.lanes[worker_id] = lane
+        tracer = current_tracer()
+        if tracer.enabled:
+            tracer.count("backend.process.spawns", 1)
+        return lane
+
+    # -- one phase ----------------------------------------------------------
+
     def run_phase(
         self,
         tasks: Sequence[tuple[int, int]],
         run_task: TaskFn,
         commit: CommitFn,
     ) -> list[TaskCost]:
+        if self._pool is not None:
+            return self._supervise(tasks, run_task, commit)
+        with self.pool([(run_task, commit)]):
+            return self._supervise(tasks, run_task, commit)
+
+    def _supervise(
+        self,
+        tasks: Sequence[tuple[int, int]],
+        run_task: TaskFn,
+        commit: CommitFn,
+    ) -> list[TaskCost]:
         self._phase += 1
+        phase = self._phase
         if not tasks:
             return []
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX hosts
+        pool = self._pool
+        body = pool.body(run_task, commit)
+        if pool.ctx is None:  # pragma: no cover - non-POSIX hosts
             self._event(
                 "degrade", detail="fork unavailable; serial execution"
             )
@@ -391,59 +638,62 @@ class ProcessBackend:
             for i, (beg, end) in enumerate(tasks)
         ]
 
-        lanes = min(self.workers, len(tasks))
-        task_q = ctx.Queue()
-        procs: dict[int, multiprocessing.process.BaseProcess] = {}
-        conns: dict[int, Any] = {}  # per-worker parent-side pipe ends
-        last_seen: dict[int, float] = {}
-        worker_flight: dict[int, _Flight | None] = {}
-        flights: dict[tuple[int, int], _Flight] = {}
+        lanes = pool.lanes
+        wanted = min(self.workers, len(tasks))
+        pending: deque[_Flight] = deque()  # attempts not yet sent
         backoff: list[tuple[float, _TaskState]] = []  # (eligible_at, state)
-        respawns_left = policy.respawn_budget(lanes)
+        respawns_left = policy.respawn_budget(wanted)
         results: dict[int, tuple[Any, TaskCost]] = {}
+        blobs: dict[int, bytes] = {}  # pickled results, replayed verbatim
         timings: dict[int, tuple[int, float, float, int]] = {}
         completed = 0
         fatal: ExecutionFaultError | None = None
+        tracer = current_tracer()
         progress = current_progress()
         progress.phase_begin(sum(weights))
 
-        def spawn(worker_id: int) -> None:
-            recv_end, send_end = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(
-                    worker_id,
-                    task_q,
-                    send_end,
-                    policy.heartbeat_interval,
-                    run_task,
-                    self.chaos,
-                    self._phase,
-                ),
-                daemon=True,
-            )
-            proc.start()
-            send_end.close()  # the worker holds the only write end now
-            procs[worker_id] = proc
-            conns[worker_id] = recv_end
-            last_seen[worker_id] = time.perf_counter()
-            worker_flight[worker_id] = None
-
-        def enqueue(state: _TaskState, *, speculative: bool = False) -> None:
+        def enqueue(state: _TaskState) -> _Flight:
             attempt = state.attempts
             state.attempts += 1
-            flights[(state.index, attempt)] = _Flight(
-                state.index, attempt, enqueued_at=time.perf_counter()
-            )
-            task_q.put((state.index, attempt, state.beg, state.end))
-            if speculative:
-                state.speculated = True
-                self._event(
-                    "speculative",
-                    task=state.index,
-                    attempt=attempt,
-                    detail="straggler re-dispatched near the phase barrier",
+            timeout = policy.task_timeout
+            if timeout is not None:
+                timeout *= max(state.weight / mean_w, 1.0)
+            return _Flight(phase, state.index, attempt, timeout)
+
+        def send(lane: _Lane, batch: list[_Flight]) -> None:
+            lane.flights.update((fl.key, fl) for fl in batch)
+            lane.post(
+                _frame(
+                    (
+                        "run",
+                        phase,
+                        body,
+                        [
+                            (fl.task, fl.attempt, tasks[fl.task][0],
+                             tasks[fl.task][1])
+                            for fl in batch
+                        ],
+                    )
                 )
+            )
+
+        def dispatch() -> None:
+            """Guided self-scheduling: each ready lane gets the next run
+            of pending tasks worth half an even share of their cost."""
+            for lane in list(lanes.values()):
+                if not pending:
+                    return
+                if not lane.ready(phase):
+                    continue
+                share = sum(weights[fl.task] for fl in pending) / (
+                    2 * max(len(lanes), wanted)
+                )
+                batch: list[_Flight] = []
+                cost = 0.0
+                while pending and (not batch or cost < share):
+                    batch.append(pending.popleft())
+                    cost += weights[batch[-1].task]
+                send(lane, batch)
 
         def fail_attempt(
             state: _TaskState, attempt: int, kind: str,
@@ -467,7 +717,7 @@ class ProcessBackend:
                 report = QuarantineReport(
                     task=state.index,
                     task_range=(state.beg, state.end),
-                    phase=self._phase,
+                    phase=phase,
                     workers_killed=state.consecutive_kills,
                     failures=list(state.failures),
                 )
@@ -517,123 +767,90 @@ class ProcessBackend:
             )
             backoff.append((time.perf_counter() + delay, state))
 
-        def handle_msg(msg) -> None:
+        def handle_msg(lane: _Lane, msg) -> None:
+            nonlocal completed
+            lane.last_seen = time.perf_counter()
             kind = msg[0]
             if kind == "hb":
-                _, worker_id, _t = msg
-                if worker_id in last_seen:
-                    last_seen[worker_id] = time.perf_counter()
-            elif kind == "start":
-                _, worker_id, task_idx, attempt, _t_start = msg
-                flight = flights.get((task_idx, attempt))
-                if worker_id not in procs:
-                    # The worker is already reaped; its synchronous 'start'
-                    # outlived it.  Fail the attempt so the task retries.
-                    if flight is not None:
-                        flights.pop((task_idx, attempt), None)
-                        fail_attempt(
-                            states[task_idx],
-                            attempt,
-                            "crash",
-                            worker_id,
-                            "worker died while executing the task",
-                        )
-                    return
-                last_seen[worker_id] = time.perf_counter()
-                if flight is None:
-                    # A stale attempt the parent gave up on: the worker is
-                    # executing it anyway, so track it again (its result is
-                    # as good as any other attempt's).
-                    flight = _Flight(task_idx, attempt)
-                    flights[(task_idx, attempt)] = flight
-                flight.worker = worker_id
-                flight.started = time.perf_counter()
-                if policy.task_timeout is not None:
-                    scale = max(states[task_idx].weight / mean_w, 1.0)
-                    flight.deadline = (
-                        flight.started + policy.task_timeout * scale
-                    )
-                worker_flight[worker_id] = flight
-            elif kind == "done":
-                nonlocal completed
-                _, worker_id, task_idx, attempt, payload, timing = msg
-                t0, t1 = timing[0], timing[1]
-                rss_kb = int(timing[2]) if len(timing) > 2 else 0
-                if worker_id in last_seen:
-                    last_seen[worker_id] = time.perf_counter()
-                flights.pop((task_idx, attempt), None)
-                if worker_flight.get(worker_id) is not None:
-                    worker_flight[worker_id] = None
-                state = states[task_idx]
+                return
+            msg_phase, task_idx, attempt = msg[1:4]
+            key = (msg_phase, task_idx, attempt)
+            if kind == "start":
+                flight = lane.flights.get(key)
+                if flight is not None:
+                    flight.started = lane.last_seen
+                return
+            lane.flights.pop(key, None)
+            if msg_phase != phase:
+                # A speculative loser finishing after its phase's barrier.
+                if tracer.enabled:
+                    tracer.count("backend.process.late_results", 1)
+                return
+            state = states[task_idx]
+            if kind == "done":
+                blob, timing = msg[4], msg[5]
                 if state.completed:
                     return  # duplicate (speculative) completion
                 state.completed = True
                 state.consecutive_kills = 0
-                results[task_idx] = payload
-                timings[task_idx] = (worker_id % lanes + 1, t0, t1, rss_kb)
+                results[task_idx] = pickle.loads(blob)
+                blobs[task_idx] = blob
+                timings[task_idx] = (
+                    lane.id % self.workers + 1, timing[0], timing[1],
+                    int(timing[2]),
+                )
                 completed += 1
                 progress.advance(weights[task_idx])
             elif kind == "err":
-                _, worker_id, task_idx, attempt, detail, _tb = msg
-                if worker_id in last_seen:
-                    last_seen[worker_id] = time.perf_counter()
-                flights.pop((task_idx, attempt), None)
-                if worker_flight.get(worker_id) is not None:
-                    worker_flight[worker_id] = None
+                detail = msg[4]
                 self._event(
                     "task_error",
                     task=task_idx,
                     attempt=attempt,
-                    worker=worker_id,
+                    worker=lane.id,
                     detail=detail,
                 )
-                fail_attempt(
-                    states[task_idx], attempt, "error", worker_id, detail
-                )
+                fail_attempt(state, attempt, "error", lane.id, detail)
 
-        def drain_conn(worker_id: int) -> None:
-            """Process messages a dying worker managed to send (its
-            synchronous ``start`` is what makes crash attribution exact)."""
-            conn = conns.get(worker_id)
-            if conn is None:
-                return
-            while True:
+        def drain(lane: _Lane) -> None:
+            """Process every message the worker has sent so far (a dying
+            worker's synchronous ``start`` is what makes crash attribution
+            exact)."""
+            while lane.readable():
                 try:
-                    if not conn.poll(0):
-                        return
-                    msg = conn.recv()
+                    msg = lane.conn.recv()
                 except (EOFError, OSError):
                     return
                 except Exception:  # torn write from a killed worker
                     return
-                handle_msg(msg)
+                handle_msg(lane, msg)
 
-        def handle_worker_death(worker_id: int, kind: str, detail: str) -> None:
-            drain_conn(worker_id)
-            proc = procs.pop(worker_id, None)
-            if proc is not None:
-                if proc.is_alive():
-                    proc.kill()
-                proc.join(timeout=2.0)
-            conn = conns.pop(worker_id, None)
-            if conn is not None:
-                conn.close()
-            last_seen.pop(worker_id, None)
-            flight = worker_flight.pop(worker_id, None)
-            if flight is not None and states[flight.task].completed:
-                flight = None  # its last act was finishing the task
+        def handle_worker_death(lane: _Lane, kind: str, detail: str) -> None:
+            drain(lane)
+            del lanes[lane.id]
+            lane.close()
+            mine = [
+                fl
+                for fl in lane.flights.values()
+                if fl.phase == phase and not states[fl.task].completed
+            ]
+            # Attempts it was sent but never started go back to the
+            # queue unchanged; the one it was running failed.
+            pending.extendleft(
+                reversed([fl for fl in mine if fl.started is None])
+            )
+            flight = next((fl for fl in mine if fl.started is not None), None)
             self._event(
                 kind,
                 task=flight.task if flight else None,
                 attempt=flight.attempt if flight else None,
-                worker=worker_id,
+                worker=lane.id,
                 detail=detail,
             )
             if flight is not None:
-                flights.pop((flight.task, flight.attempt), None)
-                state = states[flight.task]
-                fail_attempt(state, flight.attempt, "crash" if kind == "crash"
-                             else kind, worker_id, detail)
+                fail_attempt(
+                    states[flight.task], flight.attempt, kind, lane.id, detail
+                )
             if fatal is not None:
                 return
             # A lane that died mid-task is always replaced, so recovery
@@ -641,7 +858,7 @@ class ProcessBackend:
             # death was seen; an idle one only while work outnumbers the
             # live workers.
             outstanding = len(tasks) - completed
-            if (flight is not None or outstanding > len(procs)) and respawns():
+            if (flight is not None or outstanding > len(lanes)) and respawns():
                 return
 
         def respawns() -> bool:
@@ -650,223 +867,195 @@ class ProcessBackend:
             if respawns_left <= 0:
                 return False
             respawns_left -= 1
-            worker_id = max(list(procs) + [lanes - 1]) + 1
-            spawn(worker_id)
+            lane = self._spawn()
             self._event(
                 "respawn",
-                worker=worker_id,
+                worker=lane.id,
                 detail=f"{respawns_left} respawn(s) left",
             )
             return True
 
-        try:
-            for wid in range(lanes):
-                spawn(wid)
-            for state in states:
-                enqueue(state)
+        for state in states:
+            pending.append(enqueue(state))
+        # Heartbeats (and late results) that queued up between phases:
+        # a worker's silence is timed from here, not from the last phase.
+        for lane in list(lanes.values()):
+            drain(lane)
+        dispatch()
+        while len(lanes) < wanted:
+            self._spawn()  # each new lane starts on its batch at once
+            dispatch()
 
-            while completed < len(tasks) and fatal is None:
-                now = time.perf_counter()
+        while completed < len(tasks) and fatal is None:
+            now = time.perf_counter()
 
-                # Release retry-eligible tasks from backoff.
-                if backoff:
-                    still: list[tuple[float, _TaskState]] = []
-                    for eligible_at, state in backoff:
-                        if state.completed:
-                            continue
-                        if now >= eligible_at:
-                            enqueue(state)
-                        else:
-                            still.append((eligible_at, state))
-                    backoff[:] = still
+            # Release retry-eligible tasks from backoff.
+            if backoff:
+                still: list[tuple[float, _TaskState]] = []
+                for eligible_at, state in backoff:
+                    if state.completed:
+                        continue
+                    if now >= eligible_at:
+                        pending.append(enqueue(state))
+                    else:
+                        still.append((eligible_at, state))
+                backoff[:] = still
 
-                # Per-task deadlines (hung tasks whose heartbeats beat on).
-                if policy.task_timeout is not None:
-                    for flight in list(flights.values()):
-                        if (
-                            flight.deadline is not None
-                            and flight.worker is not None
-                            and now > flight.deadline
-                            and not states[flight.task].completed
-                        ):
-                            handle_worker_death(
-                                flight.worker,
-                                "timeout",
-                                f"task {flight.task} exceeded its "
-                                f"deadline of "
-                                f"{flight.deadline - flight.started:.2f}s",
-                            )
-
-                # Heartbeat-gap detection (frozen processes).
-                if policy.heartbeat_timeout is not None:
-                    for worker_id, seen in list(last_seen.items()):
-                        if now - seen > policy.heartbeat_timeout:
-                            handle_worker_death(
-                                worker_id,
-                                "heartbeat_gap",
-                                f"no heartbeat for {now - seen:.2f}s",
-                            )
-
-                # Liveness: a worker that died without a message.
-                for worker_id, proc in list(procs.items()):
-                    if not proc.is_alive():
+            # Per-task deadlines (hung tasks whose heartbeats beat on).
+            if policy.task_timeout is not None:
+                for lane in list(lanes.values()):
+                    late = lane.oldest()
+                    if (
+                        late is not None
+                        and late.started is not None
+                        and now > late.started + late.timeout
+                    ):
                         handle_worker_death(
-                            worker_id,
-                            "crash",
-                            f"worker exited with code {proc.exitcode}",
+                            lane,
+                            "timeout",
+                            f"task {late.task} of phase {late.phase} "
+                            f"exceeded its deadline of {late.timeout:.2f}s",
                         )
 
+            # Heartbeat-gap detection (frozen processes).
+            if policy.heartbeat_timeout is not None:
+                for lane in list(lanes.values()):
+                    if now - lane.last_seen > policy.heartbeat_timeout:
+                        handle_worker_death(
+                            lane,
+                            "heartbeat_gap",
+                            f"no heartbeat for {now - lane.last_seen:.2f}s",
+                        )
+
+            # Liveness: a worker that died without a message.
+            for lane in list(lanes.values()):
+                if not lane.proc.is_alive():
+                    handle_worker_death(
+                        lane,
+                        "crash",
+                        f"worker exited with code {lane.proc.exitcode}",
+                    )
+
+            if fatal is not None:
+                break
+
+            # Pool collapse → degrade to serial execution in-parent.
+            if len(lanes) < policy.min_workers and not respawns():
+                self._event(
+                    "degrade",
+                    detail=(
+                        f"pool collapsed ({len(lanes)} alive, "
+                        "respawn budget exhausted); running "
+                        f"{len(tasks) - completed} remaining "
+                        "task(s) serially in the parent"
+                    ),
+                )
+                self.degraded = True
+                for state in states:
+                    if state.completed:
+                        continue
+                    t0 = time.perf_counter()
+                    results[state.index] = run_task(state.beg, state.end)
+                    timings[state.index] = (
+                        0, t0, time.perf_counter(), _worker_peak_rss_kb(),
+                    )
+                    state.completed = True
+                    completed += 1
+                    progress.advance(weights[state.index])
+                break
+
+            dispatch()
+
+            # Speculative straggler re-dispatch near the barrier: every
+            # attempt is sent and started, and a worker sits idle.
+            idle = [lane for lane in lanes.values() if not lane.flights]
+            if policy.speculative and idle and not pending and not backoff:
+                running = [
+                    fl
+                    for lane in lanes.values()
+                    for fl in lane.flights.values()
+                    if fl.phase == phase
+                ]
+                candidates = [
+                    fl
+                    for fl in running
+                    if fl.started is not None
+                    and not states[fl.task].speculated
+                    and not states[fl.task].completed
+                    and now - fl.started > policy.straggler_after
+                ]
+                if candidates and all(fl.started is not None for fl in running):
+                    slowest = max(candidates, key=lambda fl: now - fl.started)
+                    state = states[slowest.task]
+                    state.speculated = True
+                    twin = enqueue(state)
+                    self._event(
+                        "speculative",
+                        task=state.index,
+                        attempt=twin.attempt,
+                        detail="straggler re-dispatched near the phase barrier",
+                    )
+                    send(idle[0], [twin])
+
+            # Wait for messages, and for room in any command pipe with
+            # unsent bytes.
+            poller = select.poll()
+            by_fd: dict[int, _Lane] = {}
+            for lane in lanes.values():
+                by_fd[lane.conn.fileno()] = lane
+                poller.register(lane.conn.fileno(), select.POLLIN)
+                if lane.out:
+                    by_fd[lane.inbox] = lane
+                    poller.register(lane.inbox, select.POLLOUT)
+            for fd, _ in poller.poll(self._TICK * 1e3):
+                lane = by_fd[fd]
+                if fd == lane.inbox:
+                    lane.flush()
+                    continue
+                # The liveness check reaps a worker whose pipe broke.
+                drain(lane)
                 if fatal is not None:
                     break
-
-                # Pool collapse → degrade to serial execution in-parent.
-                if len(procs) < policy.min_workers:
-                    if not respawns():
-                        self._event(
-                            "degrade",
-                            detail=(
-                                f"pool collapsed ({len(procs)} alive, "
-                                "respawn budget exhausted); running "
-                                f"{len(tasks) - completed} remaining "
-                                "task(s) serially in the parent"
-                            ),
-                        )
-                        self.degraded = True
-                        for state in states:
-                            if state.completed:
-                                continue
-                            t0 = time.perf_counter()
-                            results[state.index] = run_task(state.beg, state.end)
-                            timings[state.index] = (
-                                0, t0, time.perf_counter(),
-                                _worker_peak_rss_kb(),
-                            )
-                            state.completed = True
-                            completed += 1
-                            progress.advance(weights[state.index])
-                        break
-
-                # Requeue claims lost with their worker: a task pulled from
-                # the queue whose worker died before the 'start' message
-                # (sub-millisecond window, but a real crash can hit it).
-                if completed < len(tasks) and not backoff and procs:
-                    unstarted = [
-                        fl for fl in flights.values() if fl.worker is None
-                    ]
-                    if unstarted and all(
-                        fl is None for fl in worker_flight.values()
-                    ):
-                        grace = max(0.5, policy.heartbeat_interval * 2)
-                        for fl in unstarted:
-                            if now - fl.enqueued_at <= grace:
-                                continue
-                            flights.pop((fl.task, fl.attempt), None)
-                            if not states[fl.task].completed:
-                                self._event(
-                                    "requeue_lost",
-                                    task=fl.task,
-                                    attempt=fl.attempt,
-                                    detail="dispatched attempt lost with "
-                                    "its worker",
-                                )
-                                enqueue(states[fl.task])
-
-                # Speculative straggler re-dispatch near the barrier.
-                if (
-                    policy.speculative
-                    and not backoff
-                    and completed < len(tasks)
-                    and not any(fl.worker is None for fl in flights.values())
-                ):
-                    idle = [
-                        wid for wid, fl in worker_flight.items() if fl is None
-                    ]
-                    if idle:
-                        candidates = [
-                            fl
-                            for fl in flights.values()
-                            if fl.started is not None
-                            and not states[fl.task].speculated
-                            and not states[fl.task].completed
-                            and now - fl.started > policy.straggler_after
-                        ]
-                        if candidates:
-                            slowest = max(
-                                candidates, key=lambda fl: now - fl.started
-                            )
-                            enqueue(states[slowest.task], speculative=True)
-
-                # Drain the message stream (one pipe per worker; a torn
-                # write from a killed worker poisons only that pipe).
-                if not conns:
-                    time.sleep(self._TICK)
-                    continue
-                try:
-                    ready = connection.wait(
-                        list(conns.values()), timeout=self._TICK
-                    )
-                except OSError:  # a pipe closed under us mid-wait
-                    continue
-                if not ready:
-                    continue
-                by_conn = {conn: wid for wid, conn in conns.items()}
-                for conn in ready:
-                    worker_id = by_conn.get(conn)
-                    if worker_id is None or worker_id not in conns:
-                        continue
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        continue  # the liveness check will reap it
-                    except Exception:  # torn pickle from a killed worker
-                        continue
-                    handle_msg(msg)
-                    if fatal is not None:
-                        break
-        finally:
-            for _ in range(len(procs) + 1):
-                try:
-                    task_q.put_nowait(None)
-                except Exception:  # pragma: no cover - full queue
-                    break
-            deadline = time.monotonic() + 1.0
-            for proc in procs.values():
-                proc.join(timeout=max(deadline - time.monotonic(), 0.05))
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(timeout=1.0)
-            for conn in conns.values():
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover - already closed
-                    pass
-            task_q.cancel_join_thread()
-            task_q.close()
 
         progress.phase_end()
         if fatal is not None:
             fatal.events = self.recovery_events[first_event:]
             raise fatal
 
-        # Barrier commit, in task order, exactly once per task.
-        tracer = current_tracer()
+        # Barrier: send the phase's payloads to every live worker (they
+        # apply them while the parent commits), then commit each task's
+        # writes here once, in task order.
+        if lanes:
+            replay = _frame(
+                (
+                    "commit",
+                    phase,
+                    body,
+                    [
+                        blobs[i]
+                        if i in blobs
+                        else _dumps(results[i])
+                        for i in range(len(tasks))
+                    ],
+                )
+            )
+            for lane in lanes.values():
+                lane.post(replay)
         if tracer.enabled:
             lane_rss: dict[int, int] = {}
-            for task_idx, (lane, t0, t1, rss_kb) in sorted(timings.items()):
+            for task_idx, (lane_no, t0, t1, rss_kb) in sorted(timings.items()):
                 beg, end = tasks[task_idx]
                 tracer.add_span(
-                    "task", t0, t1, lane=lane, depth=1, beg=beg, stop=end
+                    "task", t0, t1, lane=lane_no, depth=1, beg=beg, stop=end
                 )
                 if rss_kb > 0:
-                    lane_rss[lane] = max(lane_rss.get(lane, 0), rss_kb)
-            for lane, rss_kb in sorted(lane_rss.items()):
-                tracer.gauge(f"memory.lane.{lane}.peak_rss_kb", rss_kb)
+                    lane_rss[lane_no] = max(lane_rss.get(lane_no, 0), rss_kb)
+            for lane_no, rss_kb in sorted(lane_rss.items()):
+                tracer.gauge(f"memory.lane.{lane_no}.peak_rss_kb", rss_kb)
             tracer.count("backend.process.tasks", len(tasks))
             with tracer.span("commit", lane=0, tasks=len(tasks)):
-                records = _commit_all(tasks, results, commit)
-        else:
-            records = _commit_all(tasks, results, commit)
-        return records
+                return _commit_all(tasks, results, commit)
+        return _commit_all(tasks, results, commit)
 
 
 def _commit_all(tasks, results, commit) -> list[TaskCost]:

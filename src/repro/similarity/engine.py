@@ -207,6 +207,13 @@ class SimilarityEngine:
             ]
         return self._adj
 
+    def _neighbor_lists(self, vertices: list[int]) -> dict[int, list[int]]:
+        """The sorted neighbor lists of just ``vertices``: the few arcs the
+        batched policy routes to a scalar kernel need no whole-graph
+        :meth:`adj_lists` (which would cost a batched run O(m) objects)."""
+        off, dst = self.graph.offsets, self.graph.dst
+        return {u: dst[off[u] : off[u + 1]].tolist() for u in set(vertices)}
+
     #: Substrate calibration for the dispatcher's work model: one step of
     #: an interpreted scalar kernel costs roughly this many NumPy
     #: vector-block steps (measured on the bundled standins; the exact
@@ -733,10 +740,10 @@ class SimilarityEngine:
             )
             states[idx] = np.where(counts + 2 >= mcn[idx], SIM, NSIM)
         if scalar_sel.any():
-            adj = self.adj_lists()
             idx = np.flatnonzero(scalar_sel)
             srcs = batch.arc_src[arcs[idx]].tolist()
             dsts = dst[idx].tolist()
+            adj = self._adj or self._neighbor_lists(srcs + dsts)
             thresholds = mcn[idx].tolist()
             kernel = self._compsim_kernel
             counter = self.counter

@@ -1,5 +1,6 @@
 """Dynamic graph and incrementally-maintained GS*-Index."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,12 @@ from repro.graph import (
     from_edges,
     star_graph,
 )
-from repro.graph.generators import chung_lu, erdos_renyi, powerlaw_weights
+from repro.graph.generators import (
+    chung_lu,
+    erdos_renyi,
+    powerlaw_weights,
+    real_world_standin,
+)
 from repro.types import CORE, ScanParams
 
 
@@ -218,6 +224,31 @@ def per_edge_seed(graph):
                     graph.neighbors(u), graph.neighbors(v)
                 )
     return overlap
+
+
+class TestDynamicMemory:
+    """``memory_bytes`` prices what a streaming handle really keeps."""
+
+    def test_adjacency_estimate_matches_tracemalloc(self):
+        graph = real_world_standin("twitter", scale=0.5)
+        tracemalloc.start()
+        try:
+            dyn = DynamicGraph.from_csr(graph)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert abs(dyn.memory_bytes() - kept) <= 0.15 * kept
+
+    def test_index_prices_arrays_and_lists(self):
+        dyn = DynamicGraph.from_csr(erdos_renyi(400, 2000, seed=2))
+        index = DynamicGSIndex(dyn)
+        index.apply_batch([("+", 0, 399), ("-", 5, dyn.neighbors(5)[0])])
+        index.refresh()
+        snap = index.snapshot
+        arrays = [snap.offsets, snap.dst, index._overlap, *index._keys]
+        assert index.memory_bytes() == (
+            sum(a.nbytes for a in arrays) + dyn.memory_bytes()
+        )
 
 
 class TestDynamicIndex:

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import CSRGraph, complete_graph, from_edges, path_graph
+from repro.graph.csr import reverse_arc_index
+from repro.graph.generators import erdos_renyi
 
 
 def triangle() -> CSRGraph:
@@ -140,3 +144,46 @@ class TestStatsAndConversions:
         bad = CSRGraph(offsets=np.array([0, 1, 2]), dst=np.array([1, 7]))
         with pytest.raises(ValueError, match="out of range"):
             bad.validate()
+
+
+def _reverse_by_search(graph: CSRGraph) -> np.ndarray:
+    """The reverse-arc index by one binary search per arc over the sorted
+    ``src * n + dst`` keys (the reference form)."""
+    src, dst = graph.arc_source(), graph.dst
+    n = np.int64(graph.num_vertices)
+    return np.searchsorted(src * n + dst, dst * n + src).astype(np.int64)
+
+
+class TestReverseArcIndex:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=60),
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_matches_binary_search(self, n, m, seed):
+        graph = erdos_renyi(n, min(m, n * (n - 1) // 2), seed=seed)
+        rev = reverse_arc_index(graph)
+        assert rev.dtype == np.int64
+        np.testing.assert_array_equal(rev, _reverse_by_search(graph))
+        np.testing.assert_array_equal(rev[rev], np.arange(graph.num_arcs))
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_empty_and_all_isolated(self, n):
+        graph = from_edges([], num_vertices=n)
+        rev = reverse_arc_index(graph)
+        assert rev.dtype == np.int64 and rev.size == 0
+
+    def test_ids_past_sixteen_bits(self):
+        # Past 2**16 vertices the index takes the general sort, not the
+        # 16-bit radix one.
+        n = (1 << 16) + 50
+        rng = np.random.default_rng(3)
+        u = rng.integers(0, n, 4000)
+        v = rng.integers(0, n, 4000)
+        keep = u != v
+        graph = from_edges(zip(u[keep].tolist(), v[keep].tolist()), num_vertices=n)
+        assert graph.num_vertices > 1 << 16
+        np.testing.assert_array_equal(
+            reverse_arc_index(graph), _reverse_by_search(graph)
+        )

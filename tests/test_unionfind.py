@@ -99,3 +99,30 @@ def test_atomic_equals_sequential(n, pairs):
     for x in range(n):
         for y in range(x + 1, n):
             assert seq.same_set(x, y) == atom.same_set(x, y)
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=80),
+    st.lists(st.integers(0, 39), max_size=20),
+)
+def test_union_all_equals_union_loop(n, pairs, probes):
+    """``union_all`` leaves the same parents and tallies as ``union``
+    called per pair, also over parents a ``find`` already compressed."""
+    pairs = [(x % n, y % n) for x, y in pairs]
+    one, bulk = AtomicUnionFind(n), AtomicUnionFind(n)
+    half = len(pairs) // 2
+    for uf in (one, bulk):
+        for x, y in pairs[:half]:
+            uf.union(x, y)
+        for x in probes:
+            uf.find(x % n)
+    for x, y in pairs[half:]:
+        one.union(x, y)
+    bulk.union_all(pairs[half:])
+    assert bulk.snapshot_parents() == one.snapshot_parents()
+    assert (bulk.num_finds, bulk.cas_attempts, bulk.num_unions) == (
+        one.num_finds,
+        one.cas_attempts,
+        one.num_unions,
+    )
