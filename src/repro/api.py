@@ -49,7 +49,7 @@ from .core import (
 )
 from .graph import CSRGraph
 from .obs.tracer import current_tracer
-from .options import BackendKind, ExecMode, ExecutionOptions, Kernel
+from .options import BackendKind, ExecMode, ExecutionOptions
 from .types import ScanParams, role_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -95,7 +95,6 @@ class AlgorithmSpec:
     supports_kernel: bool = False
     supports_cache: bool = False
     supports_checkpoint: bool = False
-    supports_sketch: bool = False
     in_compare: bool = True
 
     def ignored_options(self, options: ExecutionOptions) -> list[str]:
@@ -111,25 +110,12 @@ class AlgorithmSpec:
             and not self.supports_exec_mode
         ):
             ignored.append("exec_mode")
-        if (
-            options.kernel is not None
-            and not self.supports_kernel
-            # Kernel.SKETCH is honoured through the sketch plumbing even
-            # by algorithms with a fixed CompSim kernel (e.g. scanxp).
-            and not (
-                options.kernel is Kernel.SKETCH and self.supports_sketch
-            )
-        ):
+        if options.kernel is not None and not self.supports_kernel:
             ignored.append("kernel")
         if options.cache is not None and not self.supports_cache:
             ignored.append("cache")
         if options.checkpoint is not None and not self.supports_checkpoint:
             ignored.append("checkpoint")
-        if (
-            options.effective_sketch() is not None
-            and not self.supports_sketch
-        ):
-            ignored.append("sketch")
         return ignored
 
     def run(
@@ -295,11 +281,7 @@ class GraphHandle:
             with tracer.span(
                 "session:index", fingerprint=self.fingerprint[:12]
             ):
-                self._index = GSIndex(
-                    self.graph,
-                    store=self.store,
-                    sketch=self.options.effective_sketch(),
-                )
+                self._index = GSIndex(self.graph, store=self.store)
             if tracer.enabled:
                 tracer.count("session.index_built", 1)
         return self._index
@@ -509,7 +491,6 @@ class GraphHandle:
             "num_vertices": self.graph.num_vertices,
             "num_edges": self.graph.num_edges,
             "indexed": self.indexed,
-            "approximate": bool(getattr(self._index, "approximate", False)),
             "memory_bytes": self.memory_bytes(),
             "points_cached": len(self._results),
             "query_hits": self.query_hits,
@@ -800,7 +781,6 @@ def _runner(
     kernel: bool = False,
     cache: bool = False,
     checkpoint: bool = False,
-    sketch: bool = False,
 ) -> RunnerFn:
     """Adapt a core algorithm function to the ``runner`` protocol,
     forwarding exactly the options the flags declare it supports."""
@@ -821,10 +801,6 @@ def _runner(
             kwargs["kernel"] = options.kernel.value
         if checkpoint and options.checkpoint is not None:
             kwargs["checkpoint"] = options.checkpoint
-        if sketch:
-            sketch_params = options.effective_sketch()
-            if sketch_params is not None:
-                kwargs["sketch"] = sketch_params
         if cache and options.cache is not None:
             kwargs["store"] = options.cache
             return _with_cache_counters(
@@ -839,19 +815,15 @@ def _run_gsindex(
     graph: CSRGraph, params: ScanParams, options: ExecutionOptions
 ) -> ClusteringResult:
     """Build (or cache-warm) a GS*-Index and answer one (ε, µ) query."""
-    sketch_params = options.effective_sketch()
     if options.cache is not None:
-        kwargs: dict = {"store": options.cache}
-        if sketch_params is not None:
-            kwargs["sketch"] = sketch_params
         return _with_cache_counters(
             lambda g, p, **kw: GSIndex(g, **kw).query(p),
             graph,
             params,
-            kwargs,
+            {"store": options.cache},
             options.cache,
         )
-    return GSIndex(graph, sketch=sketch_params).query(params)
+    return GSIndex(graph).query(params)
 
 
 def _register_core(
@@ -879,7 +851,7 @@ def _register_builtins() -> None:
     _register_core(
         pscan, "pscan", "pSCAN",
         "pruning-based sequential SCAN",
-        kernel=True, cache=True, checkpoint=True, sketch=True,
+        kernel=True, cache=True, checkpoint=True,
     )
     _register_core(
         scanpp, "scanpp", "SCAN++",
@@ -888,19 +860,18 @@ def _register_builtins() -> None:
     _register_core(
         anyscan, "anyscan", "anySCAN",
         "anytime block-summarizing parallel SCAN",
-        backend=True, checkpoint=True, sketch=True,
+        backend=True, checkpoint=True,
     )
     _register_core(
         scanxp, "scanxp", "SCAN-XP",
         "exhaustive vectorized parallel SCAN",
         backend=True, exec_mode=True, cache=True, checkpoint=True,
-        sketch=True,
     )
     _register_core(
         ppscan, "ppscan", "ppSCAN",
         "the paper's pruning-based parallel SCAN",
         backend=True, exec_mode=True, kernel=True, cache=True,
-        checkpoint=True, sketch=True,
+        checkpoint=True,
     )
     register_algorithm(
         AlgorithmSpec(
@@ -910,7 +881,6 @@ def _register_builtins() -> None:
             description="index-based query (built per graph, queried at "
             "(eps, mu))",
             supports_cache=True,
-            supports_sketch=True,
             in_compare=False,
         )
     )

@@ -257,7 +257,6 @@ class SimilarityStore:
     def __init__(self, cache_dir: str | os.PathLike | None = None) -> None:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self._entries: dict[str, StoreEntry] = {}
-        self._sketches: dict[tuple[str, str], object] = {}
         self.spills = 0
         self.rejects = 0
         self._lock = threading.Lock()
@@ -319,22 +318,6 @@ class SimilarityStore:
         """
         with self._lock:
             return self._entries.pop(fingerprint, None) is not None
-
-    # -- sketch memoization ---------------------------------------------
-    #
-    # Per-vertex sketches (see repro.sketch) depend only on the CSR and
-    # the sketch configuration — not on ε/µ — so one build serves every
-    # sweep point and resumed run sharing this store.  They are session
-    # memoization, not durable state: unlike overlaps they are cheap to
-    # rebuild and are never spilled to disk.
-
-    def sketches_for(self, graph: "CSRGraph", params) -> object | None:
-        """The memoized sketches for ``(graph, params)``, or ``None``."""
-        return self._sketches.get((graph_fingerprint(graph), params.key()))
-
-    def put_sketches(self, graph: "CSRGraph", params, sketches) -> None:
-        """Memoize freshly built sketches for ``(graph, params)``."""
-        self._sketches[(graph_fingerprint(graph), params.key())] = sketches
 
     def stats(self) -> CacheStats:
         hits = sum(e.hits for e in self._entries.values())

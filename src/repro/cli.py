@@ -125,24 +125,6 @@ def _checkpoint_manager(args: argparse.Namespace):
     )
 
 
-def _sketch_params(args: argparse.Namespace):
-    """The :class:`SketchParams` the flags describe, or ``None``.
-
-    Sketch tuning flags only take effect under ``--kernel sketch``; the
-    estimators never run behind any other kernel, so silently building
-    params there would suggest an approximation that does not happen.
-    """
-    if getattr(args, "kernel", None) != "sketch":
-        return None
-    from .sketch import SketchParams
-
-    return SketchParams(
-        bits=getattr(args, "sketch_bits", None) or 256,
-        error=getattr(args, "sketch_error", None) or 0.0,
-        gate=getattr(args, "sketch_gate", None),
-    )
-
-
 def _execution_options(args: argparse.Namespace) -> ExecutionOptions:
     """Build the typed execution options one subcommand's flags describe."""
     workers = getattr(args, "workers", 0)
@@ -159,7 +141,6 @@ def _execution_options(args: argparse.Namespace) -> ExecutionOptions:
         workers=workers if workers > 0 else None,
         exec_mode=ExecMode(exec_mode) if exec_mode else None,
         kernel=Kernel(kernel) if kernel else None,
-        sketch=_sketch_params(args),
         policy=FaultTolerancePolicy(**limits) if limits else None,
         chaos=FaultPlan.parse(chaos_spec) if chaos_spec else None,
         cache=_cache_store(args),
@@ -173,7 +154,6 @@ _IGNORED_NOTES = {
     "kernel": "{name} has a fixed kernel; --kernel ignored",
     "cache": "{name} cannot use the similarity store; --cache-dir ignored",
     "checkpoint": "{name} cannot checkpoint; --checkpoint-dir ignored",
-    "sketch": "{name} has no sketch pre-pass; sketch options ignored",
 }
 
 
@@ -400,38 +380,12 @@ def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_sketch_args(parser: argparse.ArgumentParser) -> None:
+def _add_kernel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernel",
         choices=sorted(KERNELS),
         default=None,
-        help="similarity kernel override; 'sketch' enables the Bloom+KMV "
-        "pre-pass with exact fallback on uncertain arcs",
-    )
-    parser.add_argument(
-        "--sketch-bits",
-        type=int,
-        default=256,
-        metavar="BITS",
-        help="Bloom filter bits per vertex (power of two; --kernel sketch)",
-    )
-    parser.add_argument(
-        "--sketch-error",
-        type=float,
-        default=0.0,
-        metavar="EPS",
-        help="per-arc misclassification tolerance; 0 keeps the sketch "
-        "pass conservative and the clustering bit-identical "
-        "(--kernel sketch)",
-    )
-    parser.add_argument(
-        "--sketch-gate",
-        type=int,
-        default=None,
-        metavar="DEG",
-        help="min endpoint degree for an arc to be sketch-classified; "
-        "cheaper arcs go straight to the exact kernel (default: "
-        "8 x bloom words; 0 sketches everything)",
+        help="similarity kernel override",
     )
 
 
@@ -481,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "resolution (the default) or per-arc scalar kernels, the counted "
         "reference of the paper's figures",
     )
-    _add_sketch_args(p_cluster)
+    _add_kernel_args(p_cluster)
     p_cluster.add_argument(
         "--max-retries",
         type=int,
@@ -539,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("graph")
     p_compare.add_argument("--eps", type=float, default=0.5)
     p_compare.add_argument("--mu", type=int, default=2)
-    _add_sketch_args(p_compare)
+    _add_kernel_args(p_compare)
     p_compare.add_argument(
         "--csv", default=None, help="also write the comparison table as CSV"
     )
@@ -895,17 +849,12 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             cache=store,
             checkpoint=checkpoint,
             kernel=Kernel(kernel) if kernel else None,
-            sketch=_sketch_params(args),
         )
     probe = options or ExecutionOptions()
 
     def _kernel_label(spec: api.AlgorithmSpec) -> str:
         if kernel is None or "kernel" in spec.ignored_options(probe):
             return "exact"
-        if kernel == "sketch":
-            sk = probe.effective_sketch()
-            band = "exact" if sk is None or sk.conservative else "approx"
-            return f"sketch/{band}"
         return kernel
 
     obs = _ObsSession(args)
@@ -921,16 +870,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     except ResumeMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESUME_MISMATCH
-    except AssertionError as exc:
-        # Only reachable when an aggressive sketch band was requested:
-        # approximate legs may legitimately diverge from the exact ones.
-        print(f"DISAGREE: {exc}", file=sys.stderr)
-        print(
-            "note: --sketch-error > 0 permits misclassified arcs; rerun "
-            "with --sketch-error 0 for the bit-identical conservative band",
-            file=sys.stderr,
-        )
-        return 1
     reference = outcome.results[outcome.reference]
     header = [
         "algorithm",

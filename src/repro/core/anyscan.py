@@ -38,7 +38,6 @@ from .result import ClusteringResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..checkpoint import CheckpointManager
-    from ..sketch import SketchParams
 
 __all__ = [
     "anyscan",
@@ -74,7 +73,6 @@ def anyscan(
     task_threshold: int | None = None,
     memory_limit_bytes: int | None = None,
     checkpoint: "CheckpointManager | None" = None,
-    sketch: "SketchParams | None" = None,
 ) -> ClusteringResult:
     """Run anySCAN; returns the canonical clustering result.
 
@@ -98,16 +96,9 @@ def anyscan(
                 f"{memory_limit_bytes / 1e9:.1f} GB"
             )
     t0 = time.perf_counter()
-    ctx = RunContext(graph, params, kernel="merge", sketch=sketch)
+    ctx = RunContext(graph, params, kernel="merge")
     off, dst, adj, deg = ctx.off, ctx.dst, ctx.adj, ctx.deg
     sim, roles, mcn, rev = ctx.sim, ctx.roles, ctx.mcn, ctx.rev
-    if ctx.engine.sketch is not None:
-        # Prefold every sketch-decidable arc before the α-block loop; the
-        # block tasks already skip non-UNKNOWN arcs, so only the exact
-        # fallback remainder reaches the merge kernel.
-        state0 = np.full(ctx.num_arcs, UNKNOWN, dtype=np.int8)
-        if ctx.engine.sketch_prefold(state0, ctx.mcn_np):
-            sim[:] = state0.tolist()
     kernel_fn = ctx.engine.kernel
     mu = ctx.mu
     n = ctx.n

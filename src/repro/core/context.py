@@ -45,14 +45,13 @@ class RunContext:
         kernel: str = "vectorized",
         lanes: int = 16,
         store: "SimilarityStore | None" = None,
-        sketch=None,
         exec_mode: str = "scalar",
     ) -> None:
         self.graph = graph
         self.params = params
         self.engine = SimilarityEngine(
             graph, params, kernel=kernel, lanes=lanes, store=store,
-            sketch=sketch, exec_mode=exec_mode,
+            exec_mode=exec_mode,
         )
 
         self.n = graph.num_vertices

@@ -43,7 +43,6 @@ from .result import ClusteringResult, assemble_clustering
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache import SimilarityStore
-    from ..sketch import SketchParams
 
 __all__ = ["GSIndex"]
 
@@ -239,55 +238,25 @@ class GSIndex:
       ``core_flat[core_offsets[k]:core_offsets[k + 1]]`` holds the
       vertices with at least ``k`` neighbors by their k-th best
       similarity descending, for ``k <= 64`` (``k = 0`` is empty).
-
-    With ``sketch=SketchParams(error>0)`` the construction stores sketch
-    *estimates* instead of exhaustive exact overlaps (see
-    ``docs/approximate.md``): construction drops from O(Σ deg(u)+deg(v))
-    to O(m · sketch) while queries keep their exact integer comparison
-    machinery — against approximate values.  A conservative sketch
-    (``error == 0``) keeps the construction exact and is a no-op.
     """
 
     def __init__(
         self,
         graph: CSRGraph,
         store: "SimilarityStore | None" = None,
-        sketch: "SketchParams | None" = None,
     ) -> None:
         t0 = time.perf_counter()
         self.graph = graph
         src = graph.arc_source()
         deg = graph.degrees
 
-        #: With ``sketch`` and ``error > 0`` the stored overlaps are
-        #: sketch *estimates*, so the whole index — and every query made
-        #: through it — is approximate.  ``error == 0`` keeps the exact
-        #: construction: with no per-query ε to gate against, a
-        #: conservative sketch cannot certify overlaps and is a no-op.
-        self.approximate = sketch is not None and sketch.error > 0.0
-
-        if self.approximate:
-            # Estimate every undirected edge's overlap and mirror it.  The
-            # store is untouched both ways: estimates must never be
-            # recorded as exact, and cached exact values would make the
-            # index's accuracy depend on cache warmth.
-            from ..sketch import build_sketches, estimate_overlaps
-
-            upper = np.flatnonzero(src < graph.dst)
-            overlap = np.zeros(graph.num_arcs, dtype=np.int64)
-            overlap[upper] = estimate_overlaps(
-                build_sketches(graph, sketch), graph, upper, src=src
-            )
-            overlap[reverse_arc_index(graph)[upper]] = overlap[upper]
-            scalar_cmp, compsims = 0, int(upper.size)
-        else:
-            # The exact construction IS an exhaustive overlap pass, so it
-            # both profits from and fully populates a similarity store.
-            # The record charges the paper's merge (d(u) + d(v) compares
-            # per intersected edge), not the bulk kernel's vector work.
-            overlap, computed = bulk_overlaps(graph, store)
-            scalar_cmp = int(deg[src[computed]].sum() + deg[graph.dst[computed]].sum())
-            compsims = int(computed.size)
+        # The construction IS an exhaustive overlap pass, so it both
+        # profits from and fully populates a similarity store.  The
+        # record charges the paper's merge (d(u) + d(v) compares per
+        # intersected edge), not the bulk kernel's vector work.
+        overlap, computed = bulk_overlaps(graph, store)
+        scalar_cmp = int(deg[src[computed]].sum() + deg[graph.dst[computed]].sum())
+        compsims = int(computed.size)
         arcs = graph.num_edges + graph.num_arcs
         cost = TaskCost(scalar_cmp=scalar_cmp, compsims=compsims, arcs=arcs)
         self._build(overlap)
@@ -359,13 +328,12 @@ class GSIndex:
 
     def save(self, path) -> None:
         """Persist the index to an ``.npz`` file: a fingerprint of the
-        graph (vertex count, arc count, adjacency checksum), the
-        ``approximate`` flag and the per-arc overlaps.  :meth:`load`
-        rebuilds the orders from the overlaps.
+        graph (vertex count, arc count, adjacency checksum) and the
+        per-arc overlaps.  :meth:`load` rebuilds the orders from the
+        overlaps.
         """
         np.savez_compressed(
             path,
-            approximate=np.array([int(self.approximate)], dtype=np.int64),
             fingerprint=self._fingerprint(self.graph),
             overlap=self.overlap,
         )
@@ -377,7 +345,9 @@ class GSIndex:
         Raises ``ValueError`` for a file of another graph and for one
         whose overlaps no index of this graph can hold: not int64 of one
         value per arc, different on the two arcs of an edge, or outside
-        ``[2, min(d(u), d(v)) + 1]`` (one more for a sketch estimate).
+        ``[2, min(d(u), d(v)) + 1]``.  Older files may carry an
+        ``approximate`` flag: 0 loads as usual, 1 (overlaps that are
+        estimates, not exact counts) is refused.
         """
         try:
             with np.load(path) as data:
@@ -391,7 +361,11 @@ class GSIndex:
             raise ValueError("index fingerprint does not match the supplied graph")
         if np.shape(flag) != (1,) or flag[0] not in (0, 1):
             raise ValueError("index approximate flag must be 0 or 1")
-        approximate = bool(flag[0])
+        if flag[0]:
+            raise ValueError(
+                "index approximate flag is set: its overlaps are estimates, "
+                "not exact counts"
+            )
         if overlap.dtype != np.int64 or overlap.shape != (graph.num_arcs,):
             raise ValueError(
                 f"index overlap must be int64 of shape ({graph.num_arcs},), "
@@ -401,11 +375,10 @@ class GSIndex:
             raise ValueError("index overlap differs between an edge's two arcs")
         deg = graph.degrees
         ceiling = np.minimum(deg[graph.arc_source()], deg[graph.dst]) + 1
-        if np.any(overlap < 2) or np.any(overlap > ceiling + approximate):
+        if np.any(overlap < 2) or np.any(overlap > ceiling):
             raise ValueError("index overlap outside [2, min(d(u), d(v)) + 1]")
         index = cls.__new__(cls)
         index.graph = graph
-        index.approximate = approximate
         index._build(overlap)
         index.construction_record = RunRecord(
             algorithm="GS*-Index (loaded)", stages=[]

@@ -139,17 +139,12 @@ class PhaseRunner:
         self._pending: list[Task] | None = None
         self._partial: list[TaskCost] = []
         if checkpoint is not None:
-            extra = dict(bind_extra or {}) | {"threshold": int(threshold)}
-            if ctx.engine.sketch is not None:
-                # Part of the resume identity: a sketch-folded run must
-                # not resume an exact run's snapshot, nor vice versa.
-                extra["sketch"] = ctx.engine.sketch.key()
             checkpoint.bind(
                 ctx.graph,
                 ctx.params,
                 algorithm=algorithm,
                 exec_mode=ctx.engine.exec_mode,
-                extra=extra,
+                extra=dict(bind_extra or {}) | {"threshold": int(threshold)},
             )
             self._restore(checkpoint.load_latest())
 

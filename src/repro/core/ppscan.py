@@ -69,7 +69,6 @@ from .result import ClusteringResult
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache import SimilarityStore
     from ..checkpoint import CheckpointManager
-    from ..sketch import SketchParams
 
 __all__ = [
     "ppscan",
@@ -200,7 +199,6 @@ def ppscan(
     exec_mode: str = "scalar",
     store: "SimilarityStore | None" = None,
     checkpoint: "CheckpointManager | None" = None,
-    sketch: "SketchParams | None" = None,
 ) -> ClusteringResult:
     """Run ppSCAN and return the canonical clustering result.
 
@@ -235,7 +233,6 @@ def ppscan(
         kernel=kernel,
         lanes=lanes,
         store=store,
-        sketch=sketch,
         exec_mode=exec_mode,
     )
     engine = ctx.engine
@@ -325,11 +322,7 @@ def ppscan(
             # a warm store resolves the similarity work before any kernel
             # runs.  Bounds only get tighter; the role fold stays exact.
             engine.prefold_cached(sim, mcn)
-        if engine.sketch is not None:
-            # Sketch prefold after the exact folds: only the uncertain
-            # remainder reaches the exact kernels below.
-            engine.sketch_prefold(sim, mcn)
-        if prune_phase or store is not None or engine.sketch is not None:
+        if prune_phase or store is not None:
             sd0 = np.bincount(src[sim == SIM], minlength=n)
             ed0 = deg - np.bincount(src[sim == NSIM], minlength=n)
             roles[ed0 < mu] = NONCORE

@@ -43,7 +43,6 @@ from .result import ClusteringResult
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache import SimilarityStore
     from ..checkpoint import CheckpointManager
-    from ..sketch import SketchParams
 
 __all__ = ["pscan"]
 
@@ -55,7 +54,6 @@ def pscan(
     use_ed_order: bool = True,
     store: "SimilarityStore | None" = None,
     checkpoint: "CheckpointManager | None" = None,
-    sketch: "SketchParams | None" = None,
 ) -> ClusteringResult:
     """Run sequential pSCAN; returns the canonical clustering result.
 
@@ -92,7 +90,7 @@ def pscan(
         if tracer.enabled
         else None
     )
-    ctx = RunContext(graph, params, kernel=kernel, store=store, sketch=sketch)
+    ctx = RunContext(graph, params, kernel=kernel, store=store)
     counter = ctx.engine.counter
     off, dst, adj, deg = ctx.off, ctx.dst, ctx.adj, ctx.deg
     sim, roles, mcn, rev = ctx.sim, ctx.roles, ctx.mcn, ctx.rev
@@ -104,16 +102,12 @@ def pscan(
 
     sd = [0] * n
     ed = deg[:]  # copy
-    if use_store or engine.sketch is not None:
-        # Fold store-covered and/or sketch-decided arcs up front and seed
-        # the sd/ed bounds from them — the min-max pruning starts from
-        # the tightened state, so a warm store (or a decisive sketch
-        # pass) decides most roles without any kernel work.
+    if use_store:
+        # Fold store-covered arcs up front and seed the sd/ed bounds from
+        # them — the min-max pruning starts from the tightened state, so
+        # a warm store decides most roles without any kernel work.
         state0 = np.full(ctx.num_arcs, UNKNOWN, dtype=np.int8)
-        folded = engine.prefold_cached(state0, ctx.mcn_np) if use_store else 0
-        if engine.sketch is not None:
-            folded += engine.sketch_prefold(state0, ctx.mcn_np)
-        if folded:
+        if engine.prefold_cached(state0, ctx.mcn_np):
             sim[:] = state0.tolist()
             src_np = ctx.src_np
             sd = np.bincount(src_np[state0 == SIM], minlength=n).tolist()
@@ -197,12 +191,7 @@ def pscan(
             graph,
             params,
             algorithm="pscan",
-            extra={"kernel": kernel, "ed_order": bool(use_ed_order)}
-            | (
-                {"sketch": engine.sketch.key()}
-                if engine.sketch is not None
-                else {}
-            ),
+            extra={"kernel": kernel, "ed_order": bool(use_ed_order)},
         )
         snap = ck.load_latest()
         if snap is not None:

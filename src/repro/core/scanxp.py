@@ -40,7 +40,6 @@ from .result import ClusteringResult
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cache import SimilarityStore
     from ..checkpoint import CheckpointManager
-    from ..sketch import SketchParams
 
 __all__ = ["scanxp"]
 
@@ -55,7 +54,6 @@ def scanxp(
     exec_mode: str = "scalar",
     store: "SimilarityStore | None" = None,
     checkpoint: "CheckpointManager | None" = None,
-    sketch: "SketchParams | None" = None,
 ) -> ClusteringResult:
     """Run SCAN-XP; returns the canonical clustering result.
 
@@ -78,7 +76,6 @@ def scanxp(
         kernel="vectorized",
         lanes=lanes,
         store=store,
-        sketch=sketch,
         exec_mode=exec_mode,
     )
     engine = ctx.engine
@@ -110,13 +107,11 @@ def scanxp(
     #: zeros until phase 2 computes (or a snapshot restores) them.
     roles = np.zeros(n, dtype=np.int8)
     uf = AtomicUnionFind(n)
-    # Every arc's state is computed in phase 1; an attached store or
-    # sketch gate prefolds the arcs it decides, so only the UNKNOWN
-    # remainder is intersected.
+    # Every arc's state is computed in phase 1; an attached store
+    # prefolds the arcs it covers, so only the UNKNOWN remainder is
+    # intersected.
     if store is not None:
         engine.prefold_cached(sim, mcn)
-    if engine.sketch is not None:
-        engine.sketch_prefold(sim, mcn)
     runner = PhaseRunner(
         "scanxp",
         ctx,

@@ -12,73 +12,12 @@ from collections import deque
 
 import numpy as np
 
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, validate_graph
 from ..similarity.threshold import min_cn_threshold
 from ..types import CORE, NONCORE, ScanParams
 from .result import ClusteringResult
 
 __all__ = ["brute_force_scan", "assert_same_clustering", "validate_graph"]
-
-
-def validate_graph(graph: CSRGraph) -> list[str]:
-    """Structural invariant check; returns problem descriptions (empty = OK).
-
-    Verifies what every algorithm in the repo assumes of a
-    :class:`~repro.graph.csr.CSRGraph`: offsets form a monotonic prefix
-    array over ``dst``, destinations are in range, adjacency lists are
-    sorted and duplicate-free with no self-loops, and the arc set is
-    symmetric (every ``u -> v`` has its ``v -> u`` mirror).
-    """
-    problems: list[str] = []
-    offsets = np.asarray(graph.offsets, dtype=np.int64)
-    dst = np.asarray(graph.dst, dtype=np.int64)
-    n = graph.num_vertices
-    if offsets.size != n + 1:
-        problems.append(
-            f"offsets has {offsets.size} entries, expected {n + 1}"
-        )
-        return problems  # nothing downstream is interpretable
-    if offsets.size and int(offsets[0]) != 0:
-        problems.append(f"offsets must start at 0, got {int(offsets[0])}")
-    if int(offsets[-1]) != dst.size:
-        problems.append(
-            f"final offset {int(offsets[-1])} != arc count {dst.size}"
-        )
-    diffs = np.diff(offsets)
-    if bool(np.any(diffs < 0)):
-        bad = int(np.flatnonzero(diffs < 0)[0])
-        problems.append(
-            f"non-monotonic offsets at vertex {bad} "
-            f"({int(offsets[bad])} -> {int(offsets[bad + 1])})"
-        )
-        return problems
-    if dst.size:
-        if int(dst.min()) < 0 or int(dst.max()) >= n:
-            problems.append(
-                f"destination id out of range [0, {n}): "
-                f"min={int(dst.min())}, max={int(dst.max())}"
-            )
-            return problems
-        src = np.repeat(np.arange(n, dtype=np.int64), diffs)
-        loops = np.flatnonzero(src == dst)
-        if loops.size:
-            problems.append(
-                f"{loops.size} self-loop arc(s), first at vertex "
-                f"{int(src[loops[0]])}"
-            )
-        for u in range(n):
-            row = dst[offsets[u] : offsets[u + 1]]
-            if row.size > 1 and bool(np.any(np.diff(row) <= 0)):
-                problems.append(
-                    f"adjacency of vertex {u} is not strictly sorted "
-                    "(unsorted or duplicate neighbors)"
-                )
-                break
-        fwd = src * np.int64(n) + dst
-        rev = dst * np.int64(n) + src
-        if not np.array_equal(np.sort(fwd), np.sort(rev)):
-            problems.append("arc set is not symmetric")
-    return problems
 
 
 def brute_force_scan(graph: CSRGraph, params: ScanParams) -> ClusteringResult:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CSRGraph", "reverse_arc_index"]
+__all__ = ["CSRGraph", "reverse_arc_index", "validate_graph"]
 
 #: dtype used for vertex ids and offsets throughout the library.  int64
 #: offsets allow billion-edge-scale CSR; vertex ids stay int32-compatible
@@ -50,7 +50,9 @@ class CSRGraph:
             raise ValueError("offsets must have at least one entry")
         if offsets[0] != 0 or offsets[-1] != dst.size:
             raise ValueError("offsets must start at 0 and end at len(dst)")
-        if np.any(np.diff(offsets) < 0):
+        # Compared, not subtracted: a difference of int64 offsets can
+        # wrap and hide a decrease.
+        if np.any(offsets[1:] < offsets[:-1]):
             raise ValueError("offsets must be non-decreasing")
         degrees = np.diff(offsets)
         for arr in (offsets, dst, degrees):
@@ -126,29 +128,11 @@ class CSRGraph:
     # -- invariant checking ------------------------------------------------
 
     def validate(self) -> None:
-        """Check the full CSR invariant set; raise ``ValueError`` on failure.
-
-        Verified: neighbor ids in range, per-vertex sorted strictly
-        ascending (no duplicate arcs), no self loops, and symmetry (every
-        arc has its reverse arc).
-        """
-        n = self.num_vertices
-        if self.dst.size and (self.dst.min() < 0 or self.dst.max() >= n):
-            raise ValueError("neighbor id out of range")
-        for u in range(n):
-            nbrs = self.neighbors(u)
-            if nbrs.size:
-                if np.any(np.diff(nbrs) <= 0):
-                    raise ValueError(f"adjacency of {u} not strictly sorted")
-                idx = int(np.searchsorted(nbrs, u))
-                if idx < nbrs.size and int(nbrs[idx]) == u:
-                    raise ValueError(f"self loop at {u}")
-        # Symmetry: the multiset of (u, v) arcs must equal that of (v, u).
-        src = np.repeat(np.arange(n, dtype=VERTEX_DTYPE), self.degrees)
-        forward = src * n + self.dst
-        backward = self.dst * n + src
-        if not np.array_equal(np.sort(forward), np.sort(backward)):
-            raise ValueError("graph is not symmetric")
+        """Check the full CSR invariant set (:func:`validate_graph`);
+        raise ``ValueError`` with the first problem found."""
+        problems = validate_graph(self)
+        if problems:
+            raise ValueError(problems[0])
 
     # -- conversions --------------------------------------------------------
 
@@ -164,6 +148,46 @@ class CSRGraph:
         return np.repeat(
             np.arange(self.num_vertices, dtype=VERTEX_DTYPE), self.degrees
         )
+
+
+def validate_graph(graph: CSRGraph) -> list[str]:
+    """Structural invariant check; returns problem descriptions (empty = OK).
+
+    Construction already guarantees a monotonic offset array over
+    ``dst``.  This checks the rest of what every algorithm in the repo
+    assumes: destinations are in range, adjacency lists are sorted and
+    duplicate-free with no self-loops, and the arc set is symmetric
+    (every ``u -> v`` has its ``v -> u`` mirror).
+    """
+    dst = graph.dst
+    n = graph.num_vertices
+    if not dst.size:
+        return []
+    if int(dst.min()) < 0 or int(dst.max()) >= n:
+        return [
+            f"destination id out of range [0, {n}): "
+            f"min={int(dst.min())}, max={int(dst.max())}"
+        ]
+    problems: list[str] = []
+    src = graph.arc_source()
+    loops = np.flatnonzero(src == dst)
+    if loops.size:
+        problems.append(
+            f"{loops.size} self-loop arc(s), first at vertex "
+            f"{int(src[loops[0]])}"
+        )
+    # Within a row each destination must exceed the one before it.
+    unsorted = np.flatnonzero((src[1:] == src[:-1]) & (dst[1:] <= dst[:-1]))
+    if unsorted.size:
+        problems.append(
+            f"adjacency of vertex {int(src[unsorted[0]])} is not strictly "
+            "sorted (unsorted or duplicate neighbors)"
+        )
+    fwd = src * np.int64(n) + dst
+    rev = dst * np.int64(n) + src
+    if not np.array_equal(np.sort(fwd), np.sort(rev)):
+        problems.append("arc set is not symmetric")
+    return problems
 
 
 def reverse_arc_index(graph: CSRGraph) -> np.ndarray:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .csr import CSRGraph, VERTEX_DTYPE
+from .csr import CSRGraph, VERTEX_DTYPE, validate_graph
 from .builders import from_edge_array
 
 __all__ = [
@@ -208,11 +208,15 @@ def write_csr_binary(graph: CSRGraph, path: str | os.PathLike) -> None:
 def read_csr_binary(path: str | os.PathLike) -> CSRGraph:
     """Read a graph written by :func:`write_csr_binary`.
 
-    Truncated files, corrupt headers, non-monotonic offset arrays and
-    out-of-range destinations all raise :class:`GraphFormatError`
-    (naming the file) instead of silently constructing a wrong graph.
+    The file is fully validated: a truncated or oversized file, a header
+    whose sizes disagree with the file size, a bad offset array and a
+    graph that breaks any CSR invariant (:func:`~repro.graph.csr.validate_graph`:
+    out-of-range, self-loop, duplicate or unsorted neighbors, asymmetric
+    arcs) all raise :class:`GraphFormatError` naming the file, instead
+    of silently constructing a wrong graph.
     """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_MAGIC))
         if len(magic) < len(_MAGIC):
             raise GraphFormatError("truncated header", path=path)
@@ -228,45 +232,37 @@ def read_csr_binary(path: str | os.PathLike) -> CSRGraph:
                 f"corrupt header: num_vertices={n}, num_arcs={arcs}",
                 path=path,
             )
-        offsets_bytes = fh.read(8 * (n + 1))
-        if len(offsets_bytes) < 8 * (n + 1):
+        # The header's sizes must account for the file to the byte
+        # before anything is allocated from them.
+        body = size - len(_MAGIC) - 16
+        if body < 8 * (n + 1):
             raise GraphFormatError(
                 f"truncated offsets array (expected {n + 1} entries, "
-                f"got {len(offsets_bytes) // 8})",
+                f"got {body // 8})",
                 path=path,
             )
-        offsets = np.frombuffer(offsets_bytes, dtype=np.int64).copy()
-        dst_bytes = fh.read(8 * arcs)
-        if len(dst_bytes) < 8 * arcs:
+        if body - 8 * (n + 1) < 8 * arcs:
             raise GraphFormatError(
                 f"truncated destination array (expected {arcs} entries, "
-                f"got {len(dst_bytes) // 8})",
+                f"got {(body - 8 * (n + 1)) // 8})",
                 path=path,
             )
-        dst = np.frombuffer(dst_bytes, dtype=np.int64).copy()
-    if offsets.size and int(offsets[0]) != 0:
-        raise GraphFormatError(
-            f"offsets must start at 0, got {int(offsets[0])}", path=path
-        )
-    if offsets.size and int(offsets[-1]) != arcs:
-        raise GraphFormatError(
-            f"final offset {int(offsets[-1])} != num_arcs {arcs}",
-            path=path,
-        )
-    if offsets.size and bool(np.any(np.diff(offsets) < 0)):
-        bad = int(np.flatnonzero(np.diff(offsets) < 0)[0])
-        raise GraphFormatError(
-            f"non-monotonic offsets at vertex {bad} "
-            f"({int(offsets[bad])} -> {int(offsets[bad + 1])})",
-            path=path,
-        )
-    if dst.size and (int(dst.min()) < 0 or int(dst.max()) >= n):
-        raise GraphFormatError(
-            "destination vertex id out of range "
-            f"[0, {n}): min={int(dst.min())}, max={int(dst.max())}",
-            path=path,
-        )
-    return CSRGraph(offsets=offsets, dst=dst)
+        if body != 8 * (n + 1 + arcs):
+            raise GraphFormatError(
+                f"{body - 8 * (n + 1 + arcs)} trailing bytes after the "
+                "destination array",
+                path=path,
+            )
+        offsets = np.frombuffer(fh.read(8 * (n + 1)), dtype=np.int64).copy()
+        dst = np.frombuffer(fh.read(8 * arcs), dtype=np.int64).copy()
+    try:
+        graph = CSRGraph(offsets=offsets, dst=dst)
+    except ValueError as exc:  # a bad offset array
+        raise GraphFormatError(str(exc), path=path) from None
+    problems = validate_graph(graph)
+    if problems:
+        raise GraphFormatError(problems[0], path=path)
+    return graph
 
 
 def read_matrix_market(path: str | os.PathLike) -> CSRGraph:
@@ -275,9 +271,9 @@ def read_matrix_market(path: str | os.PathLike) -> CSRGraph:
     Supports ``pattern``/``real``/``integer`` symmetric or general
     coordinate matrices (1-based indices per the format); entry values are
     ignored, self loops dropped, and the result normalized like every
-    other loader.  Malformed input (a bad header, a non-integer index, a
-    non-UTF-8 byte) raises :class:`GraphFormatError` with ``path:line:``
-    context.
+    other loader.  Malformed input (a bad header, a negative size, a
+    non-integer index or one outside ``[1, size]``, a non-UTF-8 byte)
+    raises :class:`GraphFormatError` with ``path:line:`` context.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -304,6 +300,12 @@ def _parse_matrix_market(fh, path) -> tuple[int, list[tuple[int, int]]]:
         line = fh.readline()
     try:
         rows, cols, _nnz = (int(x) for x in line.split()[:3])
+        if rows < 0 or cols < 0:
+            raise GraphFormatError(
+                f"negative size in line: {line.strip()!r}",
+                path=path,
+                line=lineno,
+            )
         n = max(rows, cols)
         pairs: list[tuple[int, int]] = []
         for lineno, line in enumerate(fh, start=lineno + 1):
@@ -311,7 +313,16 @@ def _parse_matrix_market(fh, path) -> tuple[int, list[tuple[int, int]]]:
             if not line or line.startswith("%"):
                 continue
             fields = line.split()
-            pairs.append((int(fields[0]) - 1, int(fields[1]) - 1))
+            i, j = int(fields[0]), int(fields[1])
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise GraphFormatError(
+                    f"entry index outside [1, {n}] in line: {line!r}",
+                    path=path,
+                    line=lineno,
+                )
+            pairs.append((i - 1, j - 1))
+    except GraphFormatError:
+        raise
     except (ValueError, IndexError):
         raise GraphFormatError(
             f"malformed line: {line.strip()!r}", path=path, line=lineno

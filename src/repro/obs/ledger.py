@@ -4,7 +4,7 @@ Per-run telemetry (``obs/`` traces) evaporates when the process exits;
 the ledger is the layer that makes performance history *cumulative*.
 Every ``cluster`` / ``compare`` / ``sweep`` / bench invocation can append
 one schema-versioned record — graph fingerprint, execution-options
-summary, per-stage walls, the whole metrics registry (cache / sketch /
+summary, per-stage walls, the whole metrics registry (cache /
 supervisor / checkpoint counters included), recovery events, host info
 and memory high-water marks — and the trend gate
 (:func:`repro.obs.regression.trend_gate`) reads the accumulated history

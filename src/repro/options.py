@@ -31,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .checkpoint import CheckpointManager
     from .graph import CSRGraph
     from .parallel.backend import ProcessBackend
-    from .sketch import SketchParams
 
 from .parallel.chaos import FaultPlan
 from .parallel.supervisor import FaultTolerancePolicy
@@ -96,7 +95,6 @@ class Kernel(str, Enum):
     MERGE = "merge"  #: scalar merge with min-max bounds (pSCAN / ppSCAN-NO)
     PIVOT = "pivot"  #: scalar pivot loop (Algorithm 6 fallback path)
     VECTORIZED = "vectorized"  #: pivot-based vectorized intersection
-    SKETCH = "sketch"  #: Bloom + KMV pre-pass with exact boundary fallback
 
 
 @dataclass(frozen=True)
@@ -135,14 +133,6 @@ class ExecutionOptions:
     #: resume a crashed run bit-identically.  ``None`` disables
     #: checkpointing.
     checkpoint: "CheckpointManager | None" = None
-    #: Sketch-gating configuration (see :mod:`repro.sketch`): algorithms
-    #: that support it classify arcs from per-vertex Bloom/KMV sketches
-    #: and only fall back to exact intersection near the ε boundary.
-    #: ``None`` disables sketching unless ``kernel=Kernel.SKETCH`` asks
-    #: for the defaults.  Note ``error > 0`` is the one knob in this
-    #: dataclass that may change *what* is computed, not just how fast —
-    #: ``error == 0`` (the default) stays bit-identical to exact mode.
-    sketch: "SketchParams | None" = None
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -160,28 +150,6 @@ class ExecutionOptions:
         )
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.sketch is not None:
-            from .sketch import SketchParams
-
-            if not isinstance(self.sketch, SketchParams):
-                raise TypeError(
-                    "sketch must be a repro.sketch.SketchParams, "
-                    f"not {type(self.sketch).__name__}"
-                )
-
-    def effective_sketch(self) -> "SketchParams | None":
-        """The sketch configuration this run should use, or ``None``.
-
-        ``kernel=Kernel.SKETCH`` with no explicit ``sketch`` selects the
-        conservative defaults (bit-identical mode).
-        """
-        if self.sketch is not None:
-            return self.sketch
-        if self.kernel is Kernel.SKETCH:
-            from .sketch import SketchParams
-
-            return SketchParams()
-        return None
 
     @property
     def resolved_exec_mode(self) -> ExecMode:
@@ -230,7 +198,6 @@ class ExecutionOptions:
         live objects (stores, managers, backends, fault plans) are
         reduced to presence flags or their own stable keys, never ids.
         """
-        sketch = self.effective_sketch()
         return {
             "backend": self.backend.value,
             "workers": self.workers,
@@ -240,5 +207,4 @@ class ExecutionOptions:
             "chaos": self.chaos is not None,
             "cache": self.cache is not None,
             "checkpoint": self.checkpoint is not None,
-            "sketch": sketch.key() if sketch is not None else None,
         }

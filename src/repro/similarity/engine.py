@@ -38,7 +38,6 @@ from .threshold import ThresholdTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from ..cache import SimilarityStore, StoreEntry
-    from ..sketch import SketchParams, VertexSketches
 
 __all__ = ["SimilarityEngine", "KERNELS", "EXEC_MODES"]
 
@@ -56,7 +55,6 @@ KERNELS: dict[str, str] = {
     "merge": "scalar merge with min-max bounds (pSCAN / ppSCAN-NO)",
     "pivot": "scalar pivot loop (Algorithm 6 fallback path)",
     "vectorized": "pivot-based vectorized intersection (Algorithm 6)",
-    "sketch": "sketch pre-pass (Bloom + KMV) with exact boundary fallback",
 }
 
 
@@ -71,7 +69,6 @@ class SimilarityEngine:
         lanes: int = 16,
         counter: OpCounter | None = None,
         store: "SimilarityStore | None" = None,
-        sketch: "SketchParams | None" = None,
         exec_mode: str = "batched",
     ) -> None:
         if kernel not in KERNELS:
@@ -89,15 +86,6 @@ class SimilarityEngine:
         self.lanes = lanes
         self.counter = counter if counter is not None else OpCounter()
         self.threshold = ThresholdTable(params.eps_fraction)
-        if kernel == "sketch" and sketch is None:
-            from ..sketch import SketchParams
-
-            sketch = SketchParams()
-        #: Sketch gating configuration; ``None`` disables the sketch
-        #: pre-pass entirely (the exact default).
-        self.sketch = sketch
-        self._sketches: "VertexSketches | None" = None
-        self._sketch_prefolded = False
         self._compsim_kernel = self._bind_kernel(kernel, lanes)
         # Plain-int degree list: hot-path lookups avoid ndarray scalar boxing.
         self._deg: list[int] = graph.degrees.tolist()
@@ -120,9 +108,6 @@ class SimilarityEngine:
             return merge_compsim
         if kernel == "pivot":
             return pivot_compsim
-        # "vectorized" and "sketch" share the exact fallback kernel: the
-        # sketch pre-pass gates *which* arcs reach it, not how they are
-        # resolved.
         return lambda a, b, min_cn, counter: pivot_vectorized_compsim(
             a, b, min_cn, lanes=lanes, counter=counter
         )
@@ -282,104 +267,6 @@ class SimilarityEngine:
                 "cache:prefold", t0, time.perf_counter(), folded=int(idx.size)
             )
         return int(idx.size)
-
-    # -- sketch gating ---------------------------------------------------
-
-    def sketches(self) -> "VertexSketches":
-        """Per-vertex Bloom + KMV sketches (built once, store-memoized).
-
-        With a store attached, sketches are shared through it under the
-        graph's CSR fingerprint and the sketch configuration key, so
-        sweep points and resumed runs reuse one build.
-        """
-        if self._sketches is None:
-            params = self.sketch
-            if params is None:
-                raise RuntimeError("engine has no sketch configuration")
-            store = self.store
-            cached = (
-                store.sketches_for(self.graph, params)
-                if store is not None
-                else None
-            )
-            if cached is not None:
-                self._sketches = cached
-                return cached
-            from ..sketch import build_sketches
-
-            tracer = current_tracer()
-            t0 = time.perf_counter() if tracer.enabled else 0.0
-            built = build_sketches(self.graph, params)
-            if tracer.enabled:
-                tracer.add_span(
-                    "sketch:build",
-                    t0,
-                    time.perf_counter(),
-                    vertices=int(built.num_vertices),
-                    bits=int(params.bits),
-                    k=int(params.k),
-                    bytes=int(built.nbytes()),
-                )
-                tracer.count("sketch.built", 1)
-            if store is not None:
-                store.put_sketches(self.graph, params, built)
-            self._sketches = built
-        return self._sketches
-
-    def sketch_classify(
-        self, arcs: np.ndarray, mcn: np.ndarray
-    ) -> np.ndarray:
-        """SIM/NSIM/UNKNOWN per arc from sketches; UNKNOWN = fall back."""
-        from ..sketch import classify_arcs
-
-        tracer = current_tracer()
-        t0 = time.perf_counter() if tracer.enabled else 0.0
-        states = classify_arcs(
-            self.sketches(),
-            self.graph,
-            arcs,
-            mcn,
-            src=self.batch_intersector().arc_src,
-        )
-        if tracer.enabled:
-            definite = int(np.count_nonzero(states != UNKNOWN))
-            tracer.add_span(
-                "sketch:estimate",
-                t0,
-                time.perf_counter(),
-                arcs=int(np.asarray(arcs).size),
-                definite=definite,
-            )
-            tracer.count("sketch.definite", definite)
-            tracer.count(
-                "sketch.fallback", int(np.asarray(arcs).size) - definite
-            )
-        return states
-
-    def sketch_prefold(
-        self, states: np.ndarray, mcn: np.ndarray | None = None
-    ) -> int:
-        """Decide every sketch-decidable UNKNOWN arc in ``states`` in place.
-
-        The whole-graph analogue of :meth:`prefold_cached` for the sketch
-        backend: one vectorized pass classifies all still-unknown arcs and
-        folds the definite ones, leaving only the exact-fallback arcs
-        UNKNOWN.  Marks the engine as prefolded so :meth:`resolve_arcs`
-        skips its per-batch sketch pre-pass (those arcs were already
-        classified once).  Returns the number of arcs folded.
-        """
-        if self.sketch is None:
-            return 0
-        idx = np.flatnonzero(states == UNKNOWN)
-        self._sketch_prefolded = True
-        if idx.size == 0:
-            return 0
-        if mcn is None:
-            mcn = self.arc_thresholds()
-        decided = self.sketch_classify(idx, mcn[idx])
-        hit = decided != UNKNOWN
-        states[idx[hit]] = decided[hit]
-        return int(np.count_nonzero(hit))
 
     def resolve_arc_cached(
         self, arc: int, a: Sequence[int], b: Sequence[int], min_cn: int
@@ -667,21 +554,6 @@ class SimilarityEngine:
         n_trivial = int(arcs.size - np.count_nonzero(rest))
         tracer = current_tracer()
         entry = self._entry
-        if self.sketch is not None and not self._sketch_prefolded:
-            # Sketch pre-pass: definite arcs are decided here and never
-            # reach the exact path (nor the store — sketch decisions are
-            # estimates or certificates, not recordable exact overlaps).
-            # Store-covered arcs are skipped: a cached exact overlap is
-            # both free and exact, so it always wins over a sketch.
-            idx = np.flatnonzero(rest)
-            if entry is not None and idx.size:
-                idx = idx[~entry.coverage[arcs[idx]]]
-            if idx.size:
-                decided = self.sketch_classify(arcs[idx], mcn[idx])
-                hit = decided != UNKNOWN
-                if hit.any():
-                    states[idx[hit]] = decided[hit]
-                    rest[idx[hit]] = False
         if entry is not None:
             # Store-backed resolution: covered arcs are decided from the
             # cached exact overlaps; misses all take the bulk exhaustive

@@ -1,5 +1,10 @@
 """Command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -180,6 +185,35 @@ class TestGraphFormatErrors:
         assert err.startswith(f"error: {path}:2: ")
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            (
+                "bad.mtx",
+                b"%%MatrixMarket matrix coordinate pattern symmetric\n"
+                b"3 3 1\n4 1\n",
+            ),
+            # Header claims 2**61 vertices in a 32-byte file.
+            ("bad.bin", b"PPSCANG1" + bytes(7) + b"\x20" + bytes(16)),
+        ],
+        ids=["mtx-index", "bin-huge-header"],
+    )
+    def test_stats_subprocess(self, tmp_path, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "stats", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode != 0
+        assert proc.stderr.startswith(f"error: {path}")
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
 
 
 class TestGenerate:

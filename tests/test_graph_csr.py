@@ -130,7 +130,7 @@ class TestStatsAndConversions:
 
     def test_validate_rejects_self_loop(self):
         bad = CSRGraph(offsets=np.array([0, 1]), dst=np.array([0]))
-        with pytest.raises(ValueError, match="self loop"):
+        with pytest.raises(ValueError, match="self-loop"):
             bad.validate()
 
     def test_validate_rejects_unsorted(self):

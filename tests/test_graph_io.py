@@ -146,6 +146,27 @@ class TestMatrixMarket:
         with pytest.raises(ValueError, match="coordinate"):
             read_matrix_market(path)
 
+    @pytest.mark.parametrize(
+        "body, line, match",
+        [
+            ("3 3 1\n0 1\n", 3, "outside"),
+            ("3 3 1\n4 1\n", 3, "outside"),
+            ("-3 3 1\n2 1\n", 2, "negative size"),
+        ],
+        ids=["index-zero", "index-past-size", "negative-size"],
+    )
+    def test_bad_indices_name_the_line(self, tmp_path, body, line, match):
+        from repro.graph import GraphFormatError, read_matrix_market
+
+        path = tmp_path / "g.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate pattern symmetric\n" + body
+        )
+        with pytest.raises(GraphFormatError, match=match) as excinfo:
+            read_matrix_market(path)
+        assert excinfo.value.line == line
+        assert str(excinfo.value).startswith(f"{path}:{line}: ")
+
 
 class TestLoadDispatch:
     def test_load_text(self, sample, tmp_path):
@@ -307,6 +328,70 @@ class TestFormatErrors:
         path.write_text("0 0\n")
         with pytest.raises(GraphFormatError):
             load_graph(path, strict=True)
+
+
+def _write_raw_binary(path, offsets, dst, *, num_vertices=None, tail=b""):
+    """A binary CSR file with the given arrays, written without any of
+    :func:`write_csr_binary`'s normalization."""
+    offsets = np.asarray(offsets, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    n = offsets.size - 1 if num_vertices is None else num_vertices
+    header = np.array([n, dst.size], dtype=np.int64)
+    path.write_bytes(
+        b"PPSCANG1" + header.tobytes() + offsets.tobytes() + dst.tobytes() + tail
+    )
+    return path
+
+
+class TestBinaryValidation:
+    """Binary CSR is fully validated on read: a file that breaks a CSR
+    invariant is refused with :class:`GraphFormatError`, never loaded."""
+
+    @pytest.mark.parametrize(
+        "offsets, dst, match",
+        [
+            ([0, 1, 1], [1], "symmetric"),
+            ([0, 1, 2], [0, 1], "self-loop"),
+            ([0, 2, 4], [1, 1, 0, 0], "sorted"),
+            ([0, 2, 3, 4], [2, 1, 0, 0], "sorted"),
+        ],
+        ids=["asymmetric", "self-loop", "duplicate", "unsorted"],
+    )
+    def test_malformed_adjacency(self, tmp_path, offsets, dst, match):
+        from repro.graph import GraphFormatError
+
+        path = _write_raw_binary(tmp_path / "g.bin", offsets, dst)
+        with pytest.raises(GraphFormatError, match=match) as excinfo:
+            load_graph(path)
+        assert excinfo.value.path == str(path)
+
+    def test_huge_header_checked_against_file_size(self, tmp_path):
+        from repro.graph import GraphFormatError
+
+        path = _write_raw_binary(
+            tmp_path / "g.bin", [0], [], num_vertices=1 << 61
+        )
+        with pytest.raises(GraphFormatError, match="truncated offsets"):
+            read_csr_binary(path)
+
+    def test_trailing_bytes(self, sample, tmp_path):
+        from repro.graph import GraphFormatError
+
+        path = _write_raw_binary(
+            tmp_path / "g.bin", sample.offsets, sample.dst, tail=b"\0" * 8
+        )
+        with pytest.raises(GraphFormatError, match="trailing"):
+            read_csr_binary(path)
+
+    def test_offsets_whose_difference_wraps(self, tmp_path):
+        # 2**62 + 1 -> -2**62 wraps to a positive int64 difference.
+        from repro.graph import GraphFormatError
+
+        path = _write_raw_binary(
+            tmp_path / "g.bin", [0, (1 << 62) + 1, -(1 << 62), 2], [1, 0]
+        )
+        with pytest.raises(GraphFormatError, match="non-decreasing"):
+            read_csr_binary(path)
 
 
 class TestValidateGraph:

@@ -206,18 +206,21 @@ class TestLoadRejectsMalformed:
         path = _write_index_file(tmp_path / "i.npz", graph, overlap=overlap)
         with pytest.raises(ValueError, match="outside"):
             GSIndex.load(path, graph)
-        # A sketch estimate may exceed the exact bound by one, no more.
-        flag = np.array([1], dtype=np.int64)
+
+    def test_approximate_archive(self, graph, index, tmp_path):
+        # Overlaps flagged as estimates are refused even when every value
+        # lies inside the exact bounds.
         path = _write_index_file(
-            tmp_path / "a.npz", graph, overlap=overlap, approximate=flag
+            tmp_path / "i.npz", graph, approximate=np.array([1], dtype=np.int64)
         )
-        assert GSIndex.load(path, graph).approximate
-        overlap[_edge_arcs(graph, u, v)] += 1
-        path = _write_index_file(
-            tmp_path / "b.npz", graph, overlap=overlap, approximate=flag
-        )
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="approximate flag is set"):
             GSIndex.load(path, graph)
+        # Flag 0, or no flag at all, loads as an exact index.
+        for name, drop in (("zero.npz", ()), ("none.npz", ("approximate",))):
+            path = _write_index_file(tmp_path / name, graph, drop=drop)
+            assert np.array_equal(
+                GSIndex.load(path, graph).overlap, index.overlap
+            )
 
     def test_bad_approximate_flag(self, graph, tmp_path):
         path = _write_index_file(
