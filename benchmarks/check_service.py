@@ -13,7 +13,13 @@ CLI — and verifies the serving invariants end to end:
    parameters answer 400 — structured errors, not dropped connections;
 4. the service ledger receives at least one ``kind="service"`` batch
    record (flushed on shutdown at the latest);
-5. SIGINT produces a **clean shutdown**: exit code 0, no traceback.
+5. cold reads beside updates: cold ``/cluster`` at fresh points and
+   ``/vertex`` requests run while a stream of ``/updates`` batches
+   re-keys the graph.  No response may be a 5xx, and every 200 must
+   equal ``repro.api.cluster`` on the graph of the requested fingerprint
+   or on the graph of the batch being applied to it (the gate replays
+   the edit script to know both);
+6. SIGINT produces a **clean shutdown**: exit code 0, no traceback.
 
 Usage::
 
@@ -41,14 +47,21 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 BURST = 48
 N_POINTS = 2  # distinct (eps, mu) pairs in the burst
+UPDATE_BATCHES = 12  # 16-edit /updates batches in the concurrent-read phase
+READERS = 2  # concurrent reader connections in that phase
+PHASE_DEADLINE_S = 60.0  # the writer must land every batch within this
 
 
-async def _request(port: int, method: str, target: str):
+async def _request(port: int, method: str, target: str, body=None):
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    writer.write(
-        f"{method} {target} HTTP/1.1\r\nHost: gate\r\n"
-        "Connection: close\r\n\r\n".encode()
-    )
+    data = b"" if body is None else json.dumps(body).encode()
+    head = f"{method} {target} HTTP/1.1\r\nHost: gate\r\nConnection: close\r\n"
+    if body is not None:
+        head += (
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(data)}\r\n"
+        )
+    writer.write(head.encode() + b"\r\n" + data)
     await writer.drain()
     raw = await reader.read()
     writer.close()
@@ -60,7 +73,148 @@ async def _request(port: int, method: str, target: str):
     return int(head.split()[1]), json.loads(body) if body else None
 
 
-async def _drive(port: int, fingerprint: str) -> list[str]:
+async def _reads_beside_updates(
+    port: int, fingerprint: str, graph_path: Path
+) -> list[str]:
+    """Phase 5: cold reads at fresh points while updates re-key the graph."""
+    from repro import api
+    from repro.cache import graph_fingerprint
+    from repro.graph import DynamicGraph, load_graph
+    from repro.streaming import random_edit_script
+    from repro.types import ScanParams, role_name
+
+    graph = load_graph(graph_path)
+    script = list(
+        random_edit_script(graph, seed=11, batches=UPDATE_BATCHES, batch_size=16)
+    )
+    # Replay the script: graphs[k] is the graph after k batches.
+    dyn = DynamicGraph.from_csr(graph)
+    graphs = [graph]
+    for batch in script:
+        for op in batch:
+            (dyn.insert_edge if op.insert else dyn.remove_edge)(op.u, op.v)
+        graphs.append(dyn.snapshot())
+    position = {graph_fingerprint(g): k for k, g in enumerate(graphs)}
+    if position.get(fingerprint) != 0:
+        return [f"pre-loaded graph is not {fingerprint}"]
+
+    problems: list[str] = []
+    current = [fingerprint]
+    writing = [True]
+    answers: list[tuple] = []  # (fingerprint, kind, params, vertex, payload)
+
+    deadline = time.monotonic() + PHASE_DEADLINE_S
+
+    async def writer():
+        try:
+            for k, batch in enumerate(script):
+                status = 429
+                while status == 429:  # the readers hold the heavy slots
+                    if time.monotonic() > deadline:
+                        problems.append(
+                            f"update {k} still answered 429 after "
+                            f"{PHASE_DEADLINE_S:.0f} s: the readers starved "
+                            "the writer"
+                        )
+                        return
+                    status, payload = await _request(
+                        port,
+                        "POST",
+                        f"/graphs/{current[0]}/updates",
+                        {"edits": batch.as_triples()},
+                    )
+                    await asyncio.sleep(0.005)
+                want = graph_fingerprint(graphs[k + 1])
+                if status != 200 or payload.get("fingerprint") != want:
+                    problems.append(
+                        f"update {k} answered {status}: "
+                        f"{str(payload)[:200]} (want fingerprint {want[:12]})"
+                    )
+                    return
+                current[0] = want
+        finally:
+            writing[0] = False
+
+    async def reader(r: int):
+        i = 0
+        while writing[0]:
+            i += 1
+            # A fresh point per request: every /cluster is cold.
+            eps = round(0.2 + 0.5 * ((i * READERS + r) % 997) / 997, 6)
+            fp = current[0]
+            if i % 2:
+                target = f"/graphs/{fp}/cluster?eps={eps}&mu=3&include=labels"
+                kind, vertex = "cluster", None
+            else:
+                vertex = (i * 7919 + r) % graph.num_vertices
+                target = f"/graphs/{fp}/vertex/{vertex}?eps={eps}&mu=3"
+                kind = "vertex"
+            status, payload = await _request(port, "GET", target)
+            if status >= 500 or status not in (200, 404, 429):
+                problems.append(
+                    f"{kind} read answered {status}: {str(payload)[:200]}"
+                )
+            elif status == 200:
+                answers.append((fp, kind, ScanParams(eps, 3), vertex, payload))
+            else:
+                await asyncio.sleep(0.005)
+
+    try:
+        # A request that never returns must fail the gate, not hang it.
+        await asyncio.wait_for(
+            asyncio.gather(writer(), *(reader(r) for r in range(READERS))),
+            PHASE_DEADLINE_S + 30.0,
+        )
+    except asyncio.TimeoutError:
+        return problems + ["reads beside updates did not finish in time"]
+
+    expected: dict[tuple, tuple] = {}
+
+    def reference(k: int, params: ScanParams):
+        key = (k, params.eps_fraction)
+        if key not in expected:
+            result = api.cluster(graphs[k], params)
+            expected[key] = (
+                result,
+                result.classify(graphs[k]),
+                result.membership(),
+            )
+        return expected[key]
+
+    def agrees(k: int, kind: str, params, vertex, payload) -> bool:
+        result, classified, membership = reference(k, params)
+        if kind == "vertex":
+            return payload["role"] == role_name(
+                int(classified[vertex])
+            ).lower() and payload["clusters"] == sorted(membership[vertex])
+        return (
+            payload["roles"] == result.roles.tolist()
+            and payload["core_labels"] == result.core_labels.tolist()
+            and payload["noncore_pairs"]
+            == [[int(a), int(b)] for a, b in result.noncore_pairs]
+        )
+
+    wrong = 0
+    for fp, kind, params, vertex, payload in answers:
+        k = position[fp]
+        candidates = [k] if k + 1 == len(graphs) else [k, k + 1]
+        if not any(agrees(c, kind, params, vertex, payload) for c in candidates):
+            wrong += 1
+    if wrong:
+        problems.append(
+            f"{wrong} of {len(answers)} reads beside updates matched no "
+            "graph they could have been served from"
+        )
+    if not answers:
+        problems.append("no read beside the updates was answered 200")
+    print(
+        f"reads beside {len(script)} update batches: {len(answers)} "
+        f"answered 200, {wrong} wrong"
+    )
+    return problems
+
+
+async def _drive(port: int, fingerprint: str, graph_path: Path) -> list[str]:
     problems: list[str] = []
 
     status, health = await _request(port, "GET", "/healthz")
@@ -121,6 +275,8 @@ async def _drive(port: int, fingerprint: str) -> list[str]:
     )
     if status != 400:
         problems.append(f"malformed eps answered {status}, want 400")
+    # Last: the updates re-key the pre-loaded graph.
+    problems += await _reads_beside_updates(port, fingerprint, graph_path)
     return problems
 
 
@@ -186,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
                 print("".join(startup))
                 return 1
             print(f"service up on port {port} (pre-loaded {fingerprint})")
-            problems = asyncio.run(_drive(port, fingerprint))
+            problems = asyncio.run(_drive(port, fingerprint, graph))
         finally:
             if proc.poll() is None:
                 proc.send_signal(signal.SIGINT)

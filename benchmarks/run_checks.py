@@ -72,7 +72,8 @@ CHECKS: dict[str, tuple[str, list[str], str]] = {
     "service": (
         "check_service",
         [],
-        "clustering service: coalescing, errors, ledger, clean shutdown",
+        "clustering service: coalescing, errors, reads beside updates, "
+        "ledger, clean shutdown",
     ),
     "stream": (
         "check_stream",

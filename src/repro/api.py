@@ -31,6 +31,7 @@ the algorithm and stage that could not be completed.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
@@ -47,7 +48,10 @@ from .core import (
     scanpp,
     scanxp,
 )
+from .core.dynamic_index import cluster_arcs
+from .core.gsindex import arc_keys
 from .graph import CSRGraph
+from .graph.dynamic import adjacency_bytes
 from .obs.tracer import current_tracer
 from .options import BackendKind, ExecMode, ExecutionOptions
 from .types import ScanParams, role_name
@@ -66,6 +70,7 @@ __all__ = [
     "ComparisonOutcome",
     "Session",
     "GraphHandle",
+    "GraphVersion",
     "VertexView",
     "open",
 ]
@@ -155,10 +160,6 @@ def available_algorithms() -> Mapping[str, AlgorithmSpec]:
 
 
 # ---------------------------------------------------------------------------
-# The facade
-# ---------------------------------------------------------------------------
-
-# ---------------------------------------------------------------------------
 # Session API: bind a graph once, query it many times
 # ---------------------------------------------------------------------------
 
@@ -188,6 +189,116 @@ class VertexView:
         }
 
 
+class GraphVersion:
+    """One published state of a :class:`GraphHandle`: a graph and what is
+    derived from it.
+
+    The graph, and once set the fingerprint, the per-arc overlaps and
+    the index, never change; the per-point memos (results, vertex views,
+    counts) only grow, and only with answers computed on this graph.  A
+    reader picks up the handle's version once and computes on it alone.
+    Readers racing to fill the same lazy field may both compute it; the
+    copies are equal, and a memo keeps the first.
+    """
+
+    def __init__(
+        self,
+        graph: CSRGraph,
+        *,
+        fingerprint: str | None = None,
+        batches_applied: int = 0,
+        overlap=None,
+        keys=None,
+        results: dict | None = None,
+    ) -> None:
+        self.graph = graph
+        self.batches_applied = batches_applied
+        self.index: GSIndex | None = None
+        self.results: dict[tuple, ClusteringResult] = results or {}
+        self.vertex_views: dict[tuple, tuple] = {}
+        self.counts: dict[tuple, tuple] = {}
+        self._fingerprint = fingerprint
+        # Set on a version a streaming batch published: the engine's
+        # per-arc overlaps and, once a repair or a cold point computed
+        # them, their arc keys, which cold points run a pass over.
+        self._overlap = overlap
+        self._keys = keys
+
+    @property
+    def fingerprint(self) -> str:
+        if self._fingerprint is None:
+            self._fingerprint = graph_fingerprint(self.graph)
+        return self._fingerprint
+
+    @property
+    def streamed(self) -> bool:
+        """Published by a streaming batch (the handle's engine, with its
+        adjacency lists, stands behind it)."""
+        return self._overlap is not None
+
+    @property
+    def overlap(self):
+        """The exact overlap of every arc of :attr:`graph` once one
+        exists (the streaming batch's or the index's), else ``None``."""
+        if self._overlap is None and self.index is not None:
+            return self.index.overlap
+        return self._overlap
+
+    def ensure_index(self, store: SimilarityStore | None) -> GSIndex:
+        if self.index is None:
+            tracer = current_tracer()
+            with tracer.span("session:index", fingerprint=self.fingerprint[:12]):
+                self.index = GSIndex(self.graph, store=store)
+            if tracer.enabled:
+                tracer.count("session.index_built", 1)
+        return self.index
+
+    def cluster(
+        self, params: ScanParams, store: SimilarityStore | None
+    ) -> ClusteringResult:
+        """The exact clustering at ``params``, not memoized: a GS*-Index
+        query, or on a streamed version without an index one
+        :func:`~repro.core.dynamic_index.cluster_arcs` pass."""
+        index = self.index
+        if index is None and not self.streamed:
+            index = self.ensure_index(store)
+        with current_tracer().span(
+            "session:query", eps=float(params.eps), mu=int(params.mu)
+        ):
+            if index is not None:
+                return index.query(params)
+            if self._keys is None:
+                self._keys = arc_keys(self.graph, self._overlap)
+            return cluster_arcs(self.graph, self._keys, params)
+
+    def materialized_points(self) -> list[list[int]]:
+        """The memoized (ε, µ) points as exact ``[num, den, mu]`` triples.
+
+        ``eps`` identity is its snapped rational (see
+        :attr:`~repro.types.ScanParams.eps_fraction`), so the triple
+        re-materializes the identical point key via
+        ``ScanParams(num / den, mu)`` — how the service WAL's snapshot
+        records which points recovery must re-warm.
+        """
+        return [[num, den, mu] for (num, den, mu) in sorted(self.results)]
+
+    def memory_bytes(self) -> int:
+        graph = self.graph
+        arrays = [graph.offsets, graph.dst, *(self._keys or ())]
+        total = 0
+        if self.streamed:
+            # The streaming engine behind it also holds adjacency lists.
+            arrays.append(self._overlap)
+            total += adjacency_bytes(graph)
+        total += sum(int(a.nbytes) for a in arrays)
+        if self.index is not None:
+            total += self.index.memory_bytes()
+        for result in list(self.results.values()):
+            total += int(result.roles.nbytes + result.core_labels.nbytes)
+            total += 16 * len(result.noncore_pairs)
+        return total
+
+
 class GraphHandle:
     """A graph bound to its index and similarity store, queried many times.
 
@@ -203,6 +314,12 @@ class GraphHandle:
     is bit-identical to a direct :func:`repro.api.cluster` call;
     ``cluster(..., algorithm="scanxp")`` runs the named registered
     algorithm through the same options/store instead.
+
+    All of that state is one :class:`GraphVersion`, :attr:`version`.
+    Readers take no lock: each call reads one version.  Writers
+    (:meth:`apply_updates`, :meth:`close`) are serialized; a batch builds
+    the next version aside and publishes it with one assignment, and a
+    batch that raises publishes nothing.
     """
 
     def __init__(
@@ -212,8 +329,9 @@ class GraphHandle:
         options: ExecutionOptions | None = None,
         store: SimilarityStore | None = None,
         label: str | None = None,
+        fingerprint: str | None = None,
+        batches_applied: int = 0,
     ) -> None:
-        self.graph = graph
         self.options = options or ExecutionOptions()
         #: Shared overlap memo: the index construction fully populates
         #: it, and algorithm runs through this handle reuse it.  May be
@@ -221,17 +339,24 @@ class GraphHandle:
         #: no-cache behavior).
         self.store = store if store is not None else self.options.cache
         self.label = label
-        self._fingerprint: str | None = None
-        self._index: GSIndex | None = None
-        self._stream = None  # StreamingEngine, created by apply_updates
-        self._results: dict[tuple, ClusteringResult] = {}
-        self._vertex_views: dict[tuple, tuple] = {}
-        self._counts: dict[tuple, tuple] = {}
+        self._version = GraphVersion(
+            graph, fingerprint=fingerprint, batches_applied=batches_applied
+        )
+        self._engine = None  # StreamingEngine, made by apply_updates
+        self._writer = threading.Lock()
         self.query_hits = 0
         self.query_misses = 0
-        self.batches_applied = 0
 
     # -- identity -------------------------------------------------------
+
+    @property
+    def version(self) -> GraphVersion:
+        """The published version every read of this handle serves from."""
+        return self._version
+
+    @property
+    def graph(self) -> CSRGraph:
+        return self._version.graph
 
     @property
     def fingerprint(self) -> str:
@@ -241,30 +366,17 @@ class GraphHandle:
         can pre-compute it with ``repro.cache.graph_fingerprint`` (or
         read it off any CLI subcommand's output).
         """
-        if self._fingerprint is None:
-            self._fingerprint = graph_fingerprint(self.graph)
-        return self._fingerprint
+        return self._version.fingerprint
 
     @property
-    def indexed(self) -> bool:
-        return self._index is not None
+    def batches_applied(self) -> int:
+        return self._version.batches_applied
 
     def memory_bytes(self) -> int:
         """Approximate resident footprint (graph or streaming engine +
         index + memoized results) — the quantity the service's eviction
         budget meters."""
-        graph = self.graph
-        if self._stream is not None:
-            # The engine's snapshot is this handle's graph.
-            total = self._stream.memory_bytes()
-        else:
-            total = int(graph.offsets.nbytes + graph.dst.nbytes)
-        if self._index is not None:
-            total += self._index.memory_bytes()
-        for result in self._results.values():
-            total += int(result.roles.nbytes + result.core_labels.nbytes)
-            total += 16 * len(result.noncore_pairs)
-        return total
+        return self._version.memory_bytes()
 
     # -- index ----------------------------------------------------------
 
@@ -276,15 +388,7 @@ class GraphHandle:
         coverage earlier runs left and commits the full exact overlap
         map back, warming every other consumer of the store.
         """
-        if self._index is None:
-            tracer = current_tracer()
-            with tracer.span(
-                "session:index", fingerprint=self.fingerprint[:12]
-            ):
-                self._index = GSIndex(self.graph, store=self.store)
-            if tracer.enabled:
-                tracer.count("session.index_built", 1)
-        return self._index
+        return self._version.ensure_index(self.store)
 
     # -- queries --------------------------------------------------------
 
@@ -298,82 +402,68 @@ class GraphHandle:
             raise TypeError("cluster() needs both eps and mu")
         return ScanParams(float(eps), int(mu))
 
-    def _point_key(self, params: ScanParams) -> tuple:
-        frac = params.eps_fraction
-        return (frac.numerator, frac.denominator, params.mu)
-
-    def _query_index(self, params: ScanParams) -> ClusteringResult:
-        key = self._point_key(params)
-        result = self._results.get(key)
+    def _query(
+        self, version: GraphVersion, params: ScanParams
+    ) -> ClusteringResult:
+        key = params.point_key
+        result = version.results.get(key)
         if result is not None:
             self.query_hits += 1
             return result
         self.query_misses += 1
-        tracer = current_tracer()
-        if self._stream is not None:
-            # A mutated handle serves from its streaming engine: the
-            # engine materializes the point once and repairs it in place
-            # across batches (bit-identical to a from-scratch index).
-            with tracer.span(
-                "session:query", eps=float(params.eps), mu=int(params.mu)
-            ):
-                result = self._stream.query(params)
-            self._results[key] = result
-            return result
-        index = self.ensure_index()
-        with tracer.span(
-            "session:query", eps=float(params.eps), mu=int(params.mu)
-        ):
-            result = index.query(params)
-        self._results[key] = result
-        return result
+        result = version.cluster(params, self.store)
+        return version.results.setdefault(key, result)
 
     # -- streaming updates ----------------------------------------------
 
     def apply_updates(self, edits):
-        """Apply one batch of edge edits and re-stamp the handle.
+        """Apply one batch of edge edits and publish the next version.
 
         ``edits`` is anything :meth:`repro.streaming.EditBatch.coerce`
         accepts — an :class:`~repro.streaming.EditBatch`, an iterable of
         ``('+'/'-', u, v)`` triples, or an ``{"insert": [[u, v], ...],
-        "remove": [[u, v], ...]}`` mapping.  The handle's graph is
-        replaced by the post-batch snapshot, its fingerprint re-stamped,
-        and every previously queried (ε, µ) point is repaired in place
-        (scoped re-cluster) so warm queries keep serving between
-        batches.  Returns the :class:`~repro.streaming.BatchReport`.
+        "remove": [[u, v], ...]}`` mapping.  The new version holds the
+        post-batch snapshot and its fingerprint, and every previously
+        queried (ε, µ) point repaired (scoped re-cluster) so warm
+        queries keep serving between batches.  If the batch raises,
+        nothing is published.  Returns the
+        :class:`~repro.streaming.BatchReport`.
         """
-        from .streaming import StreamingEngine
+        from .streaming import EditBatch, StreamingEngine
 
-        if self._stream is None:
-            self._stream = StreamingEngine(
-                self.graph, store=self.store, label=self.label
+        batch = EditBatch.coerce(edits)
+        with self._writer:
+            version = self._version
+            # An invalid edit raises here, before the engine mutates.
+            batch.check(version.graph.num_vertices)
+            engine, self._engine = self._engine, None
+            if engine is None:
+                # Seeded from the overlaps the version holds, a streaming
+                # batch's or its index's: no second whole-graph pass.
+                engine = StreamingEngine(
+                    version, store=self.store, label=self.label
+                )
+            # Points readers memoized on this version are exact for the
+            # engine's current state; the batch repairs them with the rest.
+            for result in list(version.results.values()):
+                engine.track(result)
+            report = engine.apply(batch)
+            # Only a completed batch keeps the engine: a failed one may
+            # have left its graph ahead of the published version.
+            self._engine = engine
+            self._version = GraphVersion(
+                engine.snapshot,
+                fingerprint=report.fingerprint,
+                batches_applied=version.batches_applied + 1,
+                overlap=engine.arc_overlap,
+                keys=engine.arc_keys,
+                results=engine.materialized(),
             )
-            # Points already memoized from the static index stay valid
-            # (the graph has not changed yet); materialize them in the
-            # engine so the first batch repairs them instead of dropping
-            # them cold.
-            for result in list(self._results.values()):
-                self._stream.query(result.params)
-        report = self._stream.apply(edits)
-        self.graph = self._stream.snapshot
-        self._fingerprint = report.fingerprint
-        self._index = None
-        self._results = dict(self._stream.materialized())
-        self._vertex_views.clear()
-        self._counts.clear()
-        self.batches_applied += 1
         return report
 
     def materialized_points(self) -> list[list[int]]:
-        """The memoized (ε, µ) points as exact ``[num, den, mu]`` triples.
-
-        ``eps`` identity is its snapped rational (see
-        :attr:`~repro.types.ScanParams.eps_fraction`), so the triple
-        re-materializes the identical point key via
-        ``ScanParams(num / den, mu)`` — how the service WAL's snapshot
-        records which points recovery must re-warm.
-        """
-        return [[num, den, mu] for (num, den, mu) in sorted(self._results)]
+        """:meth:`GraphVersion.materialized_points` of :attr:`version`."""
+        return self._version.materialized_points()
 
     def lookup(self, eps, mu=None) -> ClusteringResult | None:
         """The memoized index-served result for this point, or ``None``.
@@ -382,7 +472,7 @@ class GraphHandle:
         path that stays on the event loop.
         """
         params = self._params(eps, mu)
-        result = self._results.get(self._point_key(params))
+        result = self._version.results.get(params.point_key)
         if result is not None:
             self.query_hits += 1
         return result
@@ -394,13 +484,14 @@ class GraphHandle:
         at its point, so the service's warm path reads three ints instead
         of re-deriving the cluster ids per request.
         """
-        key = self._point_key(result.params)
-        hit = self._counts.get(key)
+        version = self._version
+        key = result.params.point_key
+        hit = version.counts.get(key)
         if hit is not None and hit[0] is result:
             return hit[1]
         counts = (result.num_clusters, result.num_cores, result.num_vertices)
-        if self._results.get(key) is result:
-            self._counts[key] = (result, counts)
+        if version.results.get(key) is result:
+            version.counts[key] = (result, counts)
         return counts
 
     def cluster(
@@ -421,7 +512,7 @@ class GraphHandle:
         """
         params = self._params(eps, mu)
         if algorithm is None:
-            return self._query_index(params)
+            return self._query(self._version, params)
         spec = get_algorithm(algorithm)
         opts = options if options is not None else self.options
         if (
@@ -440,18 +531,21 @@ class GraphHandle:
         parameter point as well — per-vertex lookups after the first are
         O(1) dictionary and array reads.
         """
+        version = self._version
+        graph = version.graph
         v = int(v)
-        if not 0 <= v < self.graph.num_vertices:
+        if not 0 <= v < graph.num_vertices:
             raise ValueError(
-                f"vertex {v} out of range [0, {self.graph.num_vertices})"
+                f"vertex {v} out of range [0, {graph.num_vertices})"
             )
         params = self._params(eps, mu)
-        key = self._point_key(params)
-        view = self._vertex_views.get(key)
+        key = params.point_key
+        view = version.vertex_views.get(key)
         if view is None:
-            result = self._query_index(params)
-            view = (result.classify(self.graph), result.membership())
-            self._vertex_views[key] = view
+            result = self._query(version, params)
+            view = version.vertex_views.setdefault(
+                key, (result.classify(graph), result.membership())
+            )
         classified, membership = view
         return VertexView(
             vertex=v,
@@ -485,28 +579,32 @@ class GraphHandle:
 
     def stats(self) -> dict:
         """JSON-able snapshot of this handle's state and query traffic."""
+        version = self._version
         return {
-            "fingerprint": self.fingerprint,
+            "fingerprint": version.fingerprint,
             "label": self.label,
-            "num_vertices": self.graph.num_vertices,
-            "num_edges": self.graph.num_edges,
-            "indexed": self.indexed,
-            "memory_bytes": self.memory_bytes(),
-            "points_cached": len(self._results),
+            "num_vertices": version.graph.num_vertices,
+            "num_edges": version.graph.num_edges,
+            "indexed": version.index is not None,
+            "memory_bytes": version.memory_bytes(),
+            "points_cached": len(version.results),
             "query_hits": self.query_hits,
             "query_misses": self.query_misses,
-            "streaming": self._stream is not None,
-            "batches_applied": self.batches_applied,
+            "streaming": version.streamed,
+            "batches_applied": version.batches_applied,
         }
 
     def close(self) -> None:
         """Drop the index, streaming engine and memoized queries (the
         store is shared and stays with the session)."""
-        self._index = None
-        self._stream = None
-        self._results.clear()
-        self._vertex_views.clear()
-        self._counts.clear()
+        with self._writer:
+            self._engine = None
+            old = self._version
+            self._version = GraphVersion(
+                old.graph,
+                fingerprint=old._fingerprint,
+                batches_applied=old.batches_applied,
+            )
 
 
 class Session:
@@ -551,12 +649,26 @@ class Session:
         self.store = store
         self._handles: dict[int, GraphHandle] = {}
 
-    def open(self, graph: CSRGraph, *, label: str | None = None) -> GraphHandle:
-        """The handle for ``graph`` (one per graph object per session)."""
+    def open(
+        self,
+        graph: CSRGraph,
+        *,
+        label: str | None = None,
+        fingerprint: str | None = None,
+        batches_applied: int = 0,
+    ) -> GraphHandle:
+        """The handle for ``graph`` (one per graph object per session).
+        ``fingerprint`` (already hashed or verified by the caller) and
+        ``batches_applied`` only apply to a new handle."""
         handle = self._handles.get(id(graph))
         if handle is None:
             handle = GraphHandle(
-                graph, options=self.options, store=self.store, label=label
+                graph,
+                options=self.options,
+                store=self.store,
+                label=label,
+                fingerprint=fingerprint,
+                batches_applied=batches_applied,
             )
             self._handles[id(graph)] = handle
         return handle

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,14 +42,12 @@ from ..types import CORE, NONCORE, ScanParams
 from .gsindex import _eps_squared, arc_keys, bulk_overlaps, edge_overlaps, similar_mask
 from .result import ClusteringResult, assemble_clustering
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cache import SimilarityStore
-
 __all__ = [
     "BatchMaintenance",
     "DynamicGSIndex",
     "apply_edit_batch",
     "carried_arcs",
+    "cluster_arcs",
     "similar_mask",
 ]
 
@@ -127,9 +124,9 @@ def apply_edit_batch(graph: DynamicGraph, edits) -> BatchMaintenance:
     # this module.
     from ..streaming.edits import EditBatch
 
-    ops = EditBatch.coerce(edits).ops
-    for op in ops:
-        graph._check(op.u, op.v)
+    batch = EditBatch.coerce(edits)
+    batch.check(graph.num_vertices)
+    ops = batch.ops
 
     inserted = removed = skipped = 0
     touched: set[int] = set()
@@ -195,18 +192,25 @@ class DynamicGSIndex:
     """Exact per-arc overlaps of a :class:`DynamicGraph`, maintained by
     edit batches and queried for any (ε, µ).
 
-    With a ``store`` the seeding overlap pass reads the entry an earlier
-    index build filled and records its misses, as
-    :class:`~repro.core.gsindex.GSIndex` does.
+    ``overlap`` seeds :attr:`arc_overlap` with the exact overlap of every
+    arc of ``graph.snapshot()`` (a :class:`~repro.core.gsindex.GSIndex`
+    of that snapshot already holds it); without one a
+    :func:`~repro.core.gsindex.bulk_overlaps` pass computes it.
     """
 
     def __init__(
-        self, graph: DynamicGraph, store: SimilarityStore | None = None
+        self, graph: DynamicGraph, overlap: np.ndarray | None = None
     ) -> None:
         self.graph = graph
         self.snapshot = graph.snapshot()
-        self._overlap, _ = bulk_overlaps(self.snapshot, store)
-        self._keys: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        if overlap is None:
+            overlap, _ = bulk_overlaps(self.snapshot)
+        #: Exact overlap of every arc of :attr:`snapshot`.  Replaced, never
+        #: written in place, by each batch, so a reader may keep it.
+        self.arc_overlap = overlap
+        #: :func:`~repro.core.gsindex.arc_keys` of :attr:`snapshot` once
+        #: :meth:`refresh` computed them, else ``None``.
+        self.keys: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self.maintenance_ops = 0
 
     # -- maintenance ------------------------------------------------------
@@ -226,23 +230,23 @@ class DynamicGSIndex:
         new = stats.snapshot
         kept = carried_arcs(self.snapshot, new, stats.touched)
         overlap = np.empty(new.num_arcs, dtype=np.int64)
-        overlap[kept[0]] = self._overlap[kept[1]]
+        overlap[kept[0]] = self.arc_overlap[kept[1]]
         frontier = stats.frontier_arcs
         overlap[frontier.ravel()] = stats.frontier_overlaps.repeat(2)
-        self.snapshot, self._overlap, self._keys = new, overlap, None
+        self.snapshot, self.arc_overlap, self.keys = new, overlap, None
         self.maintenance_ops += int(new.degrees[new.dst[frontier]].sum())
         return replace(stats, carried=kept)
 
     def refresh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:func:`~repro.core.gsindex.arc_keys` of the current snapshot,
         computed once per batch and shared by every query."""
-        if self._keys is None:
-            self._keys = arc_keys(self.snapshot, self._overlap)
-        return self._keys
+        if self.keys is None:
+            self.keys = arc_keys(self.snapshot, self.arc_overlap)
+        return self.keys
 
     def overlap(self, u: int, v: int) -> int:
         """Exact closed-neighborhood overlap of the existing edge ``{u, v}``."""
-        return int(self._overlap[self.snapshot.edge_offset(u, v)])
+        return int(self.arc_overlap[self.snapshot.edge_offset(u, v)])
 
     def overlaps(self):
         """Iterate ``((u, v), overlap)`` over every edge (``u < v``)."""
@@ -250,7 +254,7 @@ class DynamicGSIndex:
         upper = src < dst
         return zip(
             zip(src[upper].tolist(), dst[upper].tolist()),
-            self._overlap[upper].tolist(),
+            self.arc_overlap[upper].tolist(),
         )
 
     def memory_bytes(self) -> int:
@@ -258,46 +262,50 @@ class DynamicGSIndex:
         plus what the :class:`DynamicGraph` adjacency lists hold
         (:meth:`DynamicGraph.memory_bytes`)."""
         graph = self.snapshot
-        arrays = (graph.offsets, graph.dst, self._overlap, *(self._keys or ()))
+        arrays = (graph.offsets, graph.dst, self.arc_overlap, *(self.keys or ()))
         return sum(int(a.nbytes) for a in arrays) + self.graph.memory_bytes()
 
     # -- queries ------------------------------------------------------------
 
     def query(self, params: ScanParams) -> ClusteringResult:
         """Exact SCAN clustering of the current graph state."""
-        return self._cluster(params, "DynamicGS*-Index", "query", "index query")
+        return cluster_arcs(self.snapshot, self.refresh(), params)
 
-    def _cluster(
-        self, params: ScanParams, algorithm: str, kind: str, stage: str
-    ) -> ClusteringResult:
-        """The exact clustering at ``params`` in one pass over the arcs.
 
-        An arc is ε-similar iff its key reaches ``ε²``; a vertex is a
-        core iff at least µ of its arcs are; the similar arcs leaving
-        cores go to the shared
-        :func:`~repro.core.result.assemble_clustering`.  The record,
-        ``"{algorithm} ({kind})"`` with one ``stage``, charges one arc per
-        vertex plus those arcs, as a static index query charges its
-        cores' similar prefixes.
-        """
-        t0 = time.perf_counter()
-        src, num, den = self.refresh()
-        n = self.snapshot.num_vertices
-        similar = similar_mask(num, den, *_eps_squared(params))
-        counts = np.bincount(src[similar], minlength=n)
-        roles = np.where(counts >= params.mu, CORE, NONCORE).astype(np.int8)
-        leaving = np.flatnonzero(similar & (roles[src] == CORE))
-        result, merges = assemble_clustering(
-            algorithm, params, roles, src[leaving], self.snapshot.dst[leaving]
-        )
-        result.record = RunRecord(
-            algorithm=f"{algorithm} ({kind})",
-            stages=[
-                StageRecord(
-                    stage, [TaskCost(arcs=n + leaving.size, atomics=merges)]
-                )
-            ],
-            wall_seconds=time.perf_counter() - t0,
-        )
-        result.record.apportion_wall()
-        return result
+def cluster_arcs(
+    graph: CSRGraph,
+    keys: tuple[np.ndarray, np.ndarray, np.ndarray],
+    params: ScanParams,
+    algorithm: str = "DynamicGS*-Index",
+    kind: str = "query",
+    stage: str = "index query",
+) -> ClusteringResult:
+    """The exact clustering of ``graph`` at ``params`` in one pass over
+    its arcs, whose :func:`~repro.core.gsindex.arc_keys` are ``keys``.
+
+    An arc is ε-similar iff its key reaches ``ε²``; a vertex is a core
+    iff at least µ of its arcs are; the similar arcs leaving cores go to
+    the shared :func:`~repro.core.result.assemble_clustering`.  The
+    record, ``"{algorithm} ({kind})"`` with one ``stage``, charges one
+    arc per vertex plus those arcs, as a static index query charges its
+    cores' similar prefixes.
+    """
+    t0 = time.perf_counter()
+    src, num, den = keys
+    n = graph.num_vertices
+    similar = similar_mask(num, den, *_eps_squared(params))
+    counts = np.bincount(src[similar], minlength=n)
+    roles = np.where(counts >= params.mu, CORE, NONCORE).astype(np.int8)
+    leaving = np.flatnonzero(similar & (roles[src] == CORE))
+    result, merges = assemble_clustering(
+        algorithm, params, roles, src[leaving], graph.dst[leaving]
+    )
+    result.record = RunRecord(
+        algorithm=f"{algorithm} ({kind})",
+        stages=[
+            StageRecord(stage, [TaskCost(arcs=n + leaving.size, atomics=merges)])
+        ],
+        wall_seconds=time.perf_counter() - t0,
+    )
+    result.record.apportion_wall()
+    return result

@@ -35,7 +35,7 @@ to the run's :class:`~repro.similarity.engine.SimilarityEngine`, whose
   its µ decision; both directions of an edge are resolved separately,
   and a task's own results stay invisible to it.
 * ``batched`` — the throughput path: the whole frontier goes through the
-  adaptive dispatcher of
+  bulk resolution of
   :meth:`~repro.similarity.engine.SimilarityEngine.resolve_arcs`; the
   role walks resolve each undirected edge once per task and fold the
   mirror results into the task's own walks.

@@ -19,7 +19,7 @@ import numpy as np
 
 from .csr import CSRGraph, VERTEX_DTYPE
 
-__all__ = ["DynamicGraph"]
+__all__ = ["DynamicGraph", "adjacency_bytes", "check_edge"]
 
 #: CPython object sizes as allocated: a list object (with its GC
 #: header), an item pointer, and an int above the cache of shared small
@@ -29,6 +29,31 @@ _LIST_BYTES = sys.getsizeof([])
 _PTR_BYTES = struct.calcsize("P")
 _INT_BYTES = -(-sys.getsizeof(1 << 16) // _PTR_BYTES) * _PTR_BYTES
 _SMALL_INT_MAX = 256
+
+
+def adjacency_bytes(graph: CSRGraph) -> int:
+    """What a :class:`DynamicGraph` of ``graph`` holds in its adjacency
+    lists: the outer list, one list object per vertex, one item pointer
+    per stored neighbor and one int object per stored neighbor id above
+    the small-int cache (each ``tolist``/edit creates its own)."""
+    n = graph.num_vertices
+    ints = int(np.count_nonzero(graph.dst > _SMALL_INT_MAX))
+    return (
+        _LIST_BYTES * (n + 1)
+        + _PTR_BYTES * (n + graph.num_arcs)
+        + _INT_BYTES * ints
+    )
+
+
+def check_edge(u: int, v: int, num_vertices: int) -> None:
+    """Raise unless ``{u, v}`` can be an edge of a simple graph on
+    ``num_vertices`` vertices (``IndexError`` / ``ValueError``)."""
+    if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+        raise IndexError(
+            f"vertex out of range: ({u}, {v}) with n={num_vertices}"
+        )
+    if u == v:
+        raise ValueError("self loops are not allowed")
 
 
 class DynamicGraph:
@@ -82,18 +107,9 @@ class DynamicGraph:
         return self._adj
 
     def memory_bytes(self) -> int:
-        """What the adjacency lists hold: the outer list, one list object
-        per vertex, one item pointer per stored neighbor and one int
-        object per stored neighbor id above the small-int cache (each
-        ``tolist``/edit creates its own)."""
-        snap = self.snapshot()
-        n = len(self._adj)
-        ints = int(np.count_nonzero(snap.dst > _SMALL_INT_MAX))
-        return (
-            _LIST_BYTES * (n + 1)
-            + _PTR_BYTES * (n + snap.num_arcs)
-            + _INT_BYTES * ints
-        )
+        """What the adjacency lists hold (:func:`adjacency_bytes` of the
+        current snapshot)."""
+        return adjacency_bytes(self.snapshot())
 
     def has_edge(self, u: int, v: int) -> bool:
         nbrs = self._adj[u]
@@ -110,7 +126,7 @@ class DynamicGraph:
 
     def insert_edge(self, u: int, v: int) -> bool:
         """Insert undirected edge ``{u, v}``; False if it already exists."""
-        self._check(u, v)
+        check_edge(u, v, len(self._adj))
         if self.has_edge(u, v):
             return False
         insort(self._adj[u], v)
@@ -121,7 +137,7 @@ class DynamicGraph:
 
     def remove_edge(self, u: int, v: int) -> bool:
         """Remove undirected edge ``{u, v}``; False if absent."""
-        self._check(u, v)
+        check_edge(u, v, len(self._adj))
         if not self.has_edge(u, v):
             return False
         self._adj[u].remove(v)
@@ -129,13 +145,6 @@ class DynamicGraph:
         self._num_edges -= 1
         self._changed.update((u, v))
         return True
-
-    def _check(self, u: int, v: int) -> None:
-        n = len(self._adj)
-        if not (0 <= u < n and 0 <= v < n):
-            raise IndexError(f"vertex out of range: ({u}, {v}) with n={n}")
-        if u == v:
-            raise ValueError("self loops are not allowed")
 
     # -- snapshot ------------------------------------------------------------
 

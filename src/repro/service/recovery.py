@@ -108,9 +108,12 @@ def _restore_graph(wal, session, registry, fingerprint, label, batches_applied=0
         raise RecoveryError(
             f"cannot restore graph {fingerprint}: {exc}"
         ) from exc
-    handle = session.open(graph, label=label)
-    handle._fingerprint = fingerprint  # verified by load_graph
-    handle.batches_applied = int(batches_applied)
+    handle = session.open(
+        graph,
+        label=label,
+        fingerprint=fingerprint,  # verified by load_graph
+        batches_applied=int(batches_applied),
+    )
     registry.restore(fingerprint, handle)
     return handle
 

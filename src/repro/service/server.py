@@ -833,21 +833,25 @@ class ClusteringService:
                 self._compacting = False
                 self._mutation_cv.notify_all()
 
-    def _snapshot_state(self) -> dict:
-        """The compaction snapshot body (gathered on the event loop,
-        under the exclusive latch, so it is mutation-consistent)."""
-        graphs = []
+    def _snapshot_state(self) -> tuple[dict, list]:
+        """The compaction snapshot body and the ``(fingerprint, graph)``
+        pairs it names, each from one published version (gathered on the
+        event loop, under the exclusive latch: mutation-consistent)."""
+        graphs, payloads = [], []
         for fingerprint in self.registry.fingerprints():
             handle = self.registry.peek(fingerprint)
+            version = handle.version
             graphs.append(
                 {
                     "fingerprint": fingerprint,
                     "label": handle.label,
-                    "batches_applied": handle.batches_applied,
-                    "points": handle.materialized_points(),
+                    "batches_applied": version.batches_applied,
+                    "points": version.materialized_points(),
                 }
             )
-        return {"graphs": graphs, "idempotency": dict(self._idempotency)}
+            payloads.append((fingerprint, version.graph))
+        state = {"graphs": graphs, "idempotency": dict(self._idempotency)}
+        return state, payloads
 
     def _schedule_compaction(self) -> None:
         if (
@@ -868,19 +872,15 @@ class ClusteringService:
             return None
         loop = asyncio.get_running_loop()
         async with self._exclusive():
-            state = self._snapshot_state()
-            handles = [
-                (fp, self.registry.peek(fp))
-                for fp in self.registry.fingerprints()
-            ]
+            state, graphs = self._snapshot_state()
 
             def work():
-                for fingerprint, handle in handles:
-                    self._wal.spill_graph(fingerprint, handle.graph)
+                for fingerprint, graph in graphs:
+                    self._wal.spill_graph(fingerprint, graph)
                 if self.session.store is not None:
                     self.session.store.spill()
                 snapshot = self._wal.compact(state)
-                self._wal.prune_graphs({fp for fp, _ in handles})
+                self._wal.prune_graphs({fp for fp, _ in graphs})
                 return snapshot
 
             snapshot = await loop.run_in_executor(self._wal_executor, work)
@@ -1060,8 +1060,9 @@ class ClusteringService:
         t0 = time.perf_counter()
 
         def build():
-            handle = self.session.open(graph, label=label)
-            handle._fingerprint = fingerprint  # precomputed above
+            handle = self.session.open(
+                graph, label=label, fingerprint=fingerprint
+            )
             handle.ensure_index()
             return handle
 
@@ -1238,7 +1239,7 @@ class ClusteringService:
                 out.update(
                     {
                         "previous_fingerprint": fingerprint,
-                        "warm_points": len(handle._results),
+                        "warm_points": len(handle.version.results),
                         "request_seconds": seconds,
                     }
                 )
@@ -1301,15 +1302,7 @@ class ClusteringService:
             result = handle.lookup(params)
             warm = result is not None
         if result is None:
-            frac = params.eps_fraction
-            key = (
-                "cluster",
-                fingerprint,
-                frac.numerator,
-                frac.denominator,
-                params.mu,
-                algorithm,
-            )
+            key = ("cluster", fingerprint, *params.point_key, algorithm)
             result = await self._run_heavy(
                 key,
                 lambda: handle.cluster(params, algorithm=algorithm),
@@ -1359,14 +1352,7 @@ class ClusteringService:
         self.counters["queries"] += 1
         self.counters["vertex_lookups"] += 1
         t0 = time.perf_counter()
-        frac = params.eps_fraction
-        key = (
-            "vertex",
-            fingerprint,
-            frac.numerator,
-            frac.denominator,
-            params.mu,
-        )
+        key = ("vertex", fingerprint, *params.point_key)
         # The classification pass (not the individual lookup) is the
         # heavy part; coalesce per parameter point, then read the view.
         view = await self._run_heavy(

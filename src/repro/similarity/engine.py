@@ -47,7 +47,7 @@ _NO_STATES = np.empty(0, dtype=np.int8)
 #: Resolution policies (``exec_mode``) of the engine's arc-block methods:
 #: ``scalar`` calls one kernel per arc in the given order (the paper's
 #: counted control flow), ``batched`` resolves a whole block at once
-#: through the adaptive bulk dispatcher.
+#: through the bulk mark-and-count path.
 EXEC_MODES = ("scalar", "batched")
 
 #: Registered early-terminating CompSim kernels, by name.
@@ -191,46 +191,6 @@ class SimilarityEngine:
                 for u in range(self.graph.num_vertices)
             ]
         return self._adj
-
-    def _neighbor_lists(self, vertices: list[int]) -> dict[int, list[int]]:
-        """The sorted neighbor lists of just ``vertices``: the few arcs the
-        batched policy routes to a scalar kernel need no whole-graph
-        :meth:`adj_lists` (which would cost a batched run O(m) objects)."""
-        off, dst = self.graph.offsets, self.graph.dst
-        return {u: dst[off[u] : off[u + 1]].tolist() for u in set(vertices)}
-
-    #: Substrate calibration for the dispatcher's work model: one step of
-    #: an interpreted scalar kernel costs roughly this many NumPy
-    #: vector-block steps (measured on the bundled standins; the exact
-    #: value only shifts the hub-degree cutover point).
-    SCALAR_STEP_PENALTY = 24
-
-    def route_scalar(
-        self, du: np.ndarray, dv: np.ndarray, mcn: np.ndarray
-    ) -> np.ndarray:
-        """The adaptive dispatcher's work model: which arcs should keep the
-        early-terminating scalar kernel?
-
-        The scalar kernel wins when an early-exit bound is *close*: it
-        needs at most ``min_cn - 2`` matches to return SIM and tolerates at
-        most ``min(d(u), d(v)) + 2 - min_cn`` mismatches on the smaller
-        side before returning NSIM, so the distance to the nearest bound
-        caps its comparisons.  The bulk estimate charges
-        ``d(u) + d(v)`` elements — what a mark pass touches; the keyed
-        pass and a swapped leaf→hub arc (see
-        :data:`~repro.intersect.batch.PROBE_SWAP_RATIO`) touch fewer, so
-        it is an upper bound — but the bulk path retires ``lanes`` per
-        vector block and pays no per-step interpreter overhead, hence the
-        ``SCALAR_STEP_PENALTY`` weighting: only high-degree arcs whose
-        early-exit slack is tiny (hub pairs a few matches away from a
-        bound) are worth an interpreted early-terminating walk.  Both
-        estimates are integer and deterministic, so the routing — and
-        therefore the work accounting — is reproducible.
-        """
-        slack = np.minimum(mcn - 2, np.minimum(du, dv) + 2 - mcn)
-        est_scalar = (4 + 2 * slack) * self.SCALAR_STEP_PENALTY
-        est_bulk = 2 + (du + dv + self.lanes - 1) // self.lanes
-        return est_scalar <= est_bulk
 
     # -- similarity store -----------------------------------------------
 
@@ -524,11 +484,12 @@ class SimilarityEngine:
         Under the ``scalar`` policy every arc is one early-terminating
         kernel call (or store lookup), in the given order.  Under the
         ``batched`` policy trivial predicates are folded from degrees
-        alone (uncounted, like the scalar algorithms), the adaptive
-        dispatcher routes each remaining arc between the vectorized
-        mark-and-count bulk path (grouped by source vertex) and the
-        configured early-terminating scalar kernel, and every decision is
-        bit-identical to calling the scalar kernel per arc.
+        alone (uncounted, like the scalar algorithms), store-covered arcs
+        are decided from their cached overlaps, and every other arc gets
+        its exact count from the vectorized mark-and-count bulk path
+        (:meth:`~repro.intersect.batch.BatchIntersector.arc_counts`);
+        every decision is bit-identical to calling the scalar kernel per
+        arc.
         """
         arcs = np.asarray(arcs, dtype=np.int64)
         states = np.empty(arcs.size, dtype=np.int8)
@@ -542,85 +503,44 @@ class SimilarityEngine:
             return self._resolve_each(arcs, mcn)
         batch = self.batch_intersector()
         deg = self.graph.degrees
-        dst = self.graph.dst[arcs]
         du = deg[batch.arc_src[arcs]]
-        dv = deg[dst]
+        dv = deg[self.graph.dst[arcs]]
         # Trivial predicates (§3.2.2) — no kernel, no invocation charge.
         trivial_sim = mcn <= 2
         trivial_nsim = np.minimum(du, dv) + 2 < mcn
         states[trivial_sim] = SIM
         states[trivial_nsim] = NSIM
-        rest = ~(trivial_sim | trivial_nsim)
-        n_trivial = int(arcs.size - np.count_nonzero(rest))
+        rest = np.flatnonzero(~(trivial_sim | trivial_nsim))
         tracer = current_tracer()
-        entry = self._entry
-        if entry is not None:
-            # Store-backed resolution: covered arcs are decided from the
-            # cached exact overlaps; misses all take the bulk exhaustive
-            # path so their overlaps are exact and recordable (an
-            # early-terminating kernel learns only the decision, not the
-            # count).  Decisions are identical either way.
-            if tracer.enabled:
-                tracer.count("engine.batches", 1)
-                tracer.count("engine.arcs", int(arcs.size))
-                tracer.count("engine.arcs_trivial", n_trivial)
-                tracer.observe("engine.batch_size", float(arcs.size))
-            idx_rest = np.flatnonzero(rest)
-            if idx_rest.size:
-                covered = entry.coverage[arcs[idx_rest]]
-                hit_idx = idx_rest[covered]
-                if hit_idx.size:
-                    states[hit_idx] = np.where(
-                        entry.overlap[arcs[hit_idx]] >= mcn[hit_idx],
-                        SIM,
-                        NSIM,
-                    )
-                    entry.hits += int(hit_idx.size)
-                miss_idx = idx_rest[~covered]
-                if miss_idx.size:
-                    overlaps = (
-                        batch.arc_counts(
-                            arcs[miss_idx],
-                            counter=self.counter,
-                            lanes=self.lanes,
-                        )
-                        + 2
-                    )
-                    entry.record(arcs[miss_idx], overlaps)
-                    entry.misses += int(miss_idx.size)
-                    states[miss_idx] = np.where(
-                        overlaps >= mcn[miss_idx], SIM, NSIM
-                    )
-                if tracer.enabled:
-                    tracer.count("engine.arcs_bulk", int(idx_rest.size - hit_idx.size))
-            return states
-        scalar_sel = rest & self.route_scalar(du, dv, mcn)
-        bulk_sel = rest & ~scalar_sel
         if tracer.enabled:
             tracer.count("engine.batches", 1)
             tracer.count("engine.arcs", int(arcs.size))
-            tracer.count("engine.arcs_trivial", n_trivial)
-            tracer.count(
-                "engine.arcs_scalar", int(np.count_nonzero(scalar_sel))
-            )
-            tracer.count("engine.arcs_bulk", int(np.count_nonzero(bulk_sel)))
+            tracer.count("engine.arcs_trivial", int(arcs.size - rest.size))
             tracer.observe("engine.batch_size", float(arcs.size))
-        if bulk_sel.any():
-            idx = np.flatnonzero(bulk_sel)
+        entry = self._entry
+        if entry is not None and rest.size:
+            # Store-backed resolution: covered arcs are decided from the
+            # cached exact overlaps; the misses' bulk counts are exact,
+            # so they are recorded.
+            covered = entry.coverage[arcs[rest]]
+            hit = rest[covered]
+            if hit.size:
+                states[hit] = np.where(
+                    entry.overlap[arcs[hit]] >= mcn[hit], SIM, NSIM
+                )
+                entry.hits += int(hit.size)
+            rest = rest[~covered]
+        if tracer.enabled:
+            tracer.count("engine.arcs_bulk", int(rest.size))
+        if rest.size:
             counts = batch.arc_counts(
-                arcs[idx], counter=self.counter, lanes=self.lanes
+                arcs[rest], counter=self.counter, lanes=self.lanes
             )
-            states[idx] = np.where(counts + 2 >= mcn[idx], SIM, NSIM)
-        if scalar_sel.any():
-            idx = np.flatnonzero(scalar_sel)
-            srcs = batch.arc_src[arcs[idx]].tolist()
-            dsts = dst[idx].tolist()
-            adj = self._adj or self._neighbor_lists(srcs + dsts)
-            thresholds = mcn[idx].tolist()
-            kernel = self._compsim_kernel
-            counter = self.counter
-            for k, (u, v, c) in enumerate(zip(srcs, dsts, thresholds)):
-                states[idx[k]] = SIM if kernel(adj[u], adj[v], c, counter) else NSIM
+            overlaps = counts + 2
+            if entry is not None:
+                entry.record(arcs[rest], overlaps)
+                entry.misses += int(rest.size)
+            states[rest] = np.where(overlaps >= mcn[rest], SIM, NSIM)
         return states
 
     def similarity_value(self, u: int, v: int) -> float:

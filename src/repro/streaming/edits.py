@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple
 
 from ..graph.csr import CSRGraph
-from ..graph.dynamic import DynamicGraph
+from ..graph.dynamic import DynamicGraph, check_edge
 
 __all__ = [
     "EditOp",
@@ -117,6 +117,13 @@ class EditBatch:
                 )
             return cls(ops)
         return cls([_coerce_op(op) for op in edits])
+
+    def check(self, num_vertices: int) -> None:
+        """Raise on the first edit a graph on ``num_vertices`` vertices
+        cannot take (``IndexError`` out of range, ``ValueError`` for a
+        self loop), before any edit is applied."""
+        for op in self.ops:
+            check_edge(op.u, op.v, num_vertices)
 
     def __len__(self) -> int:
         return len(self.ops)

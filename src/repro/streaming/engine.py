@@ -17,10 +17,10 @@ touched vertices (endpoints of the batch's effective edits):
    cannot have changed), touched arcs are deliberately dropped
    (invalidated), frontier arcs are re-recorded from the batch's bulk
    overlap pass, and the superseded entry is discarded.
-3. **Materialized (ε, µ) points** — a point keeps only its parameters
-   and result, and each batch re-derives it by the index's exact point
-   pass: the ε-similar arcs, the cores by ``np.bincount``, and the
-   cluster assembly every GS*-Index query shares
+3. **Materialized (ε, µ) points** — a point keeps only its result, and
+   each batch re-derives it by the index's exact point pass: the
+   ε-similar arcs, the cores by ``np.bincount``, and the cluster
+   assembly every GS*-Index query shares
    (:func:`~repro.core.result.assemble_clustering`), bit-identical to a
    from-scratch :class:`~repro.core.gsindex.GSIndex` query (verified by
    the differential harness in :mod:`repro.streaming.differential`).
@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cache.store import SimilarityStore, StoreEntry, graph_fingerprint
-from ..core.dynamic_index import BatchMaintenance, DynamicGSIndex
+from ..core.dynamic_index import BatchMaintenance, DynamicGSIndex, cluster_arcs
+from ..core.gsindex import GSIndex, bulk_overlaps
 from ..core.result import ClusteringResult
 from ..graph.csr import CSRGraph
 from ..graph.dynamic import DynamicGraph
@@ -47,6 +48,9 @@ from ..types import ScanParams
 from .edits import EditBatch
 
 __all__ = ["BatchReport", "StreamingEngine"]
+
+#: How a repaired point's record names its pass (algorithm, kind, stage).
+_RECLUSTER = ("StreamingEngine", "recluster", "scoped recluster")
 
 
 @dataclass(frozen=True)
@@ -87,39 +91,43 @@ class BatchReport:
         }
 
 
-class _PointState:
-    """One materialized (ε, µ) point: its parameters and current result,
-    recomputed from the index's per-arc keys after every batch."""
-
-    __slots__ = ("params", "result")
-
-    def __init__(self, params: ScanParams, result: ClusteringResult) -> None:
-        self.params = params
-        self.result = result
-
-
 class StreamingEngine:
-    """Serve exact (ε, µ) queries while batches of edits stream in."""
+    """Serve exact (ε, µ) queries while batches of edits stream in.
+
+    ``graph`` may also be a :class:`~repro.core.gsindex.GSIndex` or a
+    :class:`~repro.api.GraphVersion`: whatever exact per-arc ``overlap``
+    of its ``graph`` it holds seeds the engine with no overlap pass, and
+    a version's ``fingerprint`` is reused rather than hashed again.
+    """
 
     def __init__(
         self,
-        graph: CSRGraph | DynamicGraph,
+        graph: CSRGraph | DynamicGraph | GSIndex,
         *,
         store: SimilarityStore | None = None,
         record_frontier: bool = True,
         label: str | None = None,
     ) -> None:
+        overlap = fingerprint = None
+        if not isinstance(graph, (CSRGraph, DynamicGraph)):
+            overlap = graph.overlap
+            fingerprint = getattr(graph, "fingerprint", None)
+            graph = graph.graph
         if not isinstance(graph, DynamicGraph):
             graph = DynamicGraph.from_csr(graph)
+        if overlap is None:
+            # With a store the seeding pass reads the entry an earlier
+            # index build filled and records any misses, so the store
+            # covers the start state.
+            overlap, _ = bulk_overlaps(graph.snapshot(), store)
         self.store = store
         self.record_frontier = record_frontier
         self.label = label
-        # With a store the index's seeding pass reads the entry an
-        # earlier index build filled and records any misses, so the
-        # store covers the start state.
-        self._index = DynamicGSIndex(graph, store)
-        self._fingerprint = graph_fingerprint(self._index.snapshot)
-        self._points: dict[tuple, _PointState] = {}
+        self._index = DynamicGSIndex(graph, overlap)
+        self._fingerprint = fingerprint or graph_fingerprint(
+            self._index.snapshot
+        )
+        self._points: dict[tuple, ClusteringResult] = {}
         self.batches_applied = 0
         self.edits_applied = 0
         self.edits_skipped = 0
@@ -143,33 +151,44 @@ class StreamingEngine:
         return self._fingerprint
 
     @property
+    def arc_overlap(self) -> np.ndarray:
+        """Exact overlap of every arc of :attr:`snapshot` (replaced, never
+        written in place, by each batch)."""
+        return self._index.arc_overlap
+
+    @property
+    def arc_keys(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The :func:`~repro.core.gsindex.arc_keys` of :attr:`snapshot` if
+        a repair has computed them since the last batch, else ``None``."""
+        return self._index.keys
+
+    @property
     def num_points(self) -> int:
         return len(self._points)
 
     # -- queries ---------------------------------------------------------
 
-    def _point_key(self, params: ScanParams) -> tuple:
-        frac = params.eps_fraction
-        return (frac.numerator, frac.denominator, params.mu)
-
     def query(self, params: ScanParams) -> ClusteringResult:
         """Exact clustering at ``params``, memoized and batch-maintained."""
-        key = self._point_key(params)
-        state = self._points.get(key)
-        if state is None:
-            state = _PointState(params, self._recluster(params))
-            self._points[key] = state
-        return state.result
+        key = params.point_key
+        result = self._points.get(key)
+        if result is None:
+            result = self._points[key] = self._recluster(params)
+        return result
+
+    def track(self, result: ClusteringResult) -> None:
+        """Materialize ``result``'s point, the exact clustering of
+        :attr:`snapshot` computed elsewhere, without recomputing it."""
+        self._points.setdefault(result.params.point_key, result)
 
     def materialized(self) -> dict[tuple, ClusteringResult]:
         """Current results for every materialized point (post-repair)."""
-        return {key: st.result for key, st in self._points.items()}
+        return dict(self._points)
 
     def _recluster(self, params: ScanParams) -> ClusteringResult:
         """The index's exact point pass, recorded as the engine's."""
-        return self._index._cluster(
-            params, "StreamingEngine", "recluster", "scoped recluster"
-        )
+        keys = self._index.refresh()
+        return cluster_arcs(self.snapshot, keys, params, *_RECLUSTER)
 
     # -- batches ---------------------------------------------------------
 
@@ -202,8 +221,8 @@ class StreamingEngine:
             points_repaired = 0
             reclustered = 0
             if stats.dirty:
-                for state in self._points.values():
-                    state.result = self._recluster(state.params)
+                for key, result in self._points.items():
+                    self._points[key] = self._recluster(result.params)
                     reclustered += len(stats.dirty)
                     points_repaired += 1
 

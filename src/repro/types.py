@@ -91,5 +91,12 @@ class ScanParams:
     def eps_fraction(self) -> Fraction:
         return _snap_eps(self.eps)
 
+    @property
+    def point_key(self) -> tuple[int, int, int]:
+        """``(numerator, denominator)`` of :attr:`eps_fraction` and µ: the
+        exact identity every per-point memo keys by."""
+        frac = self.eps_fraction
+        return (frac.numerator, frac.denominator, self.mu)
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"eps={self.eps}, mu={self.mu}"

@@ -372,11 +372,3 @@ class TestResolveArcs:
         states = engine.resolve_arcs(np.arange(graph.num_arcs, dtype=np.int64))
         assert (states == SIM).all()
         assert engine.counter.invocations == 0
-
-    def test_route_scalar_prefers_bulk_for_wide_slack(self):
-        graph = complete_graph(12)
-        engine = SimilarityEngine(graph, ScanParams(0.5, 2))
-        routed = engine.route_scalar(
-            np.array([11]), np.array([11]), np.array([7])
-        )
-        assert not bool(routed[0])

@@ -245,7 +245,7 @@ class TestDynamicMemory:
         index.apply_batch([("+", 0, 399), ("-", 5, dyn.neighbors(5)[0])])
         index.refresh()
         snap = index.snapshot
-        arrays = [snap.offsets, snap.dst, index._overlap, *index._keys]
+        arrays = [snap.offsets, snap.dst, index.arc_overlap, *index.keys]
         assert index.memory_bytes() == (
             sum(a.nbytes for a in arrays) + dyn.memory_bytes()
         )

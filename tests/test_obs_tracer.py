@@ -200,7 +200,6 @@ class TestZeroOpInvariance:
         m = tracer.metrics.as_dict()
         assert m["engine.arcs"] == (
             m["engine.arcs_trivial"]
-            + m["engine.arcs_scalar"]
             + m["engine.arcs_bulk"]
         )
         assert m["engine.batches"] == m["engine.batch_size.count"]

@@ -681,10 +681,10 @@ class TestDestructiveRaces:
             assert answer["roles"] == expected.roles.tolist()
             # The deferred discard runs once the in-flight key drains.
             for _ in range(500):
-                if handle._index is None:
+                if not handle.stats()["indexed"]:
                     break
                 await asyncio.sleep(0.01)
-            assert handle._index is None  # discarded, after the query
+            assert not handle.stats()["indexed"]  # discarded, after the query
 
         try:
             _serve(drive, executor_workers=1)

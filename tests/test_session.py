@@ -11,6 +11,7 @@ service registry budgets with.
 from __future__ import annotations
 
 import warnings
+from unittest import mock
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.cache import SimilarityStore, graph_fingerprint
 from repro.core import assert_same_clustering
 from repro.graph.generators import erdos_renyi, planted_partition
 from repro.options import ExecutionOptions
+from repro.streaming import StreamingEngine
 from repro.types import ScanParams
 
 
@@ -33,6 +35,37 @@ def handle(graph):
 
 
 PARAMS = ScanParams(0.5, 3)
+
+
+def _non_edge(graph, u: int) -> tuple[int, int]:
+    """``(u, v)`` for the highest ``v`` not adjacent to ``u``."""
+    adjacent = set(graph.neighbors(u).tolist()) | {u}
+    return u, max(set(range(graph.num_vertices)) - adjacent)
+
+
+@pytest.fixture
+def handed(monkeypatch):
+    """The arc counts every overlap pass hands ``edge_overlaps``."""
+    from repro.core import dynamic_index, gsindex
+
+    calls: list[int] = []
+    for module in (gsindex, dynamic_index):
+
+        def counted(g, arcs, rev, inter=None, real=module.edge_overlaps):
+            calls.append(int(arcs.size))
+            return real(g, arcs, rev, inter)
+
+        monkeypatch.setattr(module, "edge_overlaps", counted)
+    return calls
+
+
+def _result_bytes(result) -> int:
+    """What a handle's memory budget charges for one memoized result."""
+    return (
+        result.roles.nbytes
+        + result.core_labels.nbytes
+        + 16 * len(result.noncore_pairs)
+    )
 
 
 class TestGraphHandle:
@@ -128,25 +161,40 @@ class TestGraphHandle:
         assert handle.memory_bytes() > cold
 
     def test_memory_counts_the_streaming_engine(self, graph):
+        edit = [("+", 0, graph.num_vertices - 1)]
+        bare = api.open(graph)
+        bare.apply_updates(edit)  # nothing to repair: no arc keys
         handle = api.open(graph)
         handle.cluster(PARAMS)
-        handle.apply_updates([("+", 0, graph.num_vertices - 1)])
-        engine = handle._stream.memory_bytes()
-        # The engine holds the adjacency lists and an overlap per arc on
-        # top of the snapshot arrays the handle's graph alone would count.
+        handle.apply_updates(edit)  # repairs PARAMS over fresh arc keys
+        # The engine holds the adjacency lists, an overlap per arc and the
+        # repair's arc keys on top of the snapshot arrays the handle's
+        # graph alone would count; a reference engine that answered one
+        # point holds the same.
+        reference = StreamingEngine(handle.graph)
+        reference.query(PARAMS)
+        engine = reference.memory_bytes()
         snapshot = handle.graph
         assert engine > snapshot.offsets.nbytes + snapshot.dst.nbytes
-        results = sum(
-            r.roles.nbytes + r.core_labels.nbytes + 16 * len(r.noncore_pairs)
-            for r in handle._results.values()
+        assert handle.stats()["points_cached"] == 1
+        assert handle.memory_bytes() == engine + _result_bytes(
+            handle.lookup(PARAMS)
         )
-        assert handle.memory_bytes() == engine + results
+        # The keys (src, num, den: 8 bytes each per arc) count once ...
+        keys = 3 * 8 * snapshot.num_arcs
+        assert handle.memory_bytes() - bare.memory_bytes() == keys + (
+            _result_bytes(handle.lookup(PARAMS))
+        )
+        # ... and a cold point on the streamed version reuses them.
+        before = handle.memory_bytes()
+        fresh = handle.cluster(0.45, 2)
+        assert handle.memory_bytes() == before + _result_bytes(fresh)
 
     def test_close_releases_memos(self, handle):
         handle.cluster(PARAMS)
         handle.close()
         assert handle.lookup(PARAMS) is None
-        assert not handle.indexed
+        assert handle.stats()["indexed"] is False
 
 
 class TestSession:
@@ -237,7 +285,7 @@ class TestCounts:
             other.num_cores,
             other.num_vertices,
         )
-        assert not handle._counts
+        assert not handle.version.counts
 
     def test_counts_follow_the_repaired_point(self, graph):
         handle = api.open(graph)
@@ -306,6 +354,54 @@ class TestApplyUpdates:
         session.discard(handle)
         assert handle not in session.handles()
         assert handle.stats()["streaming"] is False
+
+    def test_first_batch_reuses_the_index_overlaps(self, graph, handed):
+        # Without a store, an engine seeded by a second whole-graph overlap
+        # pass would hand edge_overlaps every edge; seeded from the index
+        # it intersects only the batch's frontier.
+        handle = api.open(graph)
+        handle.ensure_index()
+        assert handle.store is None
+        handed.clear()
+        report = handle.apply_updates([("+", 0, graph.num_vertices - 1)])
+        assert report.arcs_repaired > 0
+        assert sum(handed) == report.arcs_repaired
+        assert sum(handed) < graph.num_edges
+
+    def test_rejected_batch_keeps_the_engine(self, graph, handed):
+        handle = api.open(graph)
+        handle.apply_updates([("+", 0, graph.num_vertices - 1)])
+        with pytest.raises(IndexError):
+            handle.apply_updates([("+", 1, 10_000)])
+        handed.clear()
+        report = handle.apply_updates([("+", *_non_edge(handle.graph, 1))])
+        assert report.arcs_repaired > 0
+        assert sum(handed) == report.arcs_repaired
+
+    def test_failed_batch_reseeds_from_the_published_overlaps(
+        self, graph, handed, monkeypatch
+    ):
+        from repro.core import dynamic_index
+
+        handle = api.open(graph)
+        handle.apply_updates([("+", 0, graph.num_vertices - 1)])
+        published = handle.version
+        edit = [("+", *_non_edge(handle.graph, 1))]
+        spy = dynamic_index.edge_overlaps
+        monkeypatch.setattr(
+            dynamic_index, "edge_overlaps", mock.Mock(side_effect=RuntimeError)
+        )
+        with pytest.raises(RuntimeError):
+            handle.apply_updates(edit)  # fails after the engine's graph took it
+        assert handle.version is published
+        monkeypatch.setattr(dynamic_index, "edge_overlaps", spy)
+        handed.clear()
+        report = handle.apply_updates(edit)
+        assert report.effective == 1
+        assert sum(handed) == report.arcs_repaired
+        assert_same_clustering(
+            handle.cluster(PARAMS), api.cluster(handle.graph, PARAMS)
+        )
 
     def test_store_follows_the_stream(self, graph):
         store = SimilarityStore()

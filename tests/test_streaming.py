@@ -288,8 +288,8 @@ class TestDifferential:
             def apply(self, edits):
                 report = super().apply(edits)
                 # Sabotage a materialized point after the repair.
-                state = next(iter(self._points.values()))
-                state.result.roles[0] = 1 - state.result.roles[0]
+                result = next(iter(self.materialized().values()))
+                result.roles[0] = 1 - result.roles[0]
                 return report
 
         import repro.streaming.differential as differential
