@@ -2,10 +2,10 @@
 
 The scalar kernels (merge, galloping, branchless, pivot) count or decide
 one pair at a time with operation counters; :class:`BatchIntersector`
-is the bulk NumPy path — ``group_counts`` is the mark-and-count mask
-kernel for one source and any candidates, ``arc_counts`` resolves whole
-arc batches (the GS*-Index build, the fast exact mode and the batched
-execution mode all run on it).
+is the bulk NumPy path — ``arc_counts`` resolves whole arc batches (the
+GS*-Index build, the fast exact mode and the batched execution mode all
+run on it), and ``group_counts`` (one probe, any candidates) and
+``keyed_counts`` (any pairs) wrap the same slotted mark-and-count pass.
 """
 
 from .counters import OpCounter

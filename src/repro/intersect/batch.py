@@ -5,38 +5,33 @@ interpreted kernel call per UNKNOWN arc, an array of arc ids is resolved
 with a handful of NumPy primitives.
 
 *Probe side.*  Each arc ``(u, v)`` is probed from one endpoint, whose
-neighbourhood is marked or searched, and gathers the other's.  The probe
-is ``u`` unless ``N(v)`` is more than :data:`PROBE_SWAP_RATIO` times
-larger, in which case it is ``v`` and the arc gathers ``N(u)``; the count
-is symmetric, so a leaf→hub arc costs the leaf's degree, not the hub's.
-Arcs then group by probe vertex, and two complementary strategies are
-chosen per group by its work:
+neighbourhood is marked, and gathers the other's.  The probe is ``u``
+unless ``N(v)`` is more than :data:`PROBE_SWAP_RATIO` times larger, in
+which case it is ``v`` and the arc gathers ``N(u)``; the count is
+symmetric, so a leaf→hub arc costs the leaf's degree, not the hub's.
 
-*Mark-and-count* (heavy groups — one hub probe, many candidate arcs):
+*Slotted mark-and-count* (every arc, one pass per ``G`` probe groups):
+arcs group into runs of equal probe vertex, and each group of a pass
+gets a slot ``0..G-1`` in one boolean table of ``G·n`` cells, allocated
+per call (``G = TABLE_CELLS // n``, at least 1, so past ``TABLE_CELLS / 2``
+vertices the pass loop runs once per probe group):
 
-1. *mark*: scatter ``N(u)`` into a reusable per-graph boolean scratch,
-2. *gather*: concatenate the candidate neighborhoods ``N(v1)..N(vk)`` with
-   one vectorized multi-range ``arange`` and read the scratch at those ids,
-3. *reduce*: per-candidate hit counts via a cumulative-sum segmented
-   reduction (the ``np.add.reduceat`` pattern, written with ``cumsum`` so
-   zero-length segments cost nothing special).
-
-*Keyed membership* (everything else, all light groups in ONE pass): CSR
-arcs are sorted by ``(src, dst)``, so ``src * n + dst`` is a globally
-sorted key array; ``x ∈ N(u)`` is one binary search for ``u * n + x``.
-Gathering every candidate neighborhood and searching all the query keys
-at once amortizes the interpreter overhead that a per-source mark pass
-would pay thousands of times on low-degree frontiers.
+1. *mark*: scatter ``slot·n + N(probe)`` for the pass's groups,
+2. *gather*: read the table at ``slot·n + x`` for every ``x`` of the
+   candidate neighbourhoods ``N(v1)..N(vk)`` (concatenated with one
+   vectorized multi-range ``arange``), then unmark,
+3. *reduce*: per-candidate hit counts, one ``np.add.reduceat`` per call.
 
 Counts are *exact* (no early termination), so SIM/NSIM decisions derived
 from them are bit-identical to every early-terminating scalar kernel.
 
-Cost accounting mirrors Algorithm 6's vector model: one vector block
-operation per ``lanes`` elements touched (marking the probe's
-neighbourhood plus gathering the candidate neighborhoods for the mark
-path; the gathered candidate elements for the keyed path), one CompSim
-invocation per resolved arc.  A swapped arc is charged the smaller
-endpoint's neighbourhood as its gather.
+Cost accounting mirrors Algorithm 6's vector model, not the pass: one
+vector block operation per ``lanes`` elements touched, one CompSim
+invocation per resolved arc.  A group with at least
+:data:`MARK_GROUP_WORK` work is charged as its own mask pass (the probe's
+neighbourhood plus its gather); every lighter group's gather is charged
+as one keyed-membership pass per call.  A swapped arc is charged the
+smaller endpoint's neighbourhood as its gather.
 """
 
 from __future__ import annotations
@@ -51,34 +46,44 @@ __all__ = ["BatchIntersector", "concat_ranges"]
 
 
 def _segment_sums(hits: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Per-segment sums of ``hits`` for consecutive segments of ``lens``.
+    """Per-segment sums of boolean ``hits`` for consecutive segments of
+    ``lens``.
 
-    ``np.add.reduceat`` when every segment is non-empty (one C call; arc
-    candidates always have degree ≥ 1 because their reverse arc exists),
-    falling back to the cumulative-sum difference idiom — robust to
-    zero-length segments, which ``reduceat`` would mishandle.
+    ``np.add.reduceat`` over a ``uint8`` view when every segment is
+    non-empty (one C call; arc candidates always have degree ≥ 1 because
+    their reverse arc exists), falling back to the cumulative-sum
+    difference idiom — robust to zero-length segments, which
+    ``reduceat`` would mishandle.
     """
     if lens.size and bool(lens.min() > 0):
         seg_starts = lens.cumsum() - lens
-        return np.add.reduceat(hits, seg_starts, dtype=np.int64)
+        return np.add.reduceat(hits.view(np.uint8), seg_starts, dtype=np.int64)
     cs = np.concatenate(([0], hits.cumsum()))
     seg_ends = lens.cumsum()
     return cs[seg_ends] - cs[seg_ends - lens]
 
-#: Minimum ``|N(u)| + Σ|N(v)|`` for a probe group to warrant its own
-#: mark-and-count pass; smaller groups batch into the keyed pass.  Tuned
-#: on the bundled standins: the mark pass costs one NumPy dispatch per
-#: group, the keyed pass one binary search per gathered element.
+#: Algorithm 6's charge model only: a probe group with at least this
+#: much work (``|N(u)| + Σ|N(v)|``) is charged as its own mask pass, the
+#: lighter groups' gathers as one keyed pass per call.  Every group runs
+#: through the same slotted mark pass either way.
 MARK_GROUP_WORK = 768
 
-#: An arc ``(u, v)`` is probed from ``v`` (``N(v)`` marked or searched,
-#: ``N(u)`` gathered) when ``deg(v) > PROBE_SWAP_RATIO * deg(u)``, so a
-#: leaf→hub arc no longer re-reads the hub's whole list.  Chosen by timing
+#: An arc ``(u, v)`` is probed from ``v`` (``N(v)`` marked, ``N(u)``
+#: gathered) when ``deg(v) > PROBE_SWAP_RATIO * deg(u)``, so a leaf→hub
+#: arc no longer re-reads the hub's whole list.  Chosen by timing
 #: batched ppSCAN and SCAN-XP on the four offline-cold stand-ins: ratio 1
 #: (swap whenever the target is larger) breaks up dense source groups and
 #: kept the least of the gain, 1.5 and 2 were fastest, and 3 or more gave
 #: part of it back on friendster.
 PROBE_SWAP_RATIO = 2
+
+#: Cells of the slotted mark table: a pass marks ``TABLE_CELLS // n``
+#: probe groups (at least one, never more than the call has).  On the
+#: webbase and friendster stand-ins at 2¹⁸ and 2²⁰ vertices one slot,
+#: with no slot offsets to add, beat ``2·n`` to ``16·n``-cell tables:
+#: a larger table and an offset per gathered element cost more than the
+#: passes they saved.
+TABLE_CELLS = 2**18
 
 
 def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -104,11 +109,10 @@ def concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 class BatchIntersector:
-    """Reusable per-graph scratch for batched arc-group intersection."""
+    """Per-graph batched intersection: every count is one slotted pass."""
 
     def __init__(self, graph: CSRGraph) -> None:
         self._graph = graph
-        self._mark = np.zeros(graph.num_vertices, dtype=bool)
         self._src = graph.arc_source()
         self._keys: np.ndarray | None = None
 
@@ -129,6 +133,53 @@ class BatchIntersector:
             )
         return self._keys
 
+    def _counts(
+        self, probes: np.ndarray, cands: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(out, group_u, gathered)``: ``out[i] = |N(probes[i]) ∩
+        N(cands[i])|`` by slotted mark passes, plus each probe group's
+        vertex and gathered element count (for the charge model).
+
+        Pairs need not be edges and may repeat; isolated vertices count
+        0.  Groups are the runs of equal probe after a stable sort (free
+        for the common already-sorted batch).
+        """
+        graph = self._graph
+        n = graph.num_vertices
+        deg, offsets, dst = graph.degrees, graph.offsets, graph.dst
+        order = None
+        if not bool((np.diff(probes) >= 0).all()):
+            order = np.argsort(probes, kind="stable")
+            probes, cands = probes[order], cands[order]
+        starts = np.flatnonzero(np.diff(probes)) + 1
+        starts = np.concatenate(([0], starts, [probes.size]))
+        group_u = probes[starts[:-1]]
+        lens = deg[cands]
+        cd_cs = np.concatenate(([0], lens.cumsum()))
+        gathered = cd_cs[starts[1:]] - cd_cs[starts[:-1]]
+        slots = min(group_u.size, max(1, TABLE_CELLS // n))
+        table = np.zeros(slots * n, dtype=bool)
+        marks = dst[concat_ranges(offsets[group_u], offsets[group_u + 1])]
+        query = dst[concat_ranges(offsets[cands], offsets[cands + 1])]
+        if slots > 1:
+            # Each group's slot base, over its marks and its gather.
+            base = (np.arange(group_u.size, dtype=np.int64) % slots) * n
+            marks += base.repeat(deg[group_u])
+            query += base.repeat(gathered)
+        cuts = np.append(np.arange(0, group_u.size, slots), group_u.size)
+        mark_cuts = np.concatenate(([0], deg[group_u].cumsum()))[cuts].tolist()
+        pass_cuts = cd_cs[starts[cuts]].tolist()
+        hits = []
+        for i, (lo, hi) in enumerate(zip(pass_cuts, pass_cuts[1:])):
+            m = marks[mark_cuts[i] : mark_cuts[i + 1]]
+            table[m] = True
+            hits.append(table.take(query[lo:hi]))
+            table[m] = False
+        counts = _segment_sums(np.concatenate(hits), lens)
+        out = np.empty(probes.size, dtype=np.int64)
+        out[slice(None) if order is None else order] = counts
+        return out, group_u, gathered
+
     def group_counts(
         self,
         u: int,
@@ -136,31 +187,20 @@ class BatchIntersector:
         counter: OpCounter | None = None,
         lanes: int = 16,
     ) -> np.ndarray:
-        """``out[i] = |N(u) ∩ N(candidates[i])|`` with one mark pass.
+        """``out[i] = |N(u) ∩ N(candidates[i])|``: one group, one pass.
 
         The bulk mask kernel: candidates need not be neighbors of ``u``
         and may repeat or be isolated; every count is exact.
         """
-        graph = self._graph
         candidates = np.asarray(candidates, dtype=np.int64)
-        out = np.zeros(candidates.size, dtype=np.int64)
         if candidates.size == 0:
-            return out
-        lens = graph.degrees[candidates]
-        total = int(lens.sum())
-        nbrs_u = graph.neighbors(u)
-        if total and nbrs_u.size:
-            mark = self._mark
-            mark[nbrs_u] = True
-            gather = concat_ranges(
-                graph.offsets[candidates], graph.offsets[candidates + 1]
-            )
-            hits = mark[graph.dst[gather]]
-            out = _segment_sums(hits, lens)
-            mark[nbrs_u] = False
+            return np.zeros(0, dtype=np.int64)
+        probes = np.full(candidates.size, u, dtype=np.int64)
+        out, _, gathered = self._counts(probes, candidates)
         if counter is not None:
+            work = int(self._graph.degrees[u]) + int(gathered.sum())
             counter.invocations += int(candidates.size)
-            counter.vector_ops += (int(nbrs_u.size) + total + lanes - 1) // lanes
+            counter.vector_ops += (work + lanes - 1) // lanes
         return out
 
     def keyed_counts(
@@ -170,37 +210,21 @@ class BatchIntersector:
         counter: OpCounter | None = None,
         lanes: int = 16,
     ) -> np.ndarray:
-        """``out[i] = |N(probes[i]) ∩ N(candidates[i])|`` via one
-        keyed-search pass.
+        """``out[i] = |N(probes[i]) ∩ N(candidates[i])|`` for arbitrary
+        pairs, charged as one keyed-membership pass over the gathered
+        ``N(candidates[i])`` (Algorithm 6's light-group cost).
 
-        Gathers every element ``x`` of every ``N(candidates[i])`` and
-        tests ``x ∈ N(probes[i])`` as a vectorized binary search for
-        ``probes[i] * n + x`` in the sorted arc-key array — no per-probe
-        loop, so thousands of low-degree groups cost one NumPy call.  As
-        in :meth:`group_counts`, the pairs need not be edges and may
+        As in :meth:`group_counts`, the pairs need not be edges and may
         repeat; every count is exact.
         """
-        graph = self._graph
         probes = np.asarray(probes, dtype=np.int64)
         candidates = np.asarray(candidates, dtype=np.int64)
-        out = np.zeros(probes.size, dtype=np.int64)
         if probes.size == 0:
-            return out
-        lens = graph.degrees[candidates].astype(np.int64)
-        gather = concat_ranges(
-            graph.offsets[candidates], graph.offsets[candidates + 1]
-        )
-        if gather.size:
-            n = np.int64(graph.num_vertices)
-            queries = (probes * n).repeat(lens) + graph.dst[gather]
-            keys = self.arc_keys
-            idx = np.searchsorted(keys, queries)
-            np.minimum(idx, keys.size - 1, out=idx)
-            hits = keys[idx] == queries
-            out = _segment_sums(hits, lens)
+            return np.zeros(0, dtype=np.int64)
+        out, _, gathered = self._counts(probes, candidates)
         if counter is not None:
             counter.invocations += int(probes.size)
-            counter.vector_ops += (int(gather.size) + lanes - 1) // lanes
+            counter.vector_ops += (int(gathered.sum()) + lanes - 1) // lanes
         return out
 
     def arc_counts(
@@ -212,20 +236,18 @@ class BatchIntersector:
     ) -> np.ndarray:
         """``out[i] = |N(src[arcs[i]]) ∩ N(dst[arcs[i]])|`` for an arc batch.
 
-        Each arc ``(u, v)`` is probed from ``u`` (``N(u)`` marked or
-        searched, ``N(v)`` gathered) unless ``N(v)`` is more than
-        :data:`PROBE_SWAP_RATIO` times larger, in which case it is probed
-        from ``v`` and gathers ``N(u)``; the count is symmetric.  Arcs
-        are grouped by probe vertex (stable, so already-sorted unswapped
-        batches — the common case, e.g. a task's arc ranges — group for
-        free).  Groups with at least ``mark_group_work`` work (the probe's
-        degree plus the gathered elements) each pay one mark pass; every
-        other group is folded into a single keyed-membership pass.
+        Each arc ``(u, v)`` is probed from ``u`` (``N(u)`` marked, ``N(v)``
+        gathered) unless ``N(v)`` is more than :data:`PROBE_SWAP_RATIO`
+        times larger, in which case it is probed from ``v`` and gathers
+        ``N(u)``; the count is symmetric.  Every arc then goes through
+        one slotted mark pass.  ``mark_group_work`` only sets the charge:
+        a group with at least that much work (the probe's degree plus its
+        gather) is charged as its own mask pass, the rest as one keyed
+        pass.
         """
         arcs = np.asarray(arcs, dtype=np.int64)
-        out = np.empty(arcs.size, dtype=np.int64)
         if arcs.size == 0:
-            return out
+            return np.empty(0, dtype=np.int64)
         graph = self._graph
         deg = graph.degrees
         probes = self._src[arcs]
@@ -237,39 +259,17 @@ class BatchIntersector:
                 np.where(swap, cands, probes),
                 np.where(swap, probes, cands),
             )
-        presorted = bool((np.diff(probes) >= 0).all())
-        if presorted:
-            order = None
-        else:
-            order = np.argsort(probes, kind="stable")
-            probes = probes[order]
-            cands = cands[order]
-        bounds = np.flatnonzero(np.diff(probes)) + 1
-        starts = np.concatenate(([0], bounds, [arcs.size]))
-        cd_cs = np.concatenate(([0], np.cumsum(deg[cands], dtype=np.int64)))
-        group_gather = cd_cs[starts[1:]] - cd_cs[starts[:-1]]
-        group_u = probes[starts[:-1]]
-        heavy = (deg[group_u] + group_gather) >= mark_group_work
-        out_sorted = np.empty(arcs.size, dtype=np.int64)
-        light_sel = ~np.repeat(heavy, np.diff(starts))
         tracer = current_tracer()
         if tracer.enabled:
-            n_heavy = int(np.count_nonzero(heavy))
             tracer.count("batch.calls", 1)
-            tracer.count("batch.groups_heavy", n_heavy)
-            tracer.count("batch.groups_light", int(heavy.size - n_heavy))
             tracer.count("batch.arcs", int(arcs.size))
             tracer.count("batch.arcs_swapped", n_swapped)
-        if light_sel.any():
-            out_sorted[light_sel] = self.keyed_counts(
-                probes[light_sel], cands[light_sel], counter, lanes
-            )
-        for i in np.flatnonzero(heavy).tolist():
-            lo, hi = int(starts[i]), int(starts[i + 1])
-            out_sorted[lo:hi] = self.group_counts(
-                int(group_u[i]), cands[lo:hi], counter=counter, lanes=lanes
-            )
-        if order is None:
-            return out_sorted
-        out[order] = out_sorted
+        out, group_u, gathered = self._counts(probes, cands)
+        if counter is not None:
+            work = deg[group_u].astype(np.int64) + gathered
+            heavy = work >= mark_group_work
+            light = int(gathered[~heavy].sum())
+            counter.invocations += int(arcs.size)
+            counter.vector_ops += int(((work[heavy] + lanes - 1) // lanes).sum())
+            counter.vector_ops += (light + lanes - 1) // lanes
         return out

@@ -175,7 +175,7 @@ class SimilarityEngine:
         return self._arc_mcn
 
     def batch_intersector(self) -> BatchIntersector:
-        """The engine's reusable mark-and-count scratch (cached)."""
+        """The engine's batch intersector for its graph (cached)."""
         if self._batch is None:
             self._batch = BatchIntersector(self.graph)
         return self._batch

@@ -205,6 +205,16 @@ class StreamingEngine:
         ):
             stats = self._index.apply_batch(batch)
 
+            points_repaired = 0
+            reclustered = 0
+            if stats.dirty:
+                for key, result in self._points.items():
+                    self._points[key] = self._recluster(result.params)
+                    reclustered += len(stats.dirty)
+                    points_repaired += 1
+
+            # The store moves last, once nothing of the batch can fail: a
+            # batch that raises leaves the published version's entry.
             carried = 0
             if stats.effective:
                 old_fingerprint = self._fingerprint
@@ -217,14 +227,6 @@ class StreamingEngine:
                     carried = self._migrate_store(
                         old_fingerprint, new_entry, stats
                     )
-
-            points_repaired = 0
-            reclustered = 0
-            if stats.dirty:
-                for key, result in self._points.items():
-                    self._points[key] = self._recluster(result.params)
-                    reclustered += len(stats.dirty)
-                    points_repaired += 1
 
         wall = time.perf_counter() - t0
         self.batches_applied += 1

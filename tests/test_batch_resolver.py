@@ -311,6 +311,111 @@ class TestGroupCounts:
         assert got.tolist() == oracle_group_counts(graph, u, cands)
 
 
+def oracle_pair_counts(graph, probes, candidates):
+    """``|N(p) ∩ N(c)|`` per pair, via merge-count."""
+    return [
+        merge_count(graph.neighbors(int(p)), graph.neighbors(int(c)))
+        for p, c in zip(probes, candidates)
+    ]
+
+
+class TestSlottedPasses:
+    """One call split over several slotted passes (the table shrunk by
+    monkeypatching ``TABLE_CELLS``) counts exactly what one pass does."""
+
+    @pytest.mark.parametrize("slots", [1, 2, 3, 7])
+    def test_multi_pass_arc_counts_match_oracle(self, monkeypatch, slots):
+        graph = chung_lu(powerlaw_weights(120, 2.2), 500, seed=8)
+        monkeypatch.setattr(
+            batch_module, "TABLE_CELLS", slots * graph.num_vertices
+        )
+        arcs = np.random.default_rng(1).permutation(graph.num_arcs)
+        got = BatchIntersector(graph).arc_counts(arcs)
+        assert got.tolist() == oracle_counts(graph, arcs).tolist()
+
+    @pytest.mark.parametrize("cells", [0, 1, 16])
+    def test_single_group_passes(self, monkeypatch, cells):
+        # Fewer cells than vertices: every pass holds exactly one group.
+        monkeypatch.setattr(batch_module, "TABLE_CELLS", cells)
+        graph = TestProbeSwap.GRAPH
+        arcs = TestProbeSwap().batch()
+        got = BatchIntersector(graph).arc_counts(arcs)
+        assert got.tolist() == oracle_counts(graph, arcs).tolist()
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        random_graph(),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_random_pass_splits_match_oracle(self, graph, slots, seed):
+        if graph.num_arcs == 0:
+            return
+        arcs = np.random.default_rng(seed).integers(
+            0, graph.num_arcs, size=graph.num_arcs
+        )
+        saved = batch_module.TABLE_CELLS
+        batch_module.TABLE_CELLS = slots * graph.num_vertices
+        try:
+            got = BatchIntersector(graph).arc_counts(arcs)
+        finally:
+            batch_module.TABLE_CELLS = saved
+        assert got.tolist() == oracle_counts(graph, arcs).tolist()
+
+    @pytest.mark.parametrize("cells", [0, 2 * 7, batch_module.TABLE_CELLS])
+    def test_arbitrary_pairs_through_both_wrappers(self, monkeypatch, cells):
+        # Unsorted and repeated probes, pairs in both orientations
+        # (hub→leaf and leaf→hub), non-edges and isolated vertices 5, 6.
+        monkeypatch.setattr(batch_module, "TABLE_CELLS", cells)
+        graph = from_edges(
+            [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3)], num_vertices=7
+        )
+        probes = np.array([3, 0, 1, 0, 4, 3, 5, 2, 1, 6, 0])
+        cands = np.array([0, 3, 0, 1, 0, 0, 2, 5, 3, 6, 6])
+        batch = BatchIntersector(graph)
+        expected = oracle_pair_counts(graph, probes, cands)
+        assert batch.keyed_counts(probes, cands).tolist() == expected
+        for u in range(graph.num_vertices):
+            got = batch.group_counts(u, cands)
+            assert got.tolist() == oracle_group_counts(graph, u, cands)
+
+    # (vector_ops at mark_group_work 0, MARK_GROUP_WORK, 10**9), lanes 16
+    # and 8: the Algorithm 6 charges of the per-hub mark loop and the
+    # keyed pass that this kernel replaced, pinned so the charge model
+    # stays byte-identical.
+    CHARGES = {
+        "chung_lu": (900, {16: (931, 733, 717), 8: (1801, 1465, 1433)}),
+        "hub": (514, {16: (120, 116, 65), 8: (239, 231, 130)}),
+    }
+
+    @staticmethod
+    def fixed_batch(name):
+        if name == "hub":
+            return TestProbeSwap.GRAPH, TestProbeSwap().batch()
+        graph = chung_lu(powerlaw_weights(300, 2.2), 1500, seed=5)
+        rng = np.random.default_rng(3)
+        return graph, rng.integers(0, graph.num_arcs, size=900)
+
+    @pytest.mark.parametrize("name", ["chung_lu", "hub"])
+    @pytest.mark.parametrize("lanes", [16, 8])
+    def test_charges_unchanged(self, name, lanes):
+        graph, arcs = self.fixed_batch(name)
+        invocations, ops = self.CHARGES[name]
+        for work, expected in zip((0, MARK_GROUP_WORK, 10**9), ops[lanes]):
+            counter = OpCounter()
+            BatchIntersector(graph).arc_counts(
+                arcs, counter=counter, lanes=lanes, mark_group_work=work
+            )
+            assert (counter.invocations, counter.vector_ops) == (
+                invocations,
+                expected,
+            )
+
+
 class TestResolveArcs:
     @settings(
         max_examples=40,

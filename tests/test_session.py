@@ -403,6 +403,32 @@ class TestApplyUpdates:
             handle.cluster(PARAMS), api.cluster(handle.graph, PARAMS)
         )
 
+    def test_failed_batch_leaves_the_store_on_the_published_version(
+        self, monkeypatch
+    ):
+        # A point repair that raises must leave the published version's
+        # store entry in place and no entry for the never-published graph.
+        store = SimilarityStore()
+        handle = api.Session(store=store).open(erdos_renyi(60, 240, seed=3))
+        params = ScanParams(0.3, 2)
+        handle.cluster(params)
+        published = handle.fingerprint
+        assert store.peek(published) is not None
+        edit = [("+", *_non_edge(handle.graph, 0))]
+        monkeypatch.setattr(
+            StreamingEngine, "_recluster", mock.Mock(side_effect=RuntimeError)
+        )
+        with pytest.raises(RuntimeError):
+            handle.apply_updates(edit)
+        assert handle.fingerprint == published
+        assert store.peek(published) is not None
+        fingerprints = {entry.fingerprint for entry in store.entries()}
+        monkeypatch.undo()
+        report = handle.apply_updates(edit)
+        assert report.fingerprint != published
+        assert fingerprints == {published}
+        assert store.peek(report.fingerprint) is not None
+
     def test_store_follows_the_stream(self, graph):
         store = SimilarityStore()
         session = api.Session(store=store)
