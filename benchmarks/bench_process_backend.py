@@ -4,9 +4,12 @@ Two configurations, each run serially and with ``ProcessBackend(2)``:
 
 * ``scalar`` — scalar ppSCAN on the twitter stand-in at scale 0.2
   (ε 0.3, µ 5), through ``ppscan()`` directly;
-* ``offline-cold`` — batched ppSCAN on the twitter stand-in at scale 1.0
-  (ε 0.3, µ 3) through ``api.cluster``, the process path of the
-  perfbench ``offline-cold`` workload.
+* ``offline-cold`` — batched ppSCAN through ``api.cluster``, the process
+  path of the perfbench ``offline-cold`` workload, on the twitter
+  (ε 0.3, µ 3) and webbase (ε 0.2, µ 3) stand-ins at scale 1.0.  Besides
+  the walls it saves each stage's wall, serial against two workers, from
+  the fastest of three runs per side, so core checking and core
+  clustering can be followed from run to run.
 
 The guarantees checked are correctness (identical clustering under
 bulk-synchronous execution) and one worker pool per run: a run forks
@@ -30,6 +33,8 @@ from repro.parallel import ProcessBackend
 from repro.types import ScanParams
 
 WORKERS = 2
+#: (stand-in, eps, mu) of the offline-cold configuration, at scale 1.0.
+COLD_POINTS = (("twitter", 0.3, 3), ("webbase", 0.2, 3))
 
 
 def _spawns(run) -> tuple[object, int]:
@@ -40,13 +45,17 @@ def _spawns(run) -> tuple[object, int]:
     return result, int(tracer.metrics.as_dict().get("backend.process.spawns", 0))
 
 
-def _best_wall(run, rounds: int = 3) -> float:
-    walls = []
+def _best_run(run, rounds: int = 3) -> tuple[float, dict[str, float]]:
+    """The fastest of ``rounds`` runs: its wall and its stage walls."""
+    best = None
     for _ in range(rounds):
         t0 = time.perf_counter()
-        run()
-        walls.append(time.perf_counter() - t0)
-    return min(walls)
+        result = run()
+        wall = time.perf_counter() - t0
+        if best is None or wall < best[0]:
+            stages = {s.name: s.wall_seconds for s in result.record.stages}
+            best = (wall, stages)
+    return best
 
 
 def test_process_backend_wall_time(benchmark, save_result):
@@ -64,24 +73,33 @@ def test_process_backend_wall_time(benchmark, save_result):
     assert spawns == WORKERS
 
     # The offline-cold configuration: batched ppSCAN through the facade.
-    cold_graph = real_world_standin("twitter", scale=1.0)
-    cold_params = ScanParams(0.3, 3)
     batched = ExecutionOptions(exec_mode=ExecMode.BATCHED)
     process = batched.evolve(backend=BackendKind.PROCESS, workers=WORKERS)
+    offline_cold = {}
+    for name, eps, mu in COLD_POINTS:
+        cold_graph = real_world_standin(name, scale=1.0)
+        cold_params = ScanParams(eps, mu)
 
-    def cold(options):
-        return lambda: api.cluster(
-            cold_graph, cold_params, algorithm="ppscan", options=options
-        )
+        def cold(options):
+            return lambda: api.cluster(
+                cold_graph, cold_params, algorithm="ppscan", options=options
+            )
 
-    cold_serial = cold(batched)()
-    cold_parallel, cold_spawns = _spawns(cold(process))
-    assert_same_clustering(cold_serial, cold_parallel)
-    assert cold_spawns == WORKERS
-    cold_walls = {
-        "serial": _best_wall(cold(batched)),
-        "parallel": _best_wall(cold(process)),
-    }
+        cold_serial = cold(batched)()
+        cold_parallel, cold_spawns = _spawns(cold(process))
+        assert_same_clustering(cold_serial, cold_parallel)
+        assert cold_spawns == WORKERS
+        serial_wall, serial_stages = _best_run(cold(batched))
+        parallel_wall, parallel_stages = _best_run(cold(process))
+        offline_cold[name] = {
+            "serial": serial_wall,
+            "parallel": parallel_wall,
+            "spawns": cold_spawns,
+            "stages": {
+                stage: {"serial": wall, "parallel": parallel_stages[stage]}
+                for stage, wall in serial_stages.items()
+            },
+        }
 
     text = format_table(
         f"process backend (host cores: {os.cpu_count()})",
@@ -93,14 +111,26 @@ def test_process_backend_wall_time(benchmark, save_result):
                 f"{parallel_result.record.wall_seconds:.3f}s",
                 str(spawns),
             ],
-            [
-                "offline-cold (twitter 1.0, batched)",
-                f"{cold_walls['serial']:.3f}s",
-                f"{cold_walls['parallel']:.3f}s",
-                str(cold_spawns),
-            ],
+            *(
+                [
+                    f"offline-cold ({name} 1.0, batched)",
+                    f"{cold['serial']:.3f}s",
+                    f"{cold['parallel']:.3f}s",
+                    str(cold["spawns"]),
+                ]
+                for name, cold in offline_cold.items()
+            ),
         ],
     )
+    for name, cold in offline_cold.items():
+        text += "\n\n" + format_table(
+            f"offline-cold stage walls ({name} 1.0, best of 3 runs)",
+            ["stage", "serial", f"{WORKERS} workers"],
+            [
+                [stage, *(f"{w[side] * 1e3:.1f}ms" for side in w)]
+                for stage, w in cold["stages"].items()
+            ],
+        )
     save_result(
         ExperimentResult(
             "process_backend",
@@ -110,7 +140,7 @@ def test_process_backend_wall_time(benchmark, save_result):
                 "serial": serial_result.record.wall_seconds,
                 "parallel": parallel_result.record.wall_seconds,
                 "spawns": spawns,
-                "offline_cold": {**cold_walls, "spawns": cold_spawns},
+                "offline_cold": offline_cold,
             },
         )
     )

@@ -53,6 +53,8 @@ BYTES_PER_VERTEX = 400
 #: candidate duplication (bytes).
 BYTES_PER_EDGE = 40
 
+_NO_IDS = np.empty(0, dtype=np.int64)
+
 
 def estimated_memory_bytes(num_vertices: int, num_edges: int) -> int:
     """anySCAN's modelled resident set for a graph of the given size.
@@ -62,6 +64,16 @@ def estimated_memory_bytes(num_vertices: int, num_edges: int) -> int:
     (118.1M/525.0M) and friendster (124.8M/1806.1M) do not.
     """
     return BYTES_PER_VERTEX * num_vertices + BYTES_PER_EDGE * num_edges
+
+
+def _core_labels(uf: AtomicUnionFind, roles) -> np.ndarray:
+    """Each core's cluster id, -1 elsewhere.  A cluster's id is its first
+    core, which is its root: link-by-index keeps each set's smallest id at
+    the root (and only cores are ever unioned)."""
+    labels = np.full(len(roles), -1, dtype=np.int64)
+    cores = np.flatnonzero(np.asarray(roles) == CORE)
+    labels[cores] = uf.roots(cores)
+    return labels
 
 
 def anyscan(
@@ -174,27 +186,34 @@ def anyscan(
     # -- Merging: union cores over known similar edges ---------------------
 
     def merge_task(beg: int, end: int):
-        unions: list[tuple[int, int]] = []
+        us: list[int] = []
+        vs: list[int] = []
         arcs = 0
-        atomics = 0
         allocs = 0
         for u in range(beg, end):
             if roles[u] != CORE:
                 continue
             allocs += 1  # transition record
+            arcs += off[u + 1] - off[u]
             for arc in range(off[u], off[u + 1]):
-                arcs += 1
                 v = dst[arc]
-                if v <= u or roles[v] != CORE or sim[arc] != SIM:
-                    continue
-                arcs += 2
-                if not uf.same_set(u, v):
-                    unions.append((u, v))
-                    atomics += 1
-        return unions, TaskCost(arcs=arcs, atomics=atomics, allocs=allocs)
+                if v > u and roles[v] == CORE and sim[arc] == SIM:
+                    us.append(u)
+                    vs.append(v)
+        if not us:
+            return (_NO_IDS, _NO_IDS), TaskCost(arcs=arcs, allocs=allocs)
+        # Each candidate pays two finds; union-find pruning keeps the
+        # pairs not joined as the task starts.
+        k = len(us)
+        ends = np.array(us + vs, dtype=np.int64)
+        r = uf.roots(ends)
+        split = np.flatnonzero(r[:k] != r[k:])
+        return (ends[split], ends[split + k]), TaskCost(
+            arcs=arcs + 2 * k, atomics=int(split.size), allocs=allocs
+        )
 
-    def commit_merge(unions) -> None:
-        uf.union_all(unions)
+    def commit_merge(writes) -> None:
+        uf.union_all(*writes)
 
     with runner.pool((block_task, commit_block), (merge_task, commit_merge)):
         for block_beg in range(0, n, alpha):
@@ -210,14 +229,7 @@ def anyscan(
     # -- Final: cluster ids + non-core memberships ------------------------
 
     t_stage = time.perf_counter()
-    cluster_id: dict[int, int] = {}
-    labels = np.full(n, -1, dtype=np.int64)
-    for u in range(n):
-        if roles[u] == CORE:
-            root = uf.find(u)
-            if root not in cluster_id:
-                cluster_id[root] = u
-            labels[u] = cluster_id[root]
+    labels = _core_labels(uf, roles)
     pairs: list[tuple[int, int]] = []
     pair_arcs = 0
     for u in range(n):
@@ -305,23 +317,17 @@ def anyscan_progressive(
         return state
 
     def snapshot(processed: int) -> ProgressSnapshot:
-        labels = np.full(n, -1, dtype=np.int64)
-        cluster_id: dict[int, int] = {}
-        for u in range(n):
-            if roles[u] == CORE:
-                root = uf.find(u)
-                if root not in cluster_id:
-                    cluster_id[root] = u
-                labels[u] = cluster_id[root]
         return ProgressSnapshot(
             processed=processed,
             total=n,
             roles=np.array(roles, dtype=np.int8),
-            core_labels=labels,
+            core_labels=_core_labels(uf, roles),
         )
 
     for block_beg in range(0, n, alpha):
         block_end = min(block_beg + alpha, n)
+        us: list[int] = []
+        vs: list[int] = []
         for u in range(block_beg, block_end):
             sd = 0
             for arc in range(off[u], off[u + 1]):
@@ -336,5 +342,7 @@ def anyscan_progressive(
                 for arc in range(off[u], off[u + 1]):
                     v = dst[arc]
                     if roles[v] == CORE and sim[arc] == SIM:
-                        uf.union(u, v)
+                        us.append(u)
+                        vs.append(v)
+        uf.union_all(us, vs)
         yield snapshot(block_end)

@@ -93,6 +93,7 @@ PPSCAN_STAGES = (
 _NO_ARCS = np.empty(0, dtype=np.int64)
 _NO_STATES = np.empty(0, dtype=np.int8)
 _NO_ROLE_WRITES = (_NO_ARCS, _NO_STATES, _NO_ARCS, np.empty(0, dtype=bool))
+_NO_PAIRS = np.empty((0, 2), dtype=np.int64)
 
 
 def auto_task_threshold(num_arcs: int) -> int:
@@ -153,34 +154,26 @@ def core_clustering_body(
         # Every core scans its arcs; each candidate pays two finds.
         arcs = int(deg[beg:end][roles[beg:end] == CORE].sum())
         arcs += 2 * int(cand.size)
-        unions: list[tuple[int, int]] = []
-        unknown: list[int] = []
-        for k, u, v, state in zip(
-            cand.tolist(),
-            s_src[cand].tolist(),
-            s_dst[cand].tolist(),
-            seg[cand].tolist(),
-        ):
-            if uf.same_set(u, v):
-                continue  # union-find pruning
-            if state == SIM:
-                unions.append((u, v))
-            else:
-                unknown.append(a0 + k)
+        # Union-find pruning against the forest as the task starts.
+        ends = uf.roots(np.concatenate((s_src[cand], s_dst[cand])))
+        cand = cand[ends[: cand.size] != ends[cand.size :]]
+        known = seg[cand] == SIM
+        u, v = s_src[cand[known]], s_dst[cand[known]]
         f_arcs, f_states = _NO_ARCS, _NO_STATES
-        if unknown:
-            f_arcs = np.asarray(unknown, dtype=np.int64)
+        if not known.all():
+            f_arcs = cand[~known] + a0
             f_states = engine.resolve_arcs(f_arcs, mcn[f_arcs])
             similar = f_arcs[f_states == SIM]
-            unions.extend(zip(src[similar].tolist(), dst[similar].tolist()))
-        return (unions, f_arcs, f_states), runner.cost(
-            mark, arcs=arcs, atomics=len(unions)  # one CAS per union
+            u = np.concatenate((u, src[similar]))
+            v = np.concatenate((v, dst[similar]))
+        return (u, v, f_arcs, f_states), runner.cost(
+            mark, arcs=arcs, atomics=int(u.size)  # one CAS per union
         )
 
     def commit(writes) -> None:
-        unions, arcs, states = writes
+        u, v, arcs, states = writes
         commit_arc_states(sim, rev, arcs, states)
-        uf.union_all(unions)
+        uf.union_all(u, v)
 
     return run_task, commit
 
@@ -265,17 +258,16 @@ def ppscan(
     sim = np.full(ctx.num_arcs, UNKNOWN, dtype=np.int8)
     roles = np.full(n, ROLE_UNKNOWN, dtype=np.int8)
     uf = AtomicUnionFind(n)
-    cluster_id: dict[int, int] = {}  # phase 6 (CAS-min per root)
-    pairs: list[tuple[int, int]] = []  # phase 7 (cid, non-core vertex)
+    # Phase 6's CAS-min per root (-1: no core of that root seen yet).
+    cluster_id = np.full(n, -1, dtype=np.int64)
+    pairs: list[np.ndarray] = [_NO_PAIRS]  # phase 7 (cid, non-core vertex)
 
     def extra_arrays() -> dict[str, np.ndarray]:
-        arrays = {"pairs": np.asarray(pairs, dtype=np.int64).reshape(-1, 2)}
-        if cluster_id:
-            roots = sorted(cluster_id)
-            arrays["cid_roots"] = np.asarray(roots, dtype=np.int64)
-            arrays["cid_vids"] = np.asarray(
-                [cluster_id[r] for r in roots], dtype=np.int64
-            )
+        arrays = {"pairs": np.concatenate(pairs)}
+        roots = np.flatnonzero(cluster_id >= 0)
+        if roots.size:
+            arrays["cid_roots"] = roots
+            arrays["cid_vids"] = cluster_id[roots]
         return arrays
 
     runner = PhaseRunner(
@@ -297,15 +289,9 @@ def ppscan(
     snap = runner.restored
     if snap is not None:
         if "cid_roots" in snap.arrays:
-            cluster_id.update(
-                zip(
-                    np.asarray(snap.arrays["cid_roots"]).tolist(),
-                    np.asarray(snap.arrays["cid_vids"]).tolist(),
-                )
-            )
-        pairs.extend(
-            (int(a), int(b))
-            for a, b in np.asarray(snap.arrays["pairs"]).reshape(-1, 2).tolist()
+            cluster_id[snap.arrays["cid_roots"]] = snap.arrays["cid_vids"]
+        pairs.append(
+            np.asarray(snap.arrays["pairs"], dtype=np.int64).reshape(-1, 2)
         )
 
     # ==== Step 1: role computing (Algorithm 3) ==========================
@@ -379,24 +365,20 @@ def ppscan(
     # -- Phase 6: cluster id initialization (CAS-min per root) ------------
 
     def init_cluster_id_task(beg: int, end: int):
-        mins: dict[int, int] = {}
-        atomics = 0
-        arcs = 0
         cores = np.flatnonzero(roles[beg:end] == CORE) + beg
-        for u in cores.tolist():
-            arcs += 2  # find = pointer chases
-            root = uf.find(u)
-            cur = mins.get(root)
-            if cur is None or u < cur:
-                mins[root] = u
-                atomics += 1  # the CAS attempt of Algorithm 4 line 23
-        return mins, TaskCost(arcs=arcs, atomics=atomics)
+        # Cores ascend, so a root's first core is the task's minimum:
+        # one CAS attempt (Algorithm 4 line 23) per distinct root.
+        roots, first = np.unique(uf.roots(cores), return_index=True)
+        return (roots, cores[first]), TaskCost(
+            arcs=2 * int(cores.size),  # find = pointer chases
+            atomics=int(roots.size),
+        )
 
-    def commit_cluster_id(mins) -> None:
-        for root, vid in mins.items():
-            cur = cluster_id.get(root)
-            if cur is None or vid < cur:
-                cluster_id[root] = vid
+    def commit_cluster_id(writes) -> None:
+        roots, vids = writes
+        cur = cluster_id[roots]
+        lower = (cur < 0) | (vids < cur)
+        cluster_id[roots[lower]] = vids[lower]
 
     # -- Phase 7: non-core clustering --------------------------------------
 
@@ -417,19 +399,15 @@ def ppscan(
         f_states = engine.resolve_arcs(f_arcs, mcn[f_arcs])
         state[unknown] = f_states
         similar = cand[state == SIM]
-        local_pairs: list[tuple[int, int]] = []
-        cids: dict[int, int] = {}
-        for u, v in zip(src[similar].tolist(), dst[similar].tolist()):
-            cid = cids.get(u)
-            if cid is None:
-                cid = cids[u] = cluster_id[uf.find(u)]
-            local_pairs.append((cid, v))
+        local_pairs = np.stack(
+            (cluster_id[uf.roots(src[similar])], dst[similar]), axis=1
+        )
         return (local_pairs, f_arcs, f_states), runner.cost(mark, arcs=arcs)
 
     def commit_noncore(writes) -> None:
         local_pairs, arcs, states = writes
         commit_arc_states(sim, rev, arcs, states)
-        pairs.extend(local_pairs)
+        pairs.append(local_pairs)
 
     # -- The scheduled sites, on one worker pool --------------------------
 
@@ -461,8 +439,8 @@ def ppscan(
     # ==== Result assembly ================================================
 
     labels = np.full(n, -1, dtype=np.int64)
-    for u in np.flatnonzero(roles == CORE).tolist():
-        labels[u] = cluster_id[uf.find(u)]
+    cores = np.flatnonzero(roles == CORE)
+    labels[cores] = cluster_id[uf.roots(cores)]
 
     name = algorithm_name or (
         "ppSCAN" if kernel == "vectorized" else "ppSCAN-NO"
@@ -481,6 +459,6 @@ def ppscan(
         params=params,
         roles=roles,
         core_labels=labels,
-        noncore_pairs=pairs,
+        noncore_pairs=np.concatenate(pairs),
         record=record,
     )

@@ -163,17 +163,15 @@ def scanxp(
     # -- Phase 4: cluster ids + non-core memberships ----------------------
 
     t_stage = time.perf_counter()
-    cluster_id: dict[int, int] = {}
+    # A cluster's id is its first core, which is the root: link-by-index
+    # keeps each set's smallest id at the root.
     labels = np.full(n, -1, dtype=np.int64)
-    for u in np.flatnonzero(roles == CORE).tolist():
-        root = uf.find(u)
-        if root not in cluster_id:
-            cluster_id[root] = u
-        labels[u] = cluster_id[root]
+    cores = np.flatnonzero(roles == CORE)
+    labels[cores] = uf.roots(cores)
     sel = np.flatnonzero(
         (roles[src] == CORE) & (roles[dst] == NONCORE) & (sim == SIM)
     )
-    pairs = list(zip(labels[src[sel]].tolist(), dst[sel].tolist()))
+    pairs = np.stack((labels[src[sel]], dst[sel]), axis=1)
     pair_arcs = int(deg[roles == CORE].sum())
     runner.record(
         "non-core clustering",

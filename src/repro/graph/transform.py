@@ -63,17 +63,18 @@ def component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     labels = np.arange(n, dtype=VERTEX_DTYPE)
     u = np.asarray(u, dtype=VERTEX_DTYPE)
     v = np.asarray(v, dtype=VERTEX_DTYPE)
-    while u.size:
+    while True:
         lu, lv = labels[u], labels[v]
-        live = lu != lv
+        live = (lu != lv).nonzero()[0]
+        if not live.size:
+            return labels
         u, v, lu, lv = u[live], v[live], lu[live], lv[live]
         np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
         while True:
             jumped = labels[labels]
-            if np.array_equal(jumped, labels):
+            if not np.count_nonzero(jumped != labels):
                 break
             labels = jumped
-    return labels
 
 
 def connected_component_labels(graph: CSRGraph) -> np.ndarray:

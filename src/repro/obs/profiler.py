@@ -89,6 +89,8 @@ class SpanProfiler:
         self._thread: threading.Thread | None = None
         self._began: float | None = None
         self.wall_seconds = 0.0
+        #: CPU time the sampling thread itself used, set when it stops.
+        self.cpu_seconds = 0.0
         self._tracemalloc_started_here = False
 
     # -- lifecycle --------------------------------------------------------
@@ -152,6 +154,7 @@ class SpanProfiler:
             # still be credited once per sample, hence the set.
             for name in set(stack):
                 self._cum[name] = self._cum.get(name, 0) + 1
+        self.cpu_seconds = time.thread_time()
 
     # -- memory observer (tracer hooks) -----------------------------------
 

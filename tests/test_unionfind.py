@@ -1,5 +1,6 @@
 """Union-find: sequential reference and wait-free-structured variant."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -101,28 +102,94 @@ def test_atomic_equals_sequential(n, pairs):
             assert seq.same_set(x, y) == atom.same_set(x, y)
 
 
-@given(
-    st.integers(min_value=1, max_value=40),
-    st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=80),
-    st.lists(st.integers(0, 39), max_size=20),
+def _tallies(uf):
+    return uf.num_finds, uf.cas_attempts, uf.num_unions
+
+
+def _roots(uf):
+    return [uf.find(x) for x in range(len(uf))]
+
+
+def _union_loop(uf, pairs):
+    for x, y in pairs:
+        uf.union(x, y)
+
+
+def _bulk(pairs):
+    u = np.array([x for x, _ in pairs], dtype=np.int64)
+    v = np.array([y for _, y in pairs], dtype=np.int64)
+    return u, v
+
+
+_pairs = st.lists(
+    st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=80
 )
-def test_union_all_equals_union_loop(n, pairs, probes):
-    """``union_all`` leaves the same parents and tallies as ``union``
-    called per pair, also over parents a ``find`` already compressed."""
-    pairs = [(x % n, y % n) for x, y in pairs]
+_forests = st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        _pairs.map(lambda ps: [(x % n, y % n) for x, y in ps]),
+        st.lists(st.integers(0, n - 1), max_size=20),
+    )
+)
+
+
+@given(_forests)
+def test_union_all_equals_union_loop(forest):
+    """``union_all`` leaves every vertex with the root and the tallies that
+    ``union`` called per pair leaves, also over parents a ``find`` already
+    compressed.  (The parent layouts may differ: only roots are state.)"""
+    n, pairs, probes = forest
     one, bulk = AtomicUnionFind(n), AtomicUnionFind(n)
     half = len(pairs) // 2
     for uf in (one, bulk):
-        for x, y in pairs[:half]:
-            uf.union(x, y)
+        _union_loop(uf, pairs[:half])
         for x in probes:
-            uf.find(x % n)
-    for x, y in pairs[half:]:
-        one.union(x, y)
-    bulk.union_all(pairs[half:])
-    assert bulk.snapshot_parents() == one.snapshot_parents()
-    assert (bulk.num_finds, bulk.cas_attempts, bulk.num_unions) == (
-        one.num_finds,
-        one.cas_attempts,
-        one.num_unions,
-    )
+            uf.find(x)
+    _union_loop(one, pairs[half:])
+    bulk.union_all(*_bulk(pairs[half:]))
+    assert _tallies(bulk) == _tallies(one)
+    assert _roots(bulk) == _roots(one)
+
+
+@given(_forests)
+def test_roots_equal_find_one_find_each(forest):
+    """``roots(xs)`` answers ``find`` per element, duplicates included,
+    and charges exactly one find per element."""
+    n, pairs, probes = forest
+    uf, ref = AtomicUnionFind(n), AtomicUnionFind(n)
+    for f in (uf, ref):
+        _union_loop(f, pairs)
+    before = _tallies(uf)
+    got = uf.roots(np.array(probes, dtype=np.int64))
+    assert got.tolist() == [ref.find(x) for x in probes]
+    assert _tallies(uf) == (before[0] + len(probes), *before[1:])
+    assert _roots(uf) == _roots(ref)  # the compression moved no root
+
+
+@given(_forests, _pairs)
+def test_union_all_after_restoring_halved_forest(forest, later):
+    """A checkpoint written when the parents were compressed only by path
+    halving restores, and ``union_all`` on int64 arrays then matches the
+    scalar loop in roots and tallies."""
+    n, pairs, probes = forest
+    source = AtomicUnionFind(n)
+    _union_loop(source, pairs)
+    for x in probes:
+        source.find(x)
+    state = {"parent": np.asarray(source.snapshot_parents(), dtype=np.int64)}
+    later = [(x % n, y % n) for x, y in later]
+    one, bulk = AtomicUnionFind(n), AtomicUnionFind(n)
+    one.restore(state)
+    bulk.restore(state)
+    _union_loop(one, later)
+    bulk.union_all(*_bulk(later))
+    assert _tallies(bulk) == _tallies(one)
+    assert _roots(bulk) == _roots(one)
+
+
+def test_snapshot_is_a_copy():
+    uf = AtomicUnionFind(4)
+    snap = uf.snapshot()["parent"]
+    uf.union_all(np.array([0, 2]), np.array([1, 3]))
+    assert snap.tolist() == [0, 1, 2, 3]
+    assert uf.snapshot()["parent"].tolist() == [0, 0, 2, 2]
