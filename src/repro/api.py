@@ -31,6 +31,8 @@ the algorithm and stage that could not be completed.
 
 from __future__ import annotations
 
+import json
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -195,10 +197,11 @@ class GraphVersion:
 
     The graph, and once set the fingerprint, the per-arc overlaps and
     the index, never change; the per-point memos (results, vertex views,
-    counts) only grow, and only with answers computed on this graph.  A
-    reader picks up the handle's version once and computes on it alone.
-    Readers racing to fill the same lazy field may both compute it; the
-    copies are equal, and a memo keeps the first.
+    counts, encoded labels) only grow, and only with answers computed on
+    this graph.  A reader picks up the handle's version once and
+    computes on it alone.  Readers racing to fill the same lazy field
+    may both compute it; the copies are equal, and a memo keeps the
+    first.
     """
 
     def __init__(
@@ -215,8 +218,12 @@ class GraphVersion:
         self.batches_applied = batches_applied
         self.index: GSIndex | None = None
         self.results: dict[tuple, ClusteringResult] = results or {}
+        # point key -> (classified roles, membership sets, their bytes)
         self.vertex_views: dict[tuple, tuple] = {}
+        # point key -> (result, derived value), kept while ``result`` is
+        # the memoized answer at that point
         self.counts: dict[tuple, tuple] = {}
+        self.encoded_labels: dict[tuple, tuple] = {}
         self._fingerprint = fingerprint
         # Set on a version a streaming batch published: the engine's
         # per-arc overlaps and, once a repair or a cold point computed
@@ -296,7 +303,55 @@ class GraphVersion:
         for result in list(self.results.values()):
             total += int(result.roles.nbytes + result.core_labels.nbytes)
             total += 16 * len(result.noncore_pairs)
+        for _, _, nbytes in list(self.vertex_views.values()):
+            total += nbytes
+        for _, texts in list(self.encoded_labels.values()):
+            total += sum(len(text) for text in texts.values())
         return total
+
+    def memoized(self, memo: dict, result: ClusteringResult, derive):
+        """``derive(result)``, memoized in ``memo`` while ``result`` is
+        this version's answer at its point; any other result (another
+        algorithm's, or an older version's) is derived afresh."""
+        key = result.params.point_key
+        hit = memo.get(key)
+        if hit is not None and hit[0] is result:
+            return hit[1]
+        value = derive(result)
+        if self.results.get(key) is result:
+            memo[key] = (result, value)
+        return value
+
+
+def _counts(result: ClusteringResult) -> tuple[int, int, int]:
+    return result.num_clusters, result.num_cores, result.num_vertices
+
+
+def _encode_labels(result: ClusteringResult) -> dict[str, str]:
+    return {
+        "roles": json.dumps(result.roles.tolist()),
+        "core_labels": json.dumps(result.core_labels.tolist()),
+        "noncore_pairs": json.dumps(result.noncore_pairs.tolist()),
+    }
+
+
+def _check_vertex(version: GraphVersion, v) -> int:
+    v = int(v)
+    n = version.graph.num_vertices
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} out of range [0, {n})")
+    return v
+
+
+def _vertex_view(v: int, params: ScanParams, view: tuple) -> VertexView:
+    classified, membership, _ = view
+    return VertexView(
+        vertex=v,
+        eps=float(params.eps),
+        mu=int(params.mu),
+        role=role_name(int(classified[v])).lower(),
+        clusters=tuple(sorted(membership[v])),
+    )
 
 
 class GraphHandle:
@@ -485,14 +540,17 @@ class GraphHandle:
         of re-deriving the cluster ids per request.
         """
         version = self._version
-        key = result.params.point_key
-        hit = version.counts.get(key)
-        if hit is not None and hit[0] is result:
-            return hit[1]
-        counts = (result.num_clusters, result.num_cores, result.num_vertices)
-        if version.results.get(key) is result:
-            version.counts[key] = (result, counts)
-        return counts
+        return version.memoized(version.counts, result, _counts)
+
+    def encoded_labels(self, result: ClusteringResult) -> dict[str, str]:
+        """The JSON text of ``result``'s ``roles``, ``core_labels`` and
+        ``noncore_pairs``, keyed by those names.
+
+        Memoized like :meth:`counts`, so a warm ``include=labels`` read
+        splices text encoded once per version and point.
+        """
+        version = self._version
+        return version.memoized(version.encoded_labels, result, _encode_labels)
 
     def cluster(
         self,
@@ -532,28 +590,34 @@ class GraphHandle:
         O(1) dictionary and array reads.
         """
         version = self._version
-        graph = version.graph
-        v = int(v)
-        if not 0 <= v < graph.num_vertices:
-            raise ValueError(
-                f"vertex {v} out of range [0, {graph.num_vertices})"
-            )
+        v = _check_vertex(version, v)
         params = self._params(eps, mu)
         key = params.point_key
         view = version.vertex_views.get(key)
         if view is None:
             result = self._query(version, params)
+            classified = result.classify(version.graph)
+            membership = result.membership()
+            nbytes = int(classified.nbytes) + sys.getsizeof(membership)
+            nbytes += sum(map(sys.getsizeof, membership))
             view = version.vertex_views.setdefault(
-                key, (result.classify(graph), result.membership())
+                key, (classified, membership, nbytes)
             )
-        classified, membership = view
-        return VertexView(
-            vertex=v,
-            eps=float(params.eps),
-            mu=int(params.mu),
-            role=role_name(int(classified[v])).lower(),
-            clusters=tuple(sorted(membership[v])),
-        )
+        return _vertex_view(v, params, view)
+
+    def lookup_vertex(self, v: int, eps, mu=None) -> VertexView | None:
+        """The memoized :meth:`vertex` answer for this point, or ``None``.
+
+        The ``/vertex`` twin of :meth:`lookup`: it never computes, so the
+        service answers a warm per-vertex read on the event loop.
+        """
+        version = self._version
+        v = _check_vertex(version, v)
+        params = self._params(eps, mu)
+        view = version.vertex_views.get(params.point_key)
+        if view is None:
+            return None
+        return _vertex_view(v, params, view)
 
     def sweep(
         self,

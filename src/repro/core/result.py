@@ -47,9 +47,14 @@ class ClusteringResult:
         self.roles = np.asarray(self.roles, dtype=np.int8)
         self.core_labels = np.asarray(self.core_labels, dtype=np.int64)
         pairs = np.asarray(self.noncore_pairs, dtype=np.int64).reshape(-1, 2)
-        # Canonical order + dedup so results compare bytewise.
+        # Canonical order (lexicographic by (cid, v)) + dedup so results
+        # compare bytewise; equal to ``np.unique(pairs, axis=0)``, faster.
         if pairs.size:
-            pairs = np.unique(pairs, axis=0)
+            pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+            fresh = np.empty(len(pairs), dtype=bool)
+            fresh[0] = True
+            np.any(pairs[1:] != pairs[:-1], axis=1, out=fresh[1:])
+            pairs = pairs[fresh]
         self.noncore_pairs = pairs
 
     # -- shape ----------------------------------------------------------

@@ -27,6 +27,7 @@ from urllib.parse import parse_qsl, unquote, urlsplit
 __all__ = [
     "HTTPError",
     "Request",
+    "json_body",
     "read_request",
     "response_bytes",
     "STATUS_PHRASES",
@@ -189,6 +190,23 @@ async def read_request(
         body=body,
         keep_alive=keep_alive,
     )
+
+
+def json_body(payload: dict, encoded: dict[str, str]) -> bytes:
+    """The body :func:`response_bytes` would make of ``payload`` merged
+    with ``encoded``, whose values are JSON text already.
+
+    Byte-identical to ``json.dumps(merged, sort_keys=True) + "\n"``, so a
+    large value encoded once can be spliced into many responses.
+    """
+    fields = {
+        key: json.dumps(value, sort_keys=True) for key, value in payload.items()
+    }
+    fields.update(encoded)
+    members = ", ".join(
+        f"{json.dumps(key)}: {fields[key]}" for key in sorted(fields)
+    )
+    return ("{" + members + "}\n").encode("utf-8")
 
 
 def response_bytes(

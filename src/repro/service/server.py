@@ -44,8 +44,9 @@ Scheduling model
 * **Admission control** — at most ``max_concurrent_queries`` heavy
   operations (index builds, cold queries, sweeps) run at once; beyond
   that the service answers ``429`` with ``Retry-After`` instead of
-  queueing unboundedly.  Warm (memoized) queries and coalesced
-  followers bypass the limit — they add no load.
+  queueing unboundedly.  Warm (memoized) ``/cluster`` and ``/vertex``
+  reads answer on the event loop and, like coalesced followers, bypass
+  the limit — they add no load.
 * **Deadlines** — every query accepts ``timeout=<seconds>`` (clamped to
   ``max_request_seconds``); a request that exceeds it gets a structured
   ``504`` while the underlying work *continues* server-side, so a retry
@@ -98,6 +99,7 @@ from ..types import ScanParams
 from .http import (
     DEFAULT_MAX_BODY,
     HTTPError,
+    json_body,
     read_request,
     response_bytes,
 )
@@ -529,7 +531,7 @@ class ClusteringService:
 
     async def _respond(
         self, request
-    ) -> tuple[int, dict, dict[str, str]]:
+    ) -> tuple[int, dict | bytes, dict[str, str]]:
         """Dispatch one request, mapping every failure to a JSON error."""
         self.counters["requests"] += 1
         self._active_requests += 1
@@ -603,7 +605,9 @@ class ClusteringService:
             return 200, payload, {}
         return 503, payload, {"Retry-After": "1"}
 
-    async def _dispatch(self, request) -> tuple[int, dict, dict[str, str]]:
+    async def _dispatch(
+        self, request
+    ) -> tuple[int, dict | bytes, dict[str, str]]:
         parts = request.path_parts
         method = request.method
         if parts == ["healthz"] and method == "GET":
@@ -1283,7 +1287,7 @@ class ClusteringService:
 
     async def _cluster(
         self, request, fingerprint: str
-    ) -> tuple[int, dict, dict[str, str]]:
+    ) -> tuple[int, dict | bytes, dict[str, str]]:
         handle = self._handle_for(fingerprint)
         params = self._parse_params(request.query)
         deadline = self._deadline_of(request)
@@ -1326,11 +1330,9 @@ class ClusteringService:
             "wall_seconds": seconds,
         }
         if include_labels:
-            payload["roles"] = result.roles.tolist()
-            payload["core_labels"] = result.core_labels.tolist()
-            payload["noncore_pairs"] = [
-                [int(a), int(b)] for a, b in result.noncore_pairs
-            ]
+            # The label lists dominate the body: encoded once per version
+            # and point, spliced beside the per-request fields.
+            return 200, json_body(payload, handle.encoded_labels(result)), {}
         return 200, payload, {}
 
     async def _vertex(
@@ -1352,16 +1354,20 @@ class ClusteringService:
         self.counters["queries"] += 1
         self.counters["vertex_lookups"] += 1
         t0 = time.perf_counter()
-        key = ("vertex", fingerprint, *params.point_key)
-        # The classification pass (not the individual lookup) is the
-        # heavy part; coalesce per parameter point, then read the view.
-        view = await self._run_heavy(
-            key, lambda: handle.vertex(v, params), deadline=deadline
-        )
-        if view.vertex != v:
-            # A coalesced follower shared the leader's classification
-            # warm-up; its own read is now a pure memo hit.
-            view = handle.vertex(v, params)
+        # A memoized view answers on the loop: no executor hop, no
+        # admission check.
+        view = handle.lookup_vertex(v, params)
+        if view is None:
+            key = ("vertex", fingerprint, *params.point_key)
+            # The classification pass (not the individual lookup) is the
+            # heavy part; coalesce per parameter point, then read the view.
+            view = await self._run_heavy(
+                key, lambda: handle.vertex(v, params), deadline=deadline
+            )
+            if view.vertex != v:
+                # A coalesced follower shared the leader's classification
+                # warm-up; its own read is now a pure memo hit.
+                view = handle.vertex(v, params)
         seconds = time.perf_counter() - t0
         self._observe("vertex", seconds)
         return (

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core import GSIndex, brute_force_scan, verify_clustering
 from repro.core.dynamic_index import DynamicGSIndex
 from repro.core.fastscan import fast_structural_clustering
-from repro.core.result import assemble_clustering
+from repro.core.result import ClusteringResult, assemble_clustering
 from repro.graph import component_labels, connected_component_labels
 from repro.graph.dynamic import DynamicGraph
 from repro.graph.generators import chung_lu, erdos_renyi, powerlaw_weights
@@ -192,6 +192,40 @@ class TestAssembly:
         result, merges = assemble([CORE] * 5, arcs)
         assert result.core_labels.tolist() == [0] * 5
         assert merges == 4
+
+
+class TestPairCanonicalForm:
+    """``ClusteringResult`` sorts and dedups its non-core pairs exactly as
+    ``np.unique(pairs, axis=0)`` would."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                st.integers(min_value=-(2**63), max_value=2**63 - 1),
+            )
+            | st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            max_size=40,
+        )
+    )
+    def test_equals_unique_rows(self, rows):
+        pairs = np.array(rows, dtype=np.int64).reshape(-1, 2)
+        result = ClusteringResult(
+            "test", ScanParams(0.5, 2), [], [], pairs.copy()
+        )
+        want = np.unique(pairs, axis=0) if pairs.size else pairs
+        assert result.noncore_pairs.dtype == np.int64
+        assert result.noncore_pairs.shape == want.shape
+        assert np.array_equal(result.noncore_pairs, want)
+
+    def test_duplicates_collapse(self):
+        pairs = [[5, 1], [2, 9], [5, 1], [2, 3], [2, 9]]
+        result = ClusteringResult("test", ScanParams(0.5, 2), [], [], pairs)
+        assert result.noncore_pairs.tolist() == [[2, 3], [2, 9], [5, 1]]
+
+    def test_empty(self):
+        result = ClusteringResult("test", ScanParams(0.5, 2), [], [], [])
+        assert result.noncore_pairs.shape == (0, 2)
 
 
 class TestEverySite:

@@ -1,7 +1,8 @@
 """Concurrent reads beside streaming updates on one :class:`GraphHandle`.
 
-Reader threads make cold and warm ``cluster`` and ``vertex`` calls while
-one writer applies edit batches.  Every answer a reader gets must be the
+Reader threads make cold and warm ``cluster`` and ``vertex`` calls, and
+read the memoized label text and vertex views the service serves from,
+while one writer applies edit batches.  Every answer a reader gets must be the
 exact clustering of one graph the writer published, no call may raise,
 and the handle must end consistent: its fingerprint is its graph's and
 every memoized point is a fresh index query on that graph.
@@ -9,6 +10,7 @@ every memoized point is a fresh index query on that graph.
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 import threading
@@ -83,6 +85,7 @@ def test_reads_beside_updates_see_one_published_graph(seed):
     published = [graph]
     # Distinct answers only: a warm hit returns the same result object.
     results: dict = {}
+    labels: dict = {}
     views: set = set()
     errors: list = []
     done = threading.Event()
@@ -96,8 +99,11 @@ def test_reads_beside_updates_see_one_published_graph(seed):
                 if rng.random() < 0.5:
                     result = handle.cluster(params)
                     results[id(result)] = (params, result)
+                    labels[id(result)] = handle.encoded_labels(result)
                 else:
-                    views.add((params, handle.vertex(rng.randrange(n), params)))
+                    v = rng.randrange(n)
+                    view = handle.lookup_vertex(v, params)
+                    views.add((params, view or handle.vertex(v, params)))
             except Exception as exc:  # noqa: BLE001 - every failure counts
                 errors.append(exc)
                 return
@@ -132,8 +138,12 @@ def test_reads_beside_updates_see_one_published_graph(seed):
     assert handle.batches_applied == len(script)
     assert results and views
     reference = _Reference(published)
-    for params, result in results.values():
+    for key, (params, result) in results.items():
         assert reference.matches_result(params, result), params
+        texts = labels[key]
+        assert json.loads(texts["roles"]) == result.roles.tolist()
+        assert json.loads(texts["core_labels"]) == result.core_labels.tolist()
+        assert json.loads(texts["noncore_pairs"]) == result.noncore_pairs.tolist()
     for params, view in views:
         assert reference.matches_view(params, view), (params, view)
 

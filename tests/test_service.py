@@ -23,11 +23,13 @@ import pytest
 
 from repro import api
 from repro.cache import graph_fingerprint
+from repro.graph import from_edge_array
 from repro.graph.generators import erdos_renyi
 from repro.service import ClusteringService, GraphRegistry
 from repro.service.http import (
     HTTPError,
     Request,
+    json_body,
     read_request,
     response_bytes,
 )
@@ -120,6 +122,23 @@ class TestHTTPLayer:
         assert b"Retry-After: 1" in head
         assert json.loads(body) == {"error": "busy"}
 
+    def test_json_body_equals_one_dumps(self):
+        payload = {
+            "wall_seconds": 1.25e-05,
+            "warm": True,
+            "fingerprint": 'a"\u00e9\\b',
+            "mu": 3,
+            "eps": 0.1 + 0.2,
+            "none": None,
+        }
+        encoded = {"roles": [0, 1, -1], "pairs": [[2, 3]], "z": []}
+        body = json_body(
+            payload, {k: json.dumps(v) for k, v in encoded.items()}
+        )
+        merged = {**payload, **encoded}
+        assert body == (json.dumps(merged, sort_keys=True) + "\n").encode()
+        assert json_body({}, {}) == b"{}\n"
+
 
 # ---------------------------------------------------------------------------
 # Registry
@@ -187,6 +206,13 @@ class TestGraphRegistry:
 
 
 async def _request(port, method, target, body=None, ctype="application/json"):
+    status, raw, headers = await _raw_request(port, method, target, body, ctype)
+    return status, json.loads(raw) if raw else None, headers
+
+
+async def _raw_request(
+    port, method, target, body=None, ctype="application/json"
+):
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     if body is None:
         payload = b""
@@ -207,7 +233,7 @@ async def _request(port, method, target, body=None, ctype="application/json"):
     for line in head.decode().split("\r\n")[1:]:
         name, _, value = line.partition(": ")
         headers[name.lower()] = value
-    return int(head.split()[1]), json.loads(body) if body else None, headers
+    return int(head.split()[1]), body, headers
 
 
 def _graph():
@@ -485,6 +511,174 @@ class TestCoalescingAndAdmission:
             _serve(drive, max_concurrent_queries=1, executor_workers=1)
         finally:
             gate.set()
+
+
+def _labels_body(fp, eps, mu, result, served, algorithm="gsindex"):
+    """The ``include=labels`` body as one ``json.dumps`` of the whole
+    payload builds it, with the per-request fields ``served`` sent."""
+    payload = {
+        "fingerprint": fp,
+        "eps": float(eps),
+        "mu": int(mu),
+        "algorithm": algorithm,
+        "num_clusters": result.num_clusters,
+        "num_cores": result.num_cores,
+        "num_vertices": result.num_vertices,
+        "warm": served["warm"],
+        "wall_seconds": served["wall_seconds"],
+        "roles": result.roles.tolist(),
+        "core_labels": result.core_labels.tolist(),
+        "noncore_pairs": [[int(a), int(b)] for a, b in result.noncore_pairs],
+    }
+    return (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
+class TestWarmReadPath:
+    """Warm reads: label bodies spliced from text encoded once per
+    version, ``/vertex`` memo hits answered on the event loop."""
+
+    def test_labels_body_is_one_dumps_of_the_payload(self):
+        graph = _graph()
+        n = graph.num_vertices
+
+        async def labels(port, fp, eps, mu, *, warm, result, **extra):
+            query = "".join(f"&{k}={v}" for k, v in extra.items())
+            status, raw, _ = await _raw_request(
+                port,
+                "GET",
+                f"/graphs/{fp}/cluster?eps={eps}&mu={mu}&include=labels"
+                + query,
+            )
+            assert status == 200
+            served = json.loads(raw)
+            assert served["warm"] is warm
+            algorithm = extra.get("algorithm", "gsindex")
+            assert raw == _labels_body(fp, eps, mu, result, served, algorithm)
+
+        async def drive(service, port):
+            status, info, _ = await _request(
+                port, "POST", "/graphs", {"edges": _edges(graph)}
+            )
+            fp = info["fingerprint"]
+            reference = api.cluster(graph, ScanParams(0.4, 3))
+            await labels(port, fp, 0.4, 3, warm=False, result=reference)
+            await labels(port, fp, 0.4, 3, warm=True, result=reference)
+            await labels(
+                port, fp, 0.4, 3, warm=False, result=reference,
+                algorithm="scan",
+            )
+
+            status, report, _ = await _request(
+                port,
+                "POST",
+                f"/graphs/{fp}/updates",
+                {"insert": [[0, n - 1]], "remove": []},
+            )
+            assert status == 200, report
+            new_fp = report["fingerprint"]
+            mutated = from_edge_array(
+                np.array(_edges(graph) + [[0, n - 1]]), num_vertices=n
+            )
+            assert graph_fingerprint(mutated) == new_fp
+            for eps, mu, warm in ((0.4, 3, True), (0.6, 2, False)):
+                reference = api.cluster(mutated, ScanParams(eps, mu))
+                await labels(port, new_fp, eps, mu, warm=warm, result=reference)
+                await labels(port, new_fp, eps, mu, warm=True, result=reference)
+
+        _serve(drive)
+
+    def test_warm_reads_answer_while_the_slot_is_held(self):
+        graph = _graph()
+        gate = threading.Event()
+
+        async def drive(service, port):
+            status, info, _ = await _request(
+                port, "POST", "/graphs", {"edges": _edges(graph)}
+            )
+            fp = info["fingerprint"]
+            status, _, _ = await _request(
+                port, "GET", f"/graphs/{fp}/vertex/5?eps=0.5&mu=2"
+            )
+            assert status == 200
+            loop = asyncio.get_running_loop()
+            blocker = loop.run_in_executor(service._executor, gate.wait)
+            try:
+                await asyncio.sleep(0.05)
+                # A slow cold query takes the only heavy slot.
+                cold = asyncio.create_task(
+                    _request(port, "GET", f"/graphs/{fp}/cluster?eps=0.77&mu=4")
+                )
+                await asyncio.sleep(0.1)
+                assert service._heavy == 1
+
+                status, view, _ = await _request(
+                    port, "GET", f"/graphs/{fp}/vertex/7?eps=0.5&mu=2"
+                )
+                assert status == 200
+                want = api.open(graph).vertex(7, 0.5, 2).as_dict()
+                assert {k: view[k] for k in want} == want
+                status, warm, _ = await _request(
+                    port,
+                    "GET",
+                    f"/graphs/{fp}/cluster?eps=0.5&mu=2&include=labels",
+                )
+                assert status == 200 and warm["warm"] is True
+                # A cold /vertex still needs the slot.
+                status, _, _ = await _request(
+                    port, "GET", f"/graphs/{fp}/vertex/7?eps=0.6&mu=2"
+                )
+                assert status == 429
+                assert service.counters["rejected"] == 1
+            finally:
+                # Never leave the executor thread parked: stop() joins it.
+                gate.set()
+            await blocker
+            status, _, _ = await cold
+            assert status == 200
+
+        _serve(drive, max_concurrent_queries=1, executor_workers=1)
+
+    def test_cold_vertex_coalesces_and_is_admitted(self):
+        graph = _graph()
+        gate = threading.Event()
+        vertices = (2, 11, 2, 40)
+
+        async def drive(service, port):
+            status, info, _ = await _request(
+                port, "POST", "/graphs", {"edges": _edges(graph)}
+            )
+            fp = info["fingerprint"]
+            loop = asyncio.get_running_loop()
+            blocker = loop.run_in_executor(service._executor, gate.wait)
+            try:
+                await asyncio.sleep(0.05)
+                same = [
+                    asyncio.create_task(
+                        _request(
+                            port, "GET", f"/graphs/{fp}/vertex/{v}?eps=0.5&mu=3"
+                        )
+                    )
+                    for v in vertices
+                ]
+                await asyncio.sleep(0.1)
+                status, _, headers = await _request(
+                    port, "GET", f"/graphs/{fp}/vertex/2?eps=0.7&mu=3"
+                )
+                assert status == 429
+                assert headers.get("retry-after") == "1"
+            finally:
+                gate.set()
+            await blocker
+            results = await asyncio.gather(*same)
+            reference = api.open(graph)
+            for v, (status, view, _) in zip(vertices, results):
+                assert status == 200
+                want = reference.vertex(v, 0.5, 3).as_dict()
+                assert {k: view[k] for k in want} == want
+            assert service.counters["coalesced"] == len(vertices) - 1
+            assert service.counters["rejected"] == 1
+
+        _serve(drive, max_concurrent_queries=1, executor_workers=1)
 
 
 class TestServiceMatchesAPI:

@@ -10,14 +10,18 @@ service registry budgets with.
 
 from __future__ import annotations
 
+import json
+import sys
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro import api
 from repro.cache import SimilarityStore, graph_fingerprint
 from repro.core import assert_same_clustering
+from repro.core.result import ClusteringResult
 from repro.graph.generators import erdos_renyi, planted_partition
 from repro.options import ExecutionOptions
 from repro.streaming import StreamingEngine
@@ -134,6 +138,32 @@ class TestGraphHandle:
         with pytest.raises(ValueError, match="out of range"):
             handle.vertex(graph.num_vertices, PARAMS)
         with pytest.raises(ValueError, match="out of range"):
+            handle.lookup_vertex(-1, PARAMS)
+
+    def test_lookup_vertex_never_computes(self, graph):
+        handle = api.open(graph)
+        assert handle.lookup_vertex(3, PARAMS) is None
+        handle.cluster(PARAMS)
+        # A memoized result is not yet a memoized classification.
+        assert handle.lookup_vertex(3, PARAMS) is None
+        assert handle.query_misses == 1
+        handle.vertex(3, PARAMS)
+        # One classification per point serves every vertex.
+        for v in range(graph.num_vertices):
+            assert handle.lookup_vertex(v, PARAMS) == handle.vertex(v, PARAMS)
+        assert handle.lookup_vertex(3, 0.45, 2) is None
+
+    def test_lookup_vertex_follows_the_version(self, graph):
+        handle = api.open(graph)
+        handle.vertex(0, PARAMS)
+        handle.apply_updates([("+", 0, graph.num_vertices - 1)])
+        # The new version repaired the result but classified nothing yet.
+        assert handle.lookup(PARAMS) is not None
+        assert handle.lookup_vertex(0, PARAMS) is None
+        view = handle.vertex(0, PARAMS)
+        fresh = api.open(handle.graph).vertex(0, PARAMS)
+        assert view == fresh == handle.lookup_vertex(0, PARAMS)
+        with pytest.raises(ValueError, match="out of range"):
             handle.vertex(-1, PARAMS)
 
     def test_sweep_through_handle(self, graph, handle):
@@ -189,6 +219,29 @@ class TestGraphHandle:
         before = handle.memory_bytes()
         fresh = handle.cluster(0.45, 2)
         assert handle.memory_bytes() == before + _result_bytes(fresh)
+
+    def test_memory_counts_vertex_views(self, handle):
+        result = handle.cluster(PARAMS)
+        before = handle.memory_bytes()
+        handle.vertex(0, PARAMS)
+        classified = result.classify(handle.graph)
+        membership = result.membership()
+        views = (
+            classified.nbytes
+            + sys.getsizeof(membership)
+            + sum(sys.getsizeof(s) for s in membership)
+        )
+        assert handle.memory_bytes() == before + views
+        handle.vertex(1, PARAMS)  # the same point's memo: nothing new
+        assert handle.memory_bytes() == before + views
+
+    def test_memory_counts_encoded_labels(self, handle):
+        result = handle.cluster(PARAMS)
+        before = handle.memory_bytes()
+        texts = handle.encoded_labels(result)
+        assert handle.memory_bytes() == before + sum(map(len, texts.values()))
+        handle.encoded_labels(result)  # memo hit: nothing new
+        assert handle.memory_bytes() == before + sum(map(len, texts.values()))
 
     def test_close_releases_memos(self, handle):
         handle.cluster(PARAMS)
@@ -300,6 +353,58 @@ class TestCounts:
             after.num_cores,
             after.num_vertices,
         )
+
+
+class TestEncodedLabels:
+    """The memoized label text the service's ``include=labels`` reads."""
+
+    def test_text_encodes_the_result(self, handle):
+        result = handle.cluster(PARAMS)
+        texts = handle.encoded_labels(result)
+        assert json.loads(texts["roles"]) == result.roles.tolist()
+        assert json.loads(texts["core_labels"]) == result.core_labels.tolist()
+        assert texts["noncore_pairs"] == json.dumps(
+            [[int(a), int(b)] for a, b in result.noncore_pairs]
+        )
+        assert handle.encoded_labels(result) is texts  # memo hit
+
+    def test_result_not_served_by_the_handle_is_not_memoized(
+        self, graph, handle
+    ):
+        other = api.cluster(graph, PARAMS)
+        texts = handle.encoded_labels(other)
+        assert json.loads(texts["roles"]) == other.roles.tolist()
+        assert not handle.version.encoded_labels
+
+    def test_memo_serves_only_its_own_result(self, handle):
+        result = handle.cluster(PARAMS)
+        handle.encoded_labels(result)
+        unclustered = ClusteringResult(
+            "test",
+            PARAMS,
+            np.zeros_like(result.roles),
+            np.full_like(result.core_labels, -1),
+            [],
+        )
+        texts = handle.encoded_labels(unclustered)
+        assert texts["core_labels"] == json.dumps([-1] * result.num_vertices)
+        assert texts["noncore_pairs"] == "[]"
+
+    def test_labels_follow_the_repaired_point(self, graph):
+        handle = api.open(graph)
+        before = handle.cluster(PARAMS)
+        stale = handle.encoded_labels(before)
+        handle.apply_updates([("+", 0, graph.num_vertices - 1)])
+        after = handle.lookup(PARAMS)
+        assert after is not before
+        texts = handle.encoded_labels(after)
+        assert texts is not stale
+        reference = api.cluster(handle.graph, PARAMS)
+        assert texts == api.open(handle.graph).encoded_labels(reference)
+        # An answer from before the batch is encoded afresh, never served
+        # from (or stored into) the new version's memo.
+        assert handle.encoded_labels(before) == stale
+        assert handle.encoded_labels(after) is texts
 
 
 class TestApplyUpdates:
