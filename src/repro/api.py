@@ -32,7 +32,6 @@ the algorithm and stage that could not be completed.
 from __future__ import annotations
 
 import json
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -218,7 +217,7 @@ class GraphVersion:
         self.batches_applied = batches_applied
         self.index: GSIndex | None = None
         self.results: dict[tuple, ClusteringResult] = results or {}
-        # point key -> (classified roles, membership sets, their bytes)
+        # point key -> (classified roles, membership offsets, ids, bytes)
         self.vertex_views: dict[tuple, tuple] = {}
         # point key -> (result, derived value), kept while ``result`` is
         # the memoized answer at that point
@@ -303,7 +302,7 @@ class GraphVersion:
         for result in list(self.results.values()):
             total += int(result.roles.nbytes + result.core_labels.nbytes)
             total += 16 * len(result.noncore_pairs)
-        for _, _, nbytes in list(self.vertex_views.values()):
+        for *_, nbytes in list(self.vertex_views.values()):
             total += nbytes
         for _, texts in list(self.encoded_labels.values()):
             total += sum(len(text) for text in texts.values())
@@ -344,13 +343,13 @@ def _check_vertex(version: GraphVersion, v) -> int:
 
 
 def _vertex_view(v: int, params: ScanParams, view: tuple) -> VertexView:
-    classified, membership, _ = view
+    classified, offsets, ids, _ = view
     return VertexView(
         vertex=v,
         eps=float(params.eps),
         mu=int(params.mu),
         role=role_name(int(classified[v])).lower(),
-        clusters=tuple(sorted(membership[v])),
+        clusters=tuple(ids[offsets[v] : offsets[v + 1]].tolist()),
     )
 
 
@@ -597,11 +596,10 @@ class GraphHandle:
         if view is None:
             result = self._query(version, params)
             classified = result.classify(version.graph)
-            membership = result.membership()
-            nbytes = int(classified.nbytes) + sys.getsizeof(membership)
-            nbytes += sum(map(sys.getsizeof, membership))
+            offsets, ids = result.memberships
+            nbytes = int(classified.nbytes + offsets.nbytes + ids.nbytes)
             view = version.vertex_views.setdefault(
-                key, (classified, membership, nbytes)
+                key, (classified, offsets, ids, nbytes)
             )
         return _vertex_view(v, params, view)
 

@@ -15,8 +15,8 @@ edits):
   its source's offset delta (:func:`carried_arcs`), so
   :meth:`~DynamicGSIndex.apply_batch` carries it over verbatim;
 * a query for any (ε, µ) is one exact pass over the arcs: the ε-similar
-  arcs (:func:`similar_mask`), the cores by ``np.bincount``, and the
-  cluster assembly every GS*-Index query shares.  Results are
+  arcs (:func:`similar_mask`), then the cores and clusters of that mask
+  (:func:`~repro.core.result.cluster_similar_arcs`).  Results are
   bit-identical to a static :class:`~repro.core.gsindex.GSIndex` built
   from the snapshot.
 
@@ -38,9 +38,9 @@ from ..graph.dynamic import DynamicGraph
 from ..intersect import BatchIntersector
 from ..intersect.batch import concat_ranges
 from ..metrics.records import RunRecord, StageRecord, TaskCost
-from ..types import CORE, NONCORE, ScanParams
+from ..types import ScanParams
 from .gsindex import _eps_squared, arc_keys, bulk_overlaps, edge_overlaps, similar_mask
-from .result import ClusteringResult, assemble_clustering
+from .result import ClusteringResult, cluster_similar_arcs
 
 __all__ = [
     "BatchMaintenance",
@@ -283,28 +283,22 @@ def cluster_arcs(
     """The exact clustering of ``graph`` at ``params`` in one pass over
     its arcs, whose :func:`~repro.core.gsindex.arc_keys` are ``keys``.
 
-    An arc is ε-similar iff its key reaches ``ε²``; a vertex is a core
-    iff at least µ of its arcs are; the similar arcs leaving cores go to
-    the shared :func:`~repro.core.result.assemble_clustering`.  The
-    record, ``"{algorithm} ({kind})"`` with one ``stage``, charges one
-    arc per vertex plus those arcs, as a static index query charges its
-    cores' similar prefixes.
+    An arc is ε-similar iff its key reaches ``ε²``, and
+    :func:`~repro.core.result.cluster_similar_arcs` clusters that mask.
+    The record, ``"{algorithm} ({kind})"`` with one ``stage``, charges
+    one arc per vertex plus each similar arc leaving a core, as a static
+    index query charges its cores' similar prefixes.
     """
     t0 = time.perf_counter()
     src, num, den = keys
-    n = graph.num_vertices
     similar = similar_mask(num, den, *_eps_squared(params))
-    counts = np.bincount(src[similar], minlength=n)
-    roles = np.where(counts >= params.mu, CORE, NONCORE).astype(np.int8)
-    leaving = np.flatnonzero(similar & (roles[src] == CORE))
-    result, merges = assemble_clustering(
-        algorithm, params, roles, src[leaving], graph.dst[leaving]
+    result, merges, leaving = cluster_similar_arcs(
+        algorithm, params, graph, src, similar
     )
+    arcs = graph.num_vertices + leaving
     result.record = RunRecord(
         algorithm=f"{algorithm} ({kind})",
-        stages=[
-            StageRecord(stage, [TaskCost(arcs=n + leaving.size, atomics=merges)])
-        ],
+        stages=[StageRecord(stage, [TaskCost(arcs=arcs, atomics=merges)])],
         wall_seconds=time.perf_counter() - t0,
     )
     result.record.apportion_wall()

@@ -11,9 +11,8 @@ idiomatic-NumPy path below is the fastest way to the exact same result:
   GS*-Index build's kernel (:func:`~repro.core.gsindex.edge_overlaps`:
   each undirected edge intersected exactly once — Theorem 4.1's bound,
   met trivially),
-* roles by one array reduction, then the shared cluster assembly
-  (:func:`~repro.core.result.assemble_clustering`) for core labels and
-  membership pairs.
+* roles, core labels and membership pairs from the similar-arc mask
+  (:func:`~repro.core.result.cluster_similar_arcs`).
 
 Exactness against every other implementation is enforced by the
 cross-validation tests.
@@ -28,9 +27,9 @@ import numpy as np
 from ..graph.csr import CSRGraph, reverse_arc_index
 from ..metrics.records import RunRecord, StageRecord, TaskCost
 from ..similarity.bulk import min_cn_arcs, predicate_prune_arcs
-from ..types import CORE, NONCORE, NSIM, SIM, UNKNOWN, ScanParams
+from ..types import NSIM, SIM, UNKNOWN, ScanParams
 from .gsindex import edge_overlaps
-from .result import ClusteringResult, assemble_clustering
+from .result import ClusteringResult, cluster_similar_arcs
 
 __all__ = ["fast_structural_clustering"]
 
@@ -41,24 +40,19 @@ def fast_structural_clustering(
     """Exact SCAN clustering, vectorized end to end."""
     t0 = time.perf_counter()
     src = graph.arc_source()
-    dst = graph.dst
 
     # -- similarity of every arc ------------------------------------------
     mcn = min_cn_arcs(graph, params.eps_fraction)
     state = predicate_prune_arcs(graph, mcn)
-    forward_unknown = np.flatnonzero((state == UNKNOWN) & (src < dst))
+    forward_unknown = np.flatnonzero((state == UNKNOWN) & (src < graph.dst))
     rev = reverse_arc_index(graph)[forward_unknown]
     similar = edge_overlaps(graph, forward_unknown, rev) >= mcn[forward_unknown]
     state[forward_unknown] = np.where(similar, SIM, NSIM)
     state[rev] = state[forward_unknown]
 
     # -- roles and clusters ------------------------------------------------
-    sim = state == SIM
-    sd = np.bincount(src[sim], minlength=graph.num_vertices)
-    roles = np.where(sd >= params.mu, CORE, NONCORE).astype(np.int8)
-    leaving = sim & (roles[src] == CORE)
-    result, merges = assemble_clustering(
-        "fast-exact", params, roles, src[leaving], dst[leaving]
+    result, merges, _ = cluster_similar_arcs(
+        "fast-exact", params, graph, src, state == SIM
     )
 
     cost = TaskCost(

@@ -2,8 +2,8 @@
 
 The paper (§2, after Definition 2.10) notes that hubs and outliers "can be
 found by exploring all the neighbors of vertices not in any cluster with a
-time complexity O(|E| + |V|)".  :meth:`ClusteringResult.classify` does the
-sequential version; this module provides the task-parallel phase in
+time complexity O(|E| + |V|)".  This module runs that rule's one copy,
+:func:`~repro.core.result.peripheral_labels`, as a task-parallel phase in
 ppSCAN's execution model — vertex-range tasks through an execution
 backend, with per-task work records — so the post-processing step can be
 costed alongside the clustering stages.
@@ -19,9 +19,9 @@ from ..graph.csr import CSRGraph
 from ..metrics.records import RunRecord, StageRecord, TaskCost
 from ..parallel.backend import ExecutionBackend, SerialBackend
 from ..parallel.scheduler import degree_based_tasks
-from ..types import CORE, HUB, NONCORE, OUTLIER
+from ..types import CORE
 from .ppscan import auto_task_threshold
-from .result import ClusteringResult
+from .result import ClusteringResult, peripheral_labels
 
 __all__ = ["classify_peripherals"]
 
@@ -47,54 +47,24 @@ def classify_peripherals(
         if task_threshold is not None
         else auto_task_threshold(graph.num_arcs)
     )
-    n = graph.num_vertices
-    member = result.membership()
     roles = result.roles
-    off = graph.offsets.tolist()
-    dst = graph.dst.tolist()
-    deg = graph.degrees.tolist()
-
-    out = np.empty(n, dtype=np.int8)
-    unclustered = [
-        roles[v] != CORE and not member[v] for v in range(n)
-    ]
+    offsets, ids = result.memberships
+    out = np.empty(graph.num_vertices, dtype=np.int8)
 
     def run_task(beg: int, end: int):
-        writes: list[tuple[int, int]] = []
-        arcs = 0
-        for v in range(beg, end):
-            if roles[v] == CORE:
-                writes.append((v, CORE))
-                continue
-            if member[v]:
-                writes.append((v, NONCORE))
-                continue
-            # Unclustered: hub iff two distinct neighbors can supply two
-            # distinct clusters.
-            first: set[int] | None = None
-            label = OUTLIER
-            for arc in range(off[v], off[v + 1]):
-                arcs += 1
-                sets = member[dst[arc]]
-                if not sets:
-                    continue
-                if first is None:
-                    first = sets
-                    continue
-                if len(first) > 1 or len(sets) > 1 or first != sets:
-                    label = HUB
-                    break
-            writes.append((v, label))
-        return writes, TaskCost(arcs=arcs)
+        span = np.arange(beg, end)
+        labels, arcs = peripheral_labels(graph, roles, offsets, ids, span)
+        return (beg, labels), TaskCost(arcs=int(arcs.sum()))
 
     def commit(writes) -> None:
-        for v, label in writes:
-            out[v] = label
+        beg, labels = writes
+        out[beg : beg + labels.size] = labels
 
     # Degree-based tasks over the whole vertex set; vertices that are
     # trivially classified contribute no degree (the needs mask mirrors
     # Algorithm 5's role check).
-    tasks = degree_based_tasks(deg, unclustered, threshold)
+    unclustered = (roles != CORE) & (offsets[1:] == offsets[:-1])
+    tasks = degree_based_tasks(graph.degrees, unclustered, threshold)
     records = backend.run_phase(tasks, run_task, commit)
     record = RunRecord(
         algorithm="hub/outlier classification",

@@ -21,6 +21,7 @@ union-find counters (the fast path and the GS*-Index family) ends in it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from ..graph.transform import component_labels
 from ..metrics.records import RunRecord
 from ..types import CORE, HUB, NONCORE, OUTLIER, ScanParams
 
-__all__ = ["ClusteringResult", "assemble_clustering"]
+__all__ = ["ClusteringResult", "assemble_clustering", "peripheral_labels"]
 
 
 @dataclass
@@ -80,48 +81,41 @@ class ClusteringResult:
 
     # -- membership -------------------------------------------------------
 
+    @cached_property
+    def memberships(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every vertex's cluster ids as ``(offsets, ids)``: vertex ``v``
+        belongs to ``ids[offsets[v]:offsets[v + 1]]``, sorted and distinct
+        (empty for unclustered vertices)."""
+        cores = np.flatnonzero(self.core_labels >= 0)
+        vertex = np.concatenate([cores, self.noncore_pairs[:, 1]])
+        ids = np.concatenate([self.core_labels[cores], self.noncore_pairs[:, 0]])
+        order = np.lexsort((ids, vertex))
+        vertex, ids = vertex[order], ids[order]
+        fresh = (np.diff(vertex, prepend=-1) != 0) | (np.diff(ids, prepend=-1) != 0)
+        vertex, ids = vertex[fresh], ids[fresh]
+        return np.searchsorted(vertex, np.arange(self.num_vertices + 1)), ids
+
     def clusters(self) -> dict[int, np.ndarray]:
         """``cluster_id -> sorted member vertex array`` (cores + non-cores)."""
-        members: dict[int, list[int]] = {}
-        for v in np.flatnonzero(self.core_labels >= 0):
-            members.setdefault(int(self.core_labels[v]), []).append(int(v))
-        for cid, v in self.noncore_pairs:
-            members.setdefault(int(cid), []).append(int(v))
-        return {
-            cid: np.unique(np.array(vs, dtype=np.int64))
-            for cid, vs in sorted(members.items())
-        }
+        offsets, ids = self.memberships
+        vertex = np.repeat(np.arange(self.num_vertices), np.diff(offsets))
+        order = np.argsort(ids, kind="stable")
+        heads, at = np.unique(ids[order], return_index=True)
+        return dict(zip(heads.tolist(), np.split(vertex[order], at[1:])))
 
     def membership(self) -> list[set[int]]:
         """Per-vertex set of cluster ids (empty for unclustered vertices)."""
-        out: list[set[int]] = [set() for _ in range(self.num_vertices)]
-        for v in np.flatnonzero(self.core_labels >= 0):
-            out[v].add(int(self.core_labels[v]))
-        for cid, v in self.noncore_pairs:
-            out[int(v)].add(int(cid))
-        return out
+        offsets, ids = self.memberships
+        bounds, flat = offsets.tolist(), ids.tolist()
+        return [set(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
     def classify(self, graph: CSRGraph) -> np.ndarray:
-        """Extended roles: CORE / NONCORE(member) / HUB / OUTLIER.
-
-        Per Definition 2.10, an unclustered vertex is a hub iff two of its
-        neighbors belong to different clusters (two *distinct* neighbors,
-        drawing one cluster each).
-        """
+        """Extended roles: CORE / NONCORE(member) / HUB / OUTLIER, by
+        :func:`peripheral_labels` over every vertex."""
         if graph.num_vertices != self.num_vertices:
             raise ValueError("graph does not match this result")
-        member = self.membership()
-        out = np.empty(self.num_vertices, dtype=np.int8)
-        for v in range(self.num_vertices):
-            if self.roles[v] == CORE:
-                out[v] = CORE
-            elif member[v]:
-                out[v] = NONCORE
-            else:
-                out[v] = (
-                    HUB if _is_hub(graph.neighbors(v), member) else OUTLIER
-                )
-        return out
+        everyone = np.arange(self.num_vertices)
+        return peripheral_labels(graph, self.roles, *self.memberships, everyone)[0]
 
     # -- comparison -------------------------------------------------------
 
@@ -217,22 +211,66 @@ def assemble_clustering(
     return result, merges
 
 
-def _is_hub(neighbors: np.ndarray, member: list[set[int]]) -> bool:
-    """Does this unclustered vertex bridge two different clusters?
+def cluster_similar_arcs(
+    algorithm: str,
+    params: ScanParams,
+    graph: CSRGraph,
+    src: np.ndarray,
+    similar: np.ndarray,
+) -> tuple[ClusteringResult, int, int]:
+    """The clustering whose ε-similar arcs are the mask ``similar`` (arc
+    sources ``src``): a core has at least µ of them, and those leaving
+    cores go to :func:`assemble_clustering`.  Returns it, its merge
+    count and the number of similar arcs leaving cores."""
+    counts = np.bincount(src[similar], minlength=graph.num_vertices)
+    roles = np.where(counts >= params.mu, CORE, NONCORE).astype(np.int8)
+    leaving = np.flatnonzero(similar & (roles[src] == CORE))
+    result, merges = assemble_clustering(
+        algorithm, params, roles, src[leaving], graph.dst[leaving]
+    )
+    return result, merges, leaving.size
 
-    True iff among its clustered neighbors there exist two distinct
-    neighbors ``v != w`` and clusters ``c1 in member[v]``,
-    ``c2 in member[w]`` with ``c1 != c2`` — equivalently, the clustered
-    neighbors do not all share one identical singleton membership.
+
+def peripheral_labels(
+    graph: CSRGraph,
+    roles: np.ndarray,
+    offsets: np.ndarray,
+    ids: np.ndarray,
+    vertices: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Definition 2.10 for the array ``vertices``: each one's extended role
+    and the arcs it scanned, over :attr:`ClusteringResult.memberships`.
+
+    An unclustered vertex is a HUB iff some clustered neighbour after its
+    first one conflicts with that one (either is in several clusters, or
+    their single ids differ); it scans up to and including that neighbour,
+    else all its arcs (an OUTLIER).  Cores and members scan nothing.
     """
-    first: set[int] | None = None
-    for v in neighbors:
-        sets = member[int(v)]
-        if not sets:
-            continue
-        if first is None:
-            first = sets
-            continue
-        if len(first) > 1 or len(sets) > 1 or first != sets:
-            return True
-    return False
+    labels = np.where(roles[vertices] == CORE, CORE, NONCORE).astype(np.int8)
+    arcs = np.zeros(vertices.size, dtype=np.int64)
+    empty = offsets[vertices + 1] == offsets[vertices]
+    free = ((labels == NONCORE) & empty).nonzero()[0]
+    # Every arc of the unclustered vertices, grouped per vertex in order.
+    first_arc = graph.offsets[vertices[free]]
+    degree = graph.offsets[vertices[free] + 1] - first_arc
+    start = degree.cumsum() - degree
+    seg = np.arange(free.size).repeat(degree)
+    nbr = graph.dst[np.arange(seg.size) + (first_arc - start).repeat(degree)]
+    lo = offsets[nbr]
+    size = offsets[nbr + 1] - lo
+    # Each clustered neighbour against its vertex's first clustered one.
+    hit = size.nonzero()[0]
+    many, one = size[hit] > 1, ids[lo[hit]]
+    lead = np.searchsorted(hit, start)[seg[hit]]
+    conflict = (lead != np.arange(hit.size)) & (many[lead] | many | (one[lead] != one))
+    # The first conflict of each hub ends its scan.
+    stop = hit[conflict]
+    first = np.ones(stop.size, dtype=bool)
+    first[1:] = seg[stop[1:]] != seg[stop[:-1]]
+    stop = stop[first]
+    hubs = seg[stop]
+    labels[free] = OUTLIER
+    arcs[free] = degree
+    labels[free[hubs]] = HUB
+    arcs[free[hubs]] = stop - start[hubs] + 1
+    return labels, arcs

@@ -28,11 +28,10 @@ def primary_labels(result, noise_label: int = -1) -> np.ndarray:
     per vertex: cores get their cluster id, non-core members get the
     smallest cluster they belong to, unclustered vertices get
     ``noise_label``."""
+    offsets, ids = result.memberships
     labels = np.full(result.num_vertices, noise_label, dtype=np.int64)
-    member = result.membership()
-    for v, clusters in enumerate(member):
-        if clusters:
-            labels[v] = min(clusters)
+    clustered = offsets[1:] > offsets[:-1]
+    labels[clustered] = ids[offsets[:-1][clustered]]
     return labels
 
 

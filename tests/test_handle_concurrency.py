@@ -55,7 +55,7 @@ class _Reference:
         if key not in self._views:
             result = self.result(i, params)
             graph = self.indexes[i].graph
-            self._views[key] = (result.classify(graph), result.membership())
+            self._views[key] = (result.classify(graph), *result.memberships)
         return self._views[key]
 
     def matches_result(self, params: ScanParams, result) -> bool:
@@ -66,11 +66,11 @@ class _Reference:
 
     def matches_view(self, params: ScanParams, view) -> bool:
         for i in range(len(self.indexes)):
-            classified, membership = self.view(i, params)
+            classified, offsets, ids = self.view(i, params)
             v = view.vertex
             if (
                 role_name(int(classified[v])).lower() == view.role
-                and tuple(sorted(membership[v])) == view.clusters
+                and tuple(ids[offsets[v] : offsets[v + 1]]) == view.clusters
             ):
                 return True
         return False

@@ -49,6 +49,22 @@ class TestBasics:
         assert member[1] == {0, 2}
         assert member[0] == {0}
 
+    def test_memberships_csr(self):
+        # Vertex 0 is a core whose own pair repeats its label: one id.
+        r = make_result(
+            [CORE, NONCORE, CORE, NONCORE],
+            [0, -1, 2, -1],
+            [(2, 1), (0, 1), (0, 0)],
+        )
+        offsets, ids = r.memberships
+        assert offsets.tolist() == [0, 1, 3, 4, 4]
+        assert ids.tolist() == [0, 0, 2, 2]
+        assert r.membership() == [{0}, {0, 2}, {2}, set()]
+        assert {c: m.tolist() for c, m in r.clusters().items()} == {
+            0: [0, 1],
+            2: [1, 2],
+        }
+
     def test_pairs_canonicalized(self):
         a = make_result([CORE, NONCORE], [0, -1], [(0, 1)])
         b = make_result([CORE, NONCORE], [0, -1], [(0, 1), (0, 1)])

@@ -449,26 +449,28 @@ class TestCoalescingAndAdmission:
             # Occupy the single executor thread: every heavy query
             # started now stays in flight until the gate opens.
             blocker = loop.run_in_executor(service._executor, gate.wait)
-            await asyncio.sleep(0.05)
+            try:
+                await asyncio.sleep(0.05)
 
-            same = [
-                asyncio.create_task(
-                    _request(
-                        port, "GET", f"/graphs/{fp}/cluster?eps=0.44&mu=3"
+                same = [
+                    asyncio.create_task(
+                        _request(
+                            port, "GET", f"/graphs/{fp}/cluster?eps=0.44&mu=3"
+                        )
                     )
+                    for _ in range(5)
+                ]
+                await asyncio.sleep(0.1)
+                # A different key while the only heavy slot is taken: 429.
+                status, payload, headers = await _request(
+                    port, "GET", f"/graphs/{fp}/cluster?eps=0.77&mu=4"
                 )
-                for _ in range(5)
-            ]
-            await asyncio.sleep(0.1)
-            # A different key while the only heavy slot is taken: 429.
-            status, payload, headers = await _request(
-                port, "GET", f"/graphs/{fp}/cluster?eps=0.77&mu=4"
-            )
-            assert status == 429
-            assert headers.get("retry-after") == "1"
-            assert "limit" in payload["error"]
-
-            gate.set()
+                assert status == 429
+                assert headers.get("retry-after") == "1"
+                assert "limit" in payload["error"]
+            finally:
+                # Never leave the executor thread parked: stop() joins it.
+                gate.set()
             await blocker
             results = await asyncio.gather(*same)
             assert [r[0] for r in results] == [200] * 5
@@ -476,12 +478,7 @@ class TestCoalescingAndAdmission:
             assert service.counters["coalesced"] == 4
             assert service.counters["rejected"] == 1
 
-        try:
-            _serve(
-                drive, max_concurrent_queries=1, executor_workers=1
-            )
-        finally:
-            gate.set()  # never leave the executor thread parked
+        _serve(drive, max_concurrent_queries=1, executor_workers=1)
 
     def test_warm_queries_bypass_admission(self):
         graph = _graph()
@@ -498,19 +495,18 @@ class TestCoalescingAndAdmission:
             assert status == 200
             loop = asyncio.get_running_loop()
             blocker = loop.run_in_executor(service._executor, gate.wait)
-            await asyncio.sleep(0.05)
-            # Executor fully blocked — the memoized point still answers.
-            status, warm, _ = await _request(
-                port, "GET", f"/graphs/{fp}/cluster?eps=0.5&mu=2"
-            )
-            assert status == 200 and warm["warm"] is True
-            gate.set()
+            try:
+                await asyncio.sleep(0.05)
+                # Executor fully blocked — the memoized point still answers.
+                status, warm, _ = await _request(
+                    port, "GET", f"/graphs/{fp}/cluster?eps=0.5&mu=2"
+                )
+                assert status == 200 and warm["warm"] is True
+            finally:
+                gate.set()
             await blocker
 
-        try:
-            _serve(drive, max_concurrent_queries=1, executor_workers=1)
-        finally:
-            gate.set()
+        _serve(drive, max_concurrent_queries=1, executor_workers=1)
 
 
 def _labels_body(fp, eps, mu, result, served, algorithm="gsindex"):
@@ -850,25 +846,27 @@ class TestDestructiveRaces:
             handle = service.registry.peek(fp)
             loop = asyncio.get_running_loop()
             blocker = loop.run_in_executor(service._executor, gate.wait)
-            await asyncio.sleep(0.05)
-            inflight = asyncio.create_task(
-                _request(
-                    port,
-                    "GET",
-                    f"/graphs/{fp}/cluster?eps=0.43&mu=2&include=labels",
+            try:
+                await asyncio.sleep(0.05)
+                inflight = asyncio.create_task(
+                    _request(
+                        port,
+                        "GET",
+                        f"/graphs/{fp}/cluster?eps=0.43&mu=2&include=labels",
+                    )
                 )
-            )
-            await asyncio.sleep(0.1)
-            assert service._inflight  # pinned behind the blocked executor
-            status, payload, _ = await _request(
-                port, "DELETE", f"/graphs/{fp}"
-            )
-            assert status == 200 and payload["unloaded"] is True
-            status, payload, _ = await _request(
-                port, "GET", f"/graphs/{fp}/cluster?eps=0.5&mu=2"
-            )
-            assert status == 404 and "error" in payload
-            gate.set()
+                await asyncio.sleep(0.1)
+                assert service._inflight  # pinned behind the blocked executor
+                status, payload, _ = await _request(
+                    port, "DELETE", f"/graphs/{fp}"
+                )
+                assert status == 200 and payload["unloaded"] is True
+                status, payload, _ = await _request(
+                    port, "GET", f"/graphs/{fp}/cluster?eps=0.5&mu=2"
+                )
+                assert status == 404 and "error" in payload
+            finally:
+                gate.set()
             await blocker
             status, answer, _ = await inflight
             assert status == 200, answer
@@ -880,10 +878,7 @@ class TestDestructiveRaces:
                 await asyncio.sleep(0.01)
             assert not handle.stats()["indexed"]  # discarded, after the query
 
-        try:
-            _serve(drive, executor_workers=1)
-        finally:
-            gate.set()
+        _serve(drive, executor_workers=1)
 
     def test_delete_loses_update_race_with_structured_404(self):
         """DELETE queued behind an in-flight update batch.
@@ -902,22 +897,24 @@ class TestDestructiveRaces:
             fp = info["fingerprint"]
             loop = asyncio.get_running_loop()
             blocker = loop.run_in_executor(service._executor, gate.wait)
-            await asyncio.sleep(0.05)
-            update = asyncio.create_task(
-                _request(
-                    port,
-                    "POST",
-                    f"/graphs/{fp}/updates",
-                    {"insert": [[0, 79], [1, 78]]},
+            try:
+                await asyncio.sleep(0.05)
+                update = asyncio.create_task(
+                    _request(
+                        port,
+                        "POST",
+                        f"/graphs/{fp}/updates",
+                        {"insert": [[0, 79], [1, 78]]},
+                    )
                 )
-            )
-            await asyncio.sleep(0.1)
-            delete = asyncio.create_task(
-                _request(port, "DELETE", f"/graphs/{fp}")
-            )
-            await asyncio.sleep(0.1)
-            assert not delete.done()  # parked on the per-handle lock
-            gate.set()
+                await asyncio.sleep(0.1)
+                delete = asyncio.create_task(
+                    _request(port, "DELETE", f"/graphs/{fp}")
+                )
+                await asyncio.sleep(0.1)
+                assert not delete.done()  # parked on the per-handle lock
+            finally:
+                gate.set()
             await blocker
             status, applied, _ = await update
             assert status == 200, applied
@@ -932,10 +929,7 @@ class TestDestructiveRaces:
             assert status == 200
             assert service.registry.fingerprints() == [new_fp]
 
-        try:
-            _serve(drive, executor_workers=1)
-        finally:
-            gate.set()
+        _serve(drive, executor_workers=1)
 
     def test_eviction_races_inflight_update_batch(self, tmp_path):
         """LRU eviction lands while an update batch is mid-apply.
@@ -965,23 +959,25 @@ class TestDestructiveRaces:
                 return original(batch)
 
             handle.apply_updates = slow_apply
-            update = asyncio.create_task(
-                _request(
-                    port,
-                    "POST",
-                    f"/graphs/{fp_a}/updates",
-                    {"insert": [[0, 59]]},
+            try:
+                update = asyncio.create_task(
+                    _request(
+                        port,
+                        "POST",
+                        f"/graphs/{fp_a}/updates",
+                        {"insert": [[0, 59]]},
+                    )
                 )
-            )
-            while not entered.is_set():
-                await asyncio.sleep(0.01)
-            # The submit evicts graph A (max_graphs=1) mid-apply.
-            status, info_b, _ = await _request(
-                port, "POST", "/graphs", {"edges": _edges(graph_b)}
-            )
-            assert status == 201
-            fp_b = info_b["fingerprint"]
-            gate.set()
+                while not entered.is_set():
+                    await asyncio.sleep(0.01)
+                # The submit evicts graph A (max_graphs=1) mid-apply.
+                status, info_b, _ = await _request(
+                    port, "POST", "/graphs", {"edges": _edges(graph_b)}
+                )
+                assert status == 201
+                fp_b = info_b["fingerprint"]
+            finally:
+                gate.set()
             status, payload, _ = await update
             assert status == 409, payload
             assert "evicted" in payload["error"]
@@ -993,10 +989,7 @@ class TestDestructiveRaces:
             assert status == 404  # the mutated handle is unreachable
             return fp_b
 
-        try:
-            fp_b = _serve(drive, max_graphs=1, wal_dir=tmp_path / "wal")
-        finally:
-            gate.set()
+        fp_b = _serve(drive, max_graphs=1, wal_dir=tmp_path / "wal")
         # The aborted batch never reached the WAL: replay works and
         # reconstructs exactly the post-eviction registry.
         wal = ServiceWAL(tmp_path / "wal")

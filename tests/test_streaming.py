@@ -305,8 +305,8 @@ class TestDifferential:
     def test_shared_assembly_bug_is_caught(self, monkeypatch):
         # Engine and rebuild share the cluster assembly, so a bug there
         # agrees with itself; the verify_clustering oracle must catch it.
-        import repro.core.dynamic_index as dynamic_index
         import repro.core.gsindex as gsindex
+        import repro.core.result as result_module
 
         def broken(algorithm, params, roles, src, dst):
             result, merges = assemble_clustering(algorithm, params, roles, src, dst)
@@ -314,7 +314,8 @@ class TestDifferential:
             return result, merges
 
         monkeypatch.setattr(gsindex, "assemble_clustering", broken)
-        monkeypatch.setattr(dynamic_index, "assemble_clustering", broken)
+        # DynamicGSIndex queries reach it through cluster_similar_arcs.
+        monkeypatch.setattr(result_module, "assemble_clustering", broken)
         graph = erdos_renyi(30, 90, seed=16)
         script = random_edit_script(graph, seed=17, batches=2, batch_size=6)
         with pytest.raises(DifferentialMismatch, match="verify_clustering"):
